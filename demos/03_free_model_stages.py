@@ -28,12 +28,13 @@ for a in range(4):
 print("next selection:", select_condition(s1), "(None means the operator is total)")
 
 rep = verify_stage(s1, rng=Random(0))
-print("stage checks:", "ok" if rep.ok() else rep.violations)
+print("stage checks:", "ok" if rep.ok() else rep.failures())
 
 m = StageModel(s1)
 beta = check_beta_axioms(m)
 print("conditional-model laws:", "all pass" if beta.ok() else beta.failures())
-p5, s5, c5 = beta.checks["beta5"]
+p5, s5 = beta.checks["beta5"]
+c5 = beta.counterexamples.get("beta5")
 print(f"full symmetry (not guaranteed, measured only): "
       f"{p5} pass / {s5} skipped / counterexample: {c5}")
 

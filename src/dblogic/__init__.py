@@ -1,13 +1,14 @@
 """Workbench for a deterministic Bayesian conditional logic.
 
 The pieces fit together as follows: `syntax` declares the language and
-sequents; `proof` checks derivations in the classical, full and weakened
-systems and `library` ships machine-checked derivations for the standard
-theorems; `construction` builds the free partial models stage by stage;
-`model` evaluates formulas and sequents semantically on any conditional
-model; `probability` extends exact classical probabilities over the whole
-language (directly, or through an infinitesimal perturbation when zero cells
-are present) and demonstrates how the Bayesian identity survives while the
+sequents and holds the one formula evaluator; `proof` checks derivations in
+the classical, full and weakened systems and `library` ships machine-checked
+derivations for the standard theorems; `construction` builds the free
+partial models stage by stage and states the beta laws once; `model`
+evaluates formulas and sequents semantically on any conditional model;
+`probability` extends exact classical probabilities over the whole language
+(directly, or through an infinitesimal perturbation when zero cells are
+present) and demonstrates how the Bayesian identity survives while the
 classical triviality argument fails.
 """
 
@@ -22,14 +23,13 @@ from .proof import (
 )
 from .library import TheoremEntry, library_language, proofs_dir, theorem_library
 from .construction import (
-    BudgetExceeded, ConstructionError, Stage, advance, apply_f,
-    build_faithful, build_for_formulas, canonical_assignment, classify_case,
-    dump_stage, embed_element, load_stage, new_stage0, partition_data,
-    select_condition, verify_stage,
+    BudgetExceeded, ConstructionError, Stage, advance, build_faithful,
+    build_for_formulas, canonical_assignment, classify_case, dump_stage,
+    load_stage, new_stage0, partition_data, select_condition, verify_stage,
 )
 from .model import (
     ConditionalAssignment, ConditionalModel, StageModel, TableModel,
-    check_beta_axioms, check_soundness, entails, evaluate, extend_assignment,
+    check_beta_axioms, check_soundness, entails, extend_assignment,
 )
 from .ratfunc import EPS, Poly, RatFunc
 from .probability import (
@@ -37,7 +37,7 @@ from .probability import (
     bayes_identity, check_multiplicativity, epsilon_extension,
     extend_probability, extend_step, lemma1_check, lemma2_check,
     lewis_collapse_demo, lewis_separation, limit_at_zero, p0_from_pi,
-    parse_probability_file, prob_of_formula,
+    parse_probability_file,
 )
 
 __version__ = "0.1.0"

@@ -120,7 +120,8 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
         s = s.parent
     for st in reversed(tower[:-1]):
         rep = construction.verify_stage(st, rng=Random(seed))
-        status = "ok" if rep.ok() else "FAIL " + "; ".join(rep.violations[:3])
+        status = "ok" if rep.ok() else "FAIL " + "; ".join(
+            f"{k}: {v}" for k, v in list(rep.failures().items())[:3])
         report.append(f"verify stage {st.index}: {status}")
         if not rep.ok():
             failures += 1
@@ -234,9 +235,13 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
                           f"extend-then-evaluate {e.extension_of_conditioned} "
                           f"!= condition-the-extension {e.conditioned_extension}")
         d = rep_.demo
-        report.append(f"  collapse demo psi={lang.format(d.psi)}: inside={d.inside} "
-                      f"outside={d.outside} forced={d.forced} bayes={d.bayes} "
-                      f"collapses={d.collapses}")
+        if d is None:
+            report.append("  collapse demo not applicable: no atom psi both splits phi "
+                          "and has its probability changed by phi")
+        else:
+            report.append(f"  collapse demo psi={lang.format(d.psi)}: inside={d.inside} "
+                          f"outside={d.outside} forced={d.forced} bayes={d.bayes} "
+                          f"collapses={d.collapses}")
         if not wit:
             report.append("  no witness found in the delta family (reported, not asserted)")
     _emit(report, out)

@@ -19,23 +19,31 @@ minimum (ties broken by smallest bitmask under the stage's atom ordering) and
 keeps orientation coherent with earlier selections of the same chain.
 Targeted mode processes a caller-supplied condition, which is sound because
 every stage property holds for an arbitrary admissible choice; only the
-totality-in-the-limit argument needs the faithful ranking.
+totality-in-the-limit argument needs the faithful ranking.  The targeted
+build finds its conditions with the shared evaluator, `syntax.evaluate`.
+
+The laws of f are stated once, in `BETA_LAWS`: the axioms b1-b4 and b5w,
+the derived identities, and the extra full symmetry b5.  `check_beta_laws`
+runs that table; `verify_stage` applies it to each new stage next to the
+embedding checks, and `model.check_beta_axioms` to any conditional model.
+Both fill a `CheckReport`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from random import Random
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
-from .syntax import Atom, Cond, Formula, Implies, Not
+from .syntax import Formula, evaluate, truth_columns
 
 __all__ = [
     "AtomPoint", "BasePoint", "PairPoint", "Chain", "Transition", "Stage",
     "ConstructionError", "BudgetExceeded", "new_stage0", "select_condition",
-    "classify_case", "partition_data", "embed_element", "advance", "apply_f",
-    "verify_stage", "canonical_assignment", "build_for_formulas",
-    "build_faithful", "dump_stage", "load_stage", "StageReport",
+    "classify_case", "partition_data", "advance", "verify_stage",
+    "canonical_assignment", "build_for_formulas", "build_faithful",
+    "dump_stage", "load_stage", "CheckReport", "BETA_LAWS", "check_beta_laws",
 ]
 
 MAX_THETA = 3
@@ -118,6 +126,12 @@ class Transition:
     b_mask: int                    # chosen condition, parent-stage mask
     pi: tuple[int, ...]            # partition blocks covering b
     gamma: tuple[int, ...]         # partition blocks covering ~b
+
+    @property
+    def next_size(self) -> int:
+        """Point count of the next stage: 2 * sum |Pi_i| * |Gamma_i|."""
+        return 2 * sum(bin(p).count("1") * bin(g).count("1")
+                       for p, g in zip(self.pi, self.gamma))
 
 
 class Stage:
@@ -292,11 +306,6 @@ def new_stage0(theta: Sequence[str], max_theta: int = MAX_THETA) -> Stage:
     return Stage(names, 0, atoms, None, None, None, ())
 
 
-def apply_f(stage: Stage, b_mask: int, a_mask: int) -> int | None:
-    """Module-level alias for :meth:`Stage.apply_f`."""
-    return stage.apply_f(b_mask, a_mask)
-
-
 def classify_case(stage: Stage, b_mask: int) -> tuple[int, int | None]:
     """Case 0 when {b, ~b} matches an earlier chain (nu = latest selection
     stage of that chain); case 1 otherwise."""
@@ -358,20 +367,10 @@ def _check_partition(stage: Stage, b_mask: int, pi: Sequence[int], gamma: Sequen
         raise ConstructionError("partition blocks do not cover ~b")
 
 
-def embed_element(stage: Stage, tdata: Transition, mask: int) -> int:
-    """mu(A) = union over blocks of (A&Pi_i) x Gamma_i  u  (A&Gamma_i) x Pi_i,
-    expressed at the parent stage and returning the next-stage mask.  Exposed
-    for testing; `advance` computes the same map via the per-point blocks."""
-    next_atoms, point_block = _next_atoms(stage, tdata)
-    out = 0
-    for i in _bits(mask):
-        out |= point_block[i]
-    return out
-
-
 def _next_atoms(stage: Stage, tdata: Transition) -> tuple[list[AtomPoint], list[int]]:
     """Ordered next-stage points (the mu(b) half first), plus the per-point
-    image blocks."""
+    image blocks: mu(A) = union over blocks of (A&Pi_i) x Gamma_i u
+    (A&Gamma_i) x Pi_i."""
     pairs_pos: list[PairPoint] = []
     pairs_neg: list[PairPoint] = []
     for p_mask, g_mask in zip(tdata.pi, tdata.gamma):
@@ -405,11 +404,9 @@ def advance(stage: Stage, b_mask: int, verify: bool = True,
     """One construction step on the (already coherence-normalized) condition."""
     tdata = partition_data(stage, b_mask)
     atoms, blocks = _next_atoms(stage, tdata)
-    expected = 2 * sum(bin(p).count("1") * bin(g).count("1")
-                       for p, g in zip(tdata.pi, tdata.gamma))
-    if len(atoms) != expected:
+    if len(atoms) != tdata.next_size:
         raise ConstructionError("cardinality formula violated")
-    n_pos = expected // 2
+    n_pos = len(atoms) // 2
     mu_b = (1 << n_pos) - 1
 
     new_chains: list[Chain] = []
@@ -430,11 +427,17 @@ def advance(stage: Stage, b_mask: int, verify: bool = True,
     if nxt.embed(b_mask) != mu_b:
         raise ConstructionError("mu(b) is not the positive pair half")
     if verify:
-        report = verify_stage(nxt, rng=rng)
-        if report.violations:
-            raise ConstructionError("stage verification failed: "
-                                    + "; ".join(report.violations[:5]))
+        _verified(nxt, rng)
     return nxt
+
+
+def _verified(stage: Stage, rng: Random | None) -> CheckReport:
+    """`verify_stage`, raising ConstructionError on any fatal violation."""
+    report = verify_stage(stage, rng=rng)
+    if not report.ok():
+        raise ConstructionError("stage verification failed: " + "; ".join(
+            f"{k}: {v}" for k, v in list(report.failures().items())[:5]))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +507,119 @@ def select_condition(stage: Stage, target: int | None = None) -> int | None:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class StageReport:
-    stage: int
-    checks: dict[str, tuple[int, int]]   # name -> (passed, skipped)
-    violations: list[str]
+class CheckReport:
+    """Tallies of one verification run: check name -> (passed, skipped),
+    plus the first counterexample of every check that failed."""
+
+    checks: dict[str, tuple[int, int]] = field(default_factory=dict)
+    counterexamples: dict[str, str] = field(default_factory=dict)
     seed: int | None = None
 
-    def ok(self) -> bool:
-        return not self.violations
+    def record(self, name: str, passed: int, skipped: int = 0,
+               counterexample: str | None = None) -> None:
+        p, s = self.checks.get(name, (0, 0))
+        self.checks[name] = (p + passed, s + skipped)
+        if counterexample is not None:
+            self.counterexamples.setdefault(name, counterexample)
+
+    def failures(self) -> dict[str, str]:
+        """First counterexample of each failed check, leaving out the extra,
+        never fatal laws (their counterexamples stay in `counterexamples`)."""
+        return {k: v for k, v in self.counterexamples.items()
+                if k not in _EXTRA_LAWS}
+
+    def ok(self, include_extra: bool = False) -> bool:
+        return not (self.counterexamples if include_extra else self.failures())
+
+
+# The laws of the conditional operator f(B, A), "B given A", in the paper's
+# form: the axioms b1-b4 and the weak symmetry b5w, the identities derived
+# from them, and the full symmetry b5, which free models need not satisfy and
+# which is therefore measured but never fatal.
+BETA_LAWS: tuple[tuple[str, str, str], ...] = (
+    ("beta1", "axiom", "0 < A <= B implies f(B,A) = 1"),
+    ("beta2", "axiom", "f(B|C,A) <= f(B,A) | f(C,A)"),
+    ("beta3", "axiom", "A & f(B,A) <= B"),
+    ("beta4", "axiom", "f(~B,A) = ~f(B,A)"),
+    ("beta5w", "axiom", "f(B,A) = B implies f(B,~A) = B"),
+    ("beta2-eq", "derived", "f(B|C,A) = f(B,A) | f(C,A)"),
+    ("beta3-eq", "derived", "A & f(B,A) = A & B"),
+    ("beta6", "derived", "f(B&C,A) = f(B,A) & f(C,A)"),
+    ("idempotence", "derived", "f(f(B,A),A') = f(B,A) for A' in {A, ~A}"),
+    ("beta5", "extra", "f(B,A) = B implies f(A,B) = A"),
+)
+_STATEMENTS = {name: text for name, _, text in BETA_LAWS}
+_EXTRA_LAWS = frozenset(name for name, kind, _ in BETA_LAWS if kind == "extra")
+_PAIR_LAWS = ("beta2", "beta2-eq", "beta6")
+_ELEMENT_LAWS = tuple(name for name in _STATEMENTS if name not in _PAIR_LAWS)
+
+
+def _tally(rep: CheckReport, name: str, holds: bool | None, *where: int) -> None:
+    """Record one instance of a law: None when a needed row is undefined."""
+    if holds is None:
+        rep.record(name, 0, 1)
+    elif holds:
+        rep.record(name, 1)
+    else:
+        at = " ".join(f"{k}={v:#x}" for k, v in zip("ABC", where))
+        rep.record(name, 0, 0, f"fails {_STATEMENTS[name]} at {at}")
+
+
+def check_beta_laws(f: Callable[[int, int], int | None], full: int,
+                    conditions: Sequence[int],
+                    pool_of: Callable[[int], Sequence[int]],
+                    rng: Random, samples: int, rep: CheckReport) -> None:
+    """Check every row of BETA_LAWS on the partial operator `f` (None for an
+    undefined row) of the algebra with top `full`, for each condition A over
+    the elements B of ``pool_of(A)`` and the pairs B, C drawn from it.  The
+    pair laws are symmetric, so each unordered pair is checked once; pairs
+    are exhausted when the pool has at most max(8 * samples, 8192) ordered
+    pairs, and `samples` seeded pairs are drawn otherwise."""
+    for a in conditions:
+        na = full ^ a
+        pool = pool_of(a)
+        fval: dict[int, int | None] = {}
+        for b in pool:
+            fb = fval[b] = f(b, a)
+            if fb is None:
+                for name in _ELEMENT_LAWS:
+                    rep.record(name, 0, 1)
+                continue
+            _tally(rep, "beta1", fb == full or a == 0 or a & b != a, a, b)
+            _tally(rep, "beta3", a & fb & ~b == 0, a, b)
+            _tally(rep, "beta3-eq", a & fb == a & b, a, b)
+            fnb = f(full ^ b, a)
+            _tally(rep, "beta4", None if fnb is None else fnb == full ^ fb, a, b)
+            if fb == b:
+                fw, fab = f(b, na), f(a, b)
+                _tally(rep, "beta5w", None if fw is None else fw == b, a, b)
+                _tally(rep, "beta5", None if fab is None else fab == a, a, b)
+            f1, f2 = f(fb, a), f(fb, na)
+            _tally(rep, "idempotence",
+                   None if f1 is None or f2 is None else f1 == fb == f2, a, b)
+
+        if len(pool) ** 2 <= max(8 * samples, 8192):
+            pairs = combinations_with_replacement(pool, 2)
+        else:
+            pairs = ((rng.choice(pool), rng.choice(pool)) for _ in range(samples))
+        good = skipped = 0
+        for b, c in pairs:
+            fb, fc = fval[b], fval[c]
+            fu = fi = None
+            if fb is not None and fc is not None:
+                fu, fi = f(b | c, a), f(b & c, a)
+            if fu is None or fi is None:
+                skipped += 1
+                continue
+            union, inter = fb | fc, fb & fc
+            if fu == union and fi == inter:
+                good += 1
+                continue
+            _tally(rep, "beta2", fu | union == union, a, b, c)
+            _tally(rep, "beta2-eq", fu == union, a, b, c)
+            _tally(rep, "beta6", fi == inter, a, b, c)
+        for name in _PAIR_LAWS:
+            rep.record(name, good, skipped)
 
 
 def _sample_element(stage: Stage, rng: Random) -> int:
@@ -519,49 +627,41 @@ def _sample_element(stage: Stage, rng: Random) -> int:
 
 
 def verify_stage(stage: Stage, rng: Random | None = None,
-                 exhaustive_limit: int = 8, samples: int = 10_000) -> StageReport:
+                 exhaustive_limit: int = 8, samples: int = 10_000) -> CheckReport:
     """Check the embedding/commutation properties and the conditional-operator
-    laws on the defined domain: exhaustively for small stages, with seeded
-    sampling beyond.  All identities are exact; any violation is fatal to the
-    caller."""
+    laws (BETA_LAWS) on the defined domain: exhaustively for small stages,
+    with seeded sampling beyond.  All identities are exact; any failure
+    other than of an extra law is fatal to the caller."""
     seed = None
     if rng is None:
         seed = 0
         rng = Random(seed)
-    rep = StageReport(stage.index, {}, [], seed)
-
-    def record(name: str, passed: int, skipped: int = 0) -> None:
-        p, s = rep.checks.get(name, (0, 0))
-        rep.checks[name] = (p + passed, s + skipped)
-
-    def violate(name: str, detail: str) -> None:
-        rep.violations.append(f"{name}: {detail}")
+    rep = CheckReport(seed=seed)
 
     if stage.index == 0:
-        record("trivial-conditions", 1 << min(stage.size, exhaustive_limit))
+        rep.record("trivial-conditions", 1 << min(stage.size, exhaustive_limit))
         return rep
 
     parent = stage.parent
     tdata = stage.transition
 
     # cardinality and partition identities (exact, always)
-    expected = 2 * sum(bin(p).count("1") * bin(g).count("1")
-                       for p, g in zip(tdata.pi, tdata.gamma))
-    if stage.size != expected:
-        violate("cardinality", f"|atoms|={stage.size} expected {expected}")
-    record("cardinality", 1)
+    if stage.size != tdata.next_size:
+        rep.record("cardinality", 0, 0,
+                   f"|atoms|={stage.size} expected {tdata.next_size}")
+    rep.record("cardinality", 1)
     try:
         _check_partition(parent, tdata.b_mask, tdata.pi, tdata.gamma)
-        record("partition-identities", 1)
+        rep.record("partition-identities", 1)
     except ConstructionError as e:
-        violate("partition-identities", str(e))
+        rep.record("partition-identities", 0, 0, str(e))
 
     mu_b = stage.embed(tdata.b_mask)
     if mu_b != (1 << (stage.size // 2)) - 1:
-        violate("mu-b", "mu(b) is not the positive half")
+        rep.record("mu-b", 0, 0, "mu(b) is not the positive half")
     if stage.complement(mu_b) != stage.swap_pairs(mu_b):
-        violate("mu-b-swap", "~mu(b) differs from T(mu(b))")
-    record("mu-b-corollaries", 2)
+        rep.record("mu-b-swap", 0, 0, "~mu(b) differs from T(mu(b))")
+    rep.record("mu-b-corollaries", 2)
 
     # alpha1: blocks nonempty, disjoint, covering -- this makes mu an
     # injective Boolean morphism exactly; spot identities are sampled on top
@@ -569,16 +669,16 @@ def verify_stage(stage: Stage, rng: Random | None = None,
     ok = True
     for i, blk in enumerate(stage.blocks):
         if blk == 0:
-            violate("alpha1", f"empty block for parent atom {i}")
+            rep.record("alpha1", 0, 0, f"empty block for parent atom {i}")
             ok = False
         if blk & union:
-            violate("alpha1", f"block {i} overlaps earlier blocks")
+            rep.record("alpha1", 0, 0, f"block {i} overlaps earlier blocks")
             ok = False
         union |= blk
     if union != stage.full:
-        violate("alpha1", "blocks do not cover the new universe")
+        rep.record("alpha1", 0, 0, "blocks do not cover the new universe")
         ok = False
-    record("alpha1-block-partition", len(stage.blocks) if ok else 0)
+    rep.record("alpha1-block-partition", len(stage.blocks) if ok else 0)
 
     if parent.size <= exhaustive_limit:
         pairs = [(a, b) for a in range(1 << parent.size) for b in range(1 << parent.size)]
@@ -590,10 +690,10 @@ def verify_stage(stage: Stage, rng: Random | None = None,
         if (stage.embed(a & b) != stage.embed(a) & stage.embed(b)
                 or stage.embed(a | b) != stage.embed(a) | stage.embed(b)
                 or stage.embed(parent.complement(a)) != stage.complement(stage.embed(a))):
-            violate("alpha1", f"morphism identity fails at A={a:#x} B={b:#x}")
+            rep.record("alpha1", 0, 0, f"morphism identity fails at A={a:#x} B={b:#x}")
             break
         good += 1
-    record("alpha1-morphism", good)
+    rep.record("alpha1-morphism", good)
 
     # alpha2: f commutes with the embedding on the inherited domain (exact)
     good = skipped = 0
@@ -610,14 +710,13 @@ def verify_stage(stage: Stage, rng: Random | None = None,
                 continue
             lhs = stage.apply_f(stage.embed(b), stage.embed(cond))
             if lhs != stage.embed(fv):
-                violate("alpha2", f"f does not commute with mu at B={b:#x} A={cond:#x}")
+                rep.record("alpha2", 0, 0,
+                           f"f does not commute with mu at B={b:#x} A={cond:#x}")
                 break
             good += 1
-    record("alpha2", good, skipped)
+    rep.record("alpha2", good, skipped)
 
     # beta laws on the defined domain of the new stage
-    conditions = stage.defined_conditions()
-
     def defined_pool(cond: int) -> list[int]:
         chain, _ = stage.chain_for(cond)
         elems = stage.embeddable_elements(chain.processed_at)
@@ -625,95 +724,33 @@ def verify_stage(stage: Stage, rng: Random | None = None,
             return elems
         return [stage.random_embeddable(chain.processed_at, rng) for _ in range(samples)]
 
-    for cond in conditions:
-        pool = defined_pool(cond)
-        counts = {k: 0 for k in ("beta1", "beta2", "beta3", "beta4", "beta5w",
-                                 "beta6", "idempotence")}
-        skips = 0
-        for b in pool:
-            fb = stage.apply_f(b, cond)
-            if fb is None:
-                skips += 1
-                continue
-            if cond != 0 and (cond & b) == cond and fb != stage.full:
-                violate("beta1", f"A subset B but f(B,A) != full at A={cond:#x} B={b:#x}")
-                break
-            counts["beta1"] += 1
-            if cond & fb != cond & b:
-                violate("beta3", f"A & f(B,A) != A & B at A={cond:#x} B={b:#x}")
-                break
-            counts["beta3"] += 1
-            fnb = stage.apply_f(stage.complement(b), cond)
-            if fnb is not None:
-                if fnb != stage.complement(fb):
-                    violate("beta4", f"f(~B,A) != ~f(B,A) at A={cond:#x} B={b:#x}")
-                    break
-                counts["beta4"] += 1
-            if fb == b:
-                fcomp = stage.apply_f(b, stage.complement(cond))
-                if fcomp is not None and fcomp != b:
-                    violate("beta5w", f"f(B,A)=B but f(B,~A) != B at A={cond:#x} B={b:#x}")
-                    break
-                counts["beta5w"] += 1
-            bad = False
-            for c2 in (cond, stage.complement(cond)):
-                ff = stage.apply_f(fb, c2)
-                if ff is not None and ff != fb:
-                    violate("idempotence", f"f(f(B,A),A') != f(B,A) at A={cond:#x} B={b:#x}")
-                    bad = True
-                    break
-                counts["idempotence"] += 1
-            if bad:
-                break
-        else:
-            # beta2/beta6 need pairs: exhaust small pools, sample otherwise
-            if len(pool) ** 2 <= samples * 8:
-                pair_iter = ((b, c) for b in pool for c in pool)
-            else:
-                pair_iter = ((rng.choice(pool), rng.choice(pool)) for _ in range(samples))
-            for b, c in pair_iter:
-                fb, fc = stage.apply_f(b, cond), stage.apply_f(c, cond)
-                fu = stage.apply_f(b | c, cond)
-                fi = stage.apply_f(b & c, cond)
-                if None in (fb, fc, fu, fi):
-                    skips += 1
-                    continue
-                if fu != fb | fc:
-                    violate("beta2", f"f(B|C,A) != f(B,A)|f(C,A) at A={cond:#x}")
-                    break
-                counts["beta2"] += 1
-                if fi != fb & fc:
-                    violate("beta6", f"f(B&C,A) != f(B,A)&f(C,A) at A={cond:#x}")
-                    break
-                counts["beta6"] += 1
-        for k, v in counts.items():
-            record(k, v)
-        record("beta-skip", 0, skips)
+    check_beta_laws(stage.apply_f, stage.full, stage.defined_conditions(),
+                    defined_pool, rng, samples, rep)
 
     # trivial conditions
     probe = [rng.getrandbits(stage.size) for _ in range(64)]
     for b in probe:
         if stage.apply_f(b, 0) != b or stage.apply_f(b, stage.full) != b:
-            violate("trivial-conditions", f"f(B, empty/full) != B at B={b:#x}")
+            rep.record("trivial-conditions", 0, 0, f"f(B, empty/full) != B at B={b:#x}")
             break
-    record("trivial-conditions", len(probe))
+    rep.record("trivial-conditions", len(probe))
 
     # rank consistency: images keep their rank, genuinely new points get n
     good = 0
     for i, blk in enumerate(stage.blocks):
         if bin(blk).count("1") == 1:
             if stage.rank(blk) != parent.rank(1 << i):
-                violate("ranks", f"embedded singleton changed rank at atom {i}")
+                rep.record("ranks", 0, 0, f"embedded singleton changed rank at atom {i}")
                 break
         good += 1
     sample_elems = parent.embeddable_elements(parent.index) or [
         _sample_element(parent, rng) for _ in range(256)]
     for m in sample_elems[: 1 << exhaustive_limit]:
         if stage.rank(stage.embed(m)) != parent.rank(m):
-            violate("ranks", f"embedding changed rank of {m:#x}")
+            rep.record("ranks", 0, 0, f"embedding changed rank of {m:#x}")
             break
         good += 1
-    record("ranks", good)
+    rep.record("ranks", good)
 
     return rep
 
@@ -723,90 +760,47 @@ def verify_stage(stage: Stage, rng: Random | None = None,
 # ---------------------------------------------------------------------------
 
 def canonical_assignment(stage: Stage) -> dict[str, int]:
-    """theta |-> current-stage image of the stage-0 element 'theta holds'."""
-    out = {}
-    for i, name in enumerate(stage.theta):
-        xi = 0
-        for bits in range(1 << len(stage.theta)):
-            if (bits >> i) & 1:
-                xi |= 1 << bits
-        out[name] = stage.embed_from(0, xi)
-    return out
-
-
-class _Eval:
-    """Bottom-up evaluator under the canonical assignment that reports the
-    first (innermost) condition element whose f-row is missing."""
-
-    def __init__(self, stage: Stage, atom_map: Mapping[str, int]):
-        self.stage = stage
-        self.atom_map = atom_map
-        self.blocking: int | None = None
-        self.memo: dict[Formula, int | None] = {}
-
-    def value(self, f: Formula) -> int | None:
-        if f in self.memo:
-            return self.memo[f]
-        out: int | None
-        if isinstance(f, Atom):
-            out = self.atom_map[f.name]
-        elif isinstance(f, Not):
-            v = self.value(f.body)
-            out = None if v is None else self.stage.complement(v)
-        elif isinstance(f, Implies):
-            l, r = self.value(f.left), self.value(f.right)
-            out = None if l is None or r is None else (self.stage.complement(l) | r)
-        elif isinstance(f, Cond):
-            t, g = self.value(f.then), self.value(f.given)
-            if t is None or g is None:
-                out = None
-            else:
-                out = self.stage.apply_f(t, g)
-                if out is None and self.blocking is None:
-                    self.blocking = g
-        else:
-            raise TypeError(f)
-        self.memo[f] = out
-        return out
+    """theta |-> current-stage image of the stage-0 element 'theta holds'
+    (the atom's truth-table column over the stage-0 points)."""
+    return {name: stage.embed_from(0, col)
+            for name, col in truth_columns(stage.theta).items()}
 
 
 def build_for_formulas(theta: Sequence[str], formulas: Sequence[Formula],
                        max_atoms: int = 32, verify: bool = True,
                        rng: Random | None = None,
                        skip_unaffordable: bool = False,
-                       ) -> tuple[Stage, list[StageReport]]:
+                       ) -> tuple[Stage, list[CheckReport]]:
     """Targeted driver: advance on the innermost blocking condition of each
     formula until everything evaluates or the budget is hit.  With
     `skip_unaffordable` the formulas whose conditions would blow the budget
-    are left undefined instead of aborting the build."""
+    are left undefined instead of aborting the build.  With `verify` every
+    new stage is verified once and its report returned."""
     stage = new_stage0(theta)
-    reports: list[StageReport] = []
+    reports: list[CheckReport] = []
     pending = list(formulas)
     while True:
-        ev = _Eval(stage, canonical_assignment(stage))
+        h = canonical_assignment(stage)
         blocking = None
         blocked_formula = None
         for f in pending:
-            if ev.value(f) is None:
-                blocking = ev.blocking
+            _, blocking = evaluate(f, h, stage.full, stage.apply_f)
+            if blocking is not None:
                 blocked_formula = f
                 break
         if blocking is None:
             return stage, reports
         b = select_condition(stage, target=blocking)
-        tdata = partition_data(stage, b)
-        needed = 2 * sum(bin(p).count("1") * bin(g).count("1")
-                         for p, g in zip(tdata.pi, tdata.gamma))
+        needed = partition_data(stage, b).next_size
         if needed > max_atoms:
             if skip_unaffordable:
                 pending.remove(blocked_formula)
                 continue
             raise BudgetExceeded(f"element {b:#x} at stage {stage.index}",
                                  stage.size, needed)
-        nxt = advance(stage, b, verify=verify, rng=rng)
+        stage = advance(stage, b, verify=False)
         if verify:
-            reports.append(verify_stage(nxt, rng=rng))
-        stage = nxt
+            reports.append(_verified(stage, rng))
 
 
 def build_faithful(theta: Sequence[str], max_atoms: int = 32, verify: bool = True,
@@ -820,10 +814,7 @@ def build_faithful(theta: Sequence[str], max_atoms: int = 32, verify: bool = Tru
         b = select_condition(stage)
         if b is None:
             return stages, True
-        tdata = partition_data(stage, b)
-        needed = 2 * sum(bin(p).count("1") * bin(g).count("1")
-                         for p, g in zip(tdata.pi, tdata.gamma))
-        if needed > max_atoms:
+        if partition_data(stage, b).next_size > max_atoms:
             return stages, False
         stage = advance(stage, b, verify=verify, rng=rng)
         stages.append(stage)

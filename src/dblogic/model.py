@@ -1,5 +1,5 @@
 """Conditional-model abstraction: partially defined conditional operators on
-finite powerset algebras, homomorphic assignments, formula evaluation and
+finite powerset algebras, homomorphic assignments, the beta laws and
 semantic entailment.
 
 A model is a powerset algebra over an ordered atom list (elements are int
@@ -7,20 +7,26 @@ bitmasks) plus a partial binary operator f.  Undefinedness is a value, not an
 error: the free model defines f progressively, so evaluation reports the
 offending condition element and entailment counts skipped assignments instead
 of guessing.
+
+Formula values come from the one bit-parallel evaluator,
+`syntax.evaluate`; `ConditionalAssignment` is its memoizing front-end on a
+model.  The beta laws are the one table `construction.BETA_LAWS`, which
+`check_beta_axioms` runs on any model and `construction.verify_stage` on
+each new stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
-from .construction import Stage
-from .syntax import Atom, Cond, Formula, Implies, Not, Sequent, atoms as formula_atoms
+from .construction import CheckReport, Stage, check_beta_laws
+from .syntax import Formula, Sequent, atoms as formula_atoms, evaluate
 
 __all__ = [
     "ConditionalModel", "StageModel", "TableModel", "ConditionalAssignment",
-    "extend_assignment", "evaluate", "BetaReport", "check_beta_axioms",
+    "extend_assignment", "check_beta_axioms",
     "EntailmentResult", "entails", "check_soundness", "SoundnessRow",
 ]
 
@@ -116,97 +122,45 @@ class TableModel(ConditionalModel):
 # ---------------------------------------------------------------------------
 
 class ConditionalAssignment:
-    """Unique homomorphic extension of an atom map; memoized per subformula."""
+    """Unique homomorphic extension of an atom map; memoized per formula."""
 
     def __init__(self, model: ConditionalModel, atom_map: Mapping[str, int]):
         self.model = model
         self.atom_map = dict(atom_map)
-        self._memo: dict[Formula, int | None] = {}
-        self._blocking: dict[Formula, int | None] = {}
+        self._memo: dict[Formula, tuple[int | None, int | None]] = {}
 
     def value(self, f: Formula) -> int | None:
         """Homomorphic value, or None when some required f row is missing."""
-        if f in self._memo:
-            return self._memo[f]
-        blocking: int | None = None
-        if isinstance(f, Atom):
-            if f.name not in self.atom_map:
-                raise KeyError(f"atom {f.name!r} outside the assignment's domain")
-            out = self.atom_map[f.name]
-        elif isinstance(f, Not):
-            v = self.value(f.body)
-            out = None if v is None else self.model.complement(v)
-            blocking = self._blocking.get(f.body)
-        elif isinstance(f, Implies):
-            l, r = self.value(f.left), self.value(f.right)
-            out = None if l is None or r is None else (self.model.complement(l) | r)
-            blocking = self._blocking.get(f.left) or self._blocking.get(f.right)
-        elif isinstance(f, Cond):
-            t, g = self.value(f.then), self.value(f.given)
-            if t is None or g is None:
-                out = None
-                blocking = self._blocking.get(f.then) or self._blocking.get(f.given)
-            else:
-                out = self.model.f(t, g)
-                if out is None:
-                    blocking = g
-        else:
-            raise TypeError(f)
-        self._memo[f] = out
-        self._blocking[f] = blocking
-        return out
+        hit = self._memo.get(f)
+        if hit is None:
+            hit = self._memo[f] = evaluate(f, self.atom_map, self.model.full,
+                                           self.model.f)
+        return hit[0]
 
     def blocking_condition(self, f: Formula) -> int | None:
         """The innermost condition element whose f row was missing."""
         self.value(f)
-        return self._blocking.get(f)
+        return self._memo[f][1]
 
 
 def extend_assignment(model: ConditionalModel, atom_map: Mapping[str, int]) -> ConditionalAssignment:
     return ConditionalAssignment(model, atom_map)
 
 
-def evaluate(model: ConditionalModel, assignment: ConditionalAssignment,
-             f: Formula) -> int | None:
-    return assignment.value(f)
-
-
 # ---------------------------------------------------------------------------
 # Axiom verification on models
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BetaReport:
-    checks: dict[str, tuple[int, int, tuple | None]] = field(default_factory=dict)
-    seed: int | None = None
-
-    def record(self, name: str, passed: int, skipped: int = 0,
-               counterexample: tuple | None = None) -> None:
-        p, s, c = self.checks.get(name, (0, 0, None))
-        self.checks[name] = (p + passed, s + skipped, c or counterexample)
-
-    def failures(self) -> dict[str, tuple]:
-        return {k: v[2] for k, v in self.checks.items() if v[2] is not None}
-
-    def ok(self, include_extra: bool = False) -> bool:
-        bad = self.failures()
-        if not include_extra:
-            bad = {k: v for k, v in bad.items() if k not in ("beta5", "beta6")}
-        return not bad
-
-
 def check_beta_axioms(m: ConditionalModel, samples: int | None = None,
-                      seed: int = 0) -> BetaReport:
-    """Per-axiom pass/fail/skip counts with first counterexamples.
+                      seed: int = 0) -> CheckReport:
+    """Per-law pass/skip counts with first counterexamples.
 
-    Conditions range over the rows f actually defines; pairs are exhausted on
-    small models and sampled (seeded) beyond.  The full symmetry law beta5 is
-    reported separately as an extra, never required.
+    Conditions range over the rows f actually defines plus the trivial ones;
+    elements are exhausted on small models and sampled (seeded) beyond.  The
+    full symmetry law beta5 is an extra, reported but never required.
     """
     rng = Random(seed)
-    rep = BetaReport(seed=seed)
     exhaustive = samples is None and m.size <= 12
-    conditions = list(m.known_conditions())
 
     def rows(cond: int) -> list[int]:
         if exhaustive:
@@ -216,65 +170,9 @@ def check_beta_axioms(m: ConditionalModel, samples: int | None = None,
             return list(range(1 << m.size))
         return [rng.getrandbits(m.size) for _ in range(samples or 1000)]
 
-    for a in conditions + [0, m.full]:
-        pool = rows(a)
-        for b in pool:
-            fb = m.f(b, a)
-            if fb is None:
-                rep.record("beta1", 0, 1)
-                continue
-            if a != 0 and (a & b) == a and fb != m.full:
-                rep.record("beta1", 0, 0, ("beta1", a, b))
-            else:
-                rep.record("beta1", 1)
-            if (a & fb) | (a & b) != (a & b):  # A & f(B,A) subset of B
-                rep.record("beta3", 0, 0, ("beta3", a, b))
-            else:
-                rep.record("beta3", 1)
-            fnb = m.f(m.complement(b), a)
-            if fnb is None:
-                rep.record("beta4", 0, 1)
-            elif fnb != m.complement(fb):
-                rep.record("beta4", 0, 0, ("beta4", a, b))
-            else:
-                rep.record("beta4", 1)
-            if fb == b:
-                fw = m.f(b, m.complement(a))
-                if fw is None:
-                    rep.record("beta5w", 0, 1)
-                elif fw != b:
-                    rep.record("beta5w", 0, 0, ("beta5w", a, b))
-                else:
-                    rep.record("beta5w", 1)
-                # extra: full symmetry
-                fba = m.f(a, b)
-                if fba is None:
-                    rep.record("beta5", 0, 1)
-                elif fba != a:
-                    rep.record("beta5", 0, 0, ("beta5", a, b))
-                else:
-                    rep.record("beta5", 1)
-        if len(pool) ** 2 <= 8192 ** 1:
-            pair_iter = ((b, c) for b in pool for c in pool)
-        else:
-            pair_iter = ((rng.choice(pool), rng.choice(pool))
-                         for _ in range(samples or 4096))
-        for b, c in pair_iter:
-            fb, fc = m.f(b, a), m.f(c, a)
-            fu = m.f(b | c, a)
-            fi = m.f(b & c, a)
-            if fb is None or fc is None or fu is None:
-                rep.record("beta2", 0, 1)
-            elif fu | (fb | fc) != (fb | fc):  # f(B u C, A) subset f(B,A) u f(C,A)
-                rep.record("beta2", 0, 0, ("beta2", a, b, c))
-            else:
-                rep.record("beta2", 1)
-            if fb is None or fc is None or fi is None:
-                rep.record("beta6", 0, 1)
-            elif fi != fb & fc:
-                rep.record("beta6", 0, 0, ("beta6", a, b, c))
-            else:
-                rep.record("beta6", 1)
+    rep = CheckReport(seed=seed)
+    check_beta_laws(m.f, m.full, list(m.known_conditions()) + [0, m.full],
+                    rows, rng, samples or 4096, rep)
     return rep
 
 

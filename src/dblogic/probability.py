@@ -30,14 +30,15 @@ from .construction import Stage, canonical_assignment
 from .model import ConditionalAssignment, StageModel
 from .ratfunc import EPS, RatFunc
 from .syntax import (
-    Atom, Cond, Formula, Implies, Language, Not, conj, is_classical,
+    Atom, Cond, Formula, Implies, Language, Not, conj, evaluate, is_classical,
+    truth_columns,
 )
 
 __all__ = [
     "ClassicalProbability", "RationalValuation", "ZeroBlockError",
     "p0_from_pi", "extend_step", "extend_probability", "Extension",
     "lemma1_check", "lemma2_check", "LemmaReport",
-    "prob_of_formula", "bayes_identity", "check_multiplicativity",
+    "bayes_identity", "check_multiplicativity",
     "epsilon_extension", "lewis_separation", "lewis_collapse_demo",
     "LewisReport", "LewisEntry", "CollapseDemo", "default_lewis_deltas",
     "parse_probability_file",
@@ -53,29 +54,6 @@ def limit_at_zero(w: Weight) -> Fraction:
 
 class ZeroBlockError(ZeroDivisionError):
     """A partition block has probability zero; use the perturbed mode."""
-
-
-def _rows_of(f: Formula, theta: Sequence[str]) -> int:
-    """Bitmask of the truth rows of a classical formula (row code = one bit
-    per atom, matching the stage-0 point order)."""
-    if not is_classical(f):
-        raise ValueError("classical formula expected")
-
-    def ev(g: Formula, code: int) -> bool:
-        if isinstance(g, Atom):
-            return bool((code >> theta.index(g.name)) & 1)
-        if isinstance(g, Not):
-            return not ev(g.body, code)
-        if isinstance(g, Implies):
-            return (not ev(g.left, code)) or ev(g.right, code)
-        raise TypeError(g)
-
-    theta = list(theta)
-    out = 0
-    for code in range(1 << len(theta)):
-        if ev(f, code):
-            out |= 1 << code
-    return out
 
 
 class ClassicalProbability:
@@ -106,9 +84,14 @@ class ClassicalProbability:
                           weights: Sequence[Fraction]) -> "ClassicalProbability":
         return cls(theta, [Fraction(w) for w in weights])
 
+    def rows(self, f: Formula) -> int:
+        """Bitmask of the truth rows of a classical formula (row code = one
+        bit per atom, matching the stage-0 point order)."""
+        return evaluate(f, truth_columns(self.theta), (1 << len(self.table)) - 1)[0]
+
     def of(self, f: Formula) -> Weight:
         """Probability of a classical formula, summed over its truth rows."""
-        rows = _rows_of(f, self.theta)
+        rows = self.rows(f)
         out: Weight = Fraction(0)
         for code in range(len(self.table)):
             if (rows >> code) & 1:
@@ -117,7 +100,7 @@ class ClassicalProbability:
 
     def conditioned(self, phi: Formula) -> "ClassicalProbability":
         """Classical conditioning: rescale inside phi, zero outside."""
-        rows = _rows_of(phi, self.theta)
+        rows = self.rows(phi)
         denom = self.of(phi)
         if denom == 0:
             raise ZeroDivisionError("conditioning on a null proposition")
@@ -138,6 +121,7 @@ def parse_probability_file(text: str, lang: Language,
     lines default to zero (rejected under `strict_positive`)."""
     theta = lang.theta
     table: list[Fraction | None] = [None] * (1 << len(theta))
+    columns = truth_columns(theta)
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,7 +130,7 @@ def parse_probability_file(text: str, lang: Language,
         if not sep:
             raise ValueError(f"missing ':' in {line!r}")
         f = lang.parse(left.strip())
-        rows = _rows_of(f, theta)
+        rows, _ = evaluate(f, columns, (1 << len(table)) - 1)
         if bin(rows).count("1") != 1:
             raise ValueError(f"{left.strip()!r} does not denote a single complete conjunction")
         code = rows.bit_length() - 1
@@ -252,10 +236,6 @@ def extend_probability(pi: ClassicalProbability, stage: Stage) -> Extension:
         vals.append(extend_step(vals[-1], nxt))
     asg = ConditionalAssignment(StageModel(stage), canonical_assignment(stage))
     return Extension(pi, levels, vals, asg)
-
-
-def prob_of_formula(ext: Extension, f: Formula) -> Weight | None:
-    return ext.prob(f)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +394,7 @@ class CollapseDemo:
 class LewisReport:
     phi: Formula
     entries: list[LewisEntry]
-    demo: CollapseDemo
+    demo: CollapseDemo | None  # None when no atom psi fits the demo
 
     def witnesses(self) -> list[LewisEntry]:
         return [e for e in self.entries if e.is_witness()]
@@ -470,8 +450,12 @@ def lewis_separation(stage: Stage, pi: ClassicalProbability, phi: Formula,
         a_val = limit_at_zero(a_raw)
         b_val = num / p_phi
         entries.append(LewisEntry(d, a_val, b_val, a_val == b_val))
-    psi_demo = next((Atom(n) for n in lang.theta
-                     if pi.of(conj(Atom(n), phi)) / p_phi != pi.of(Atom(n))),
-                    Atom(lang.theta[0]))
-    demo = lewis_collapse_demo(pi, phi, psi_demo)
+    # psi: the first atom whose probability phi changes and that splits phi
+    # (0 < P(psi /\ phi) < P(phi)), since the demo conditions on both
+    # psi /\ phi and !psi /\ phi.  When phi changes no atom, every atom
+    # splits it (pi is strictly positive) and the first one is taken.
+    atoms = [Atom(n) for n in lang.theta]
+    changed = [a for a in atoms if pi.of(conj(a, phi)) / p_phi != pi.of(a)]
+    fits = [a for a in changed if 0 < pi.of(conj(a, phi)) < p_phi] if changed else atoms
+    demo = lewis_collapse_demo(pi, phi, fits[0]) if fits else None
     return LewisReport(phi, entries, demo)

@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 from .syntax import (
     Atom, Cond, Formula, Implies, Language, Meta, Not, Sequent,
-    conj, indep, iff, substitute,
+    atoms, conj, disj, evaluate, indep, iff, substitute, truth_columns,
 )
 
 __all__ = [
@@ -189,46 +189,16 @@ def _abstract(f: Formula, table: dict[Formula, int], names: list[Formula]) -> Fo
     raise TypeError(f)
 
 
-def _table_eval(f: Formula, cols: dict[str, int], full: int) -> int:
-    if isinstance(f, Atom):
-        return cols[f.name]
-    if isinstance(f, Not):
-        return full ^ _table_eval(f.body, cols, full)
-    if isinstance(f, Implies):
-        return (full ^ _table_eval(f.left, cols, full)) | _table_eval(f.right, cols, full)
-    raise TypeError(f)
-
-
 def is_tautology(f: Formula) -> bool:
     """Truth-table tautology after abstracting maximal conditionals."""
     table: dict[Formula, int] = {}
     names: list[Formula] = []
     g = _abstract(f, table, names)
-    vars_ = sorted({a.name for a in _iter_atoms(g)})
+    vars_ = sorted(atoms(g))
     if len(vars_) > _MAX_TABLE_VARS:
         raise DerivationError("taut", f"too many variables for a truth table ({len(vars_)})")
-    rows = 1 << len(vars_)
-    full = (1 << rows) - 1
-    cols: dict[str, int] = {}
-    for i, v in enumerate(vars_):
-        pattern = 0
-        for r in range(rows):
-            if (r >> i) & 1:
-                pattern |= 1 << r
-        cols[v] = pattern
-    return _table_eval(g, cols, full) == full
-
-
-def _iter_atoms(f: Formula):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Atom):
-            yield g
-        elif isinstance(g, Not):
-            stack.append(g.body)
-        elif isinstance(g, Implies):
-            stack.extend((g.left, g.right))
+    full = (1 << (1 << len(vars_))) - 1
+    return evaluate(g, truth_columns(vars_), full)[0] == full
 
 
 def _conj_all(fs: Sequence[Formula]) -> Formula:
@@ -299,7 +269,6 @@ def apply_derived_rule(name: str, premises: Sequence[Sequent],
         (psi,) = args
         _need(bool(p.succedent), "orR premise needs a principal succedent formula")
         phi = p.succedent[0]
-        from .syntax import disj
         return Sequent(p.antecedent, (disj(phi, psi),) + p.succedent[1:])
     if name == "andR":
         _need(len(premises) == 2 and len(args) == 0, "andR expects two premises")
@@ -411,7 +380,6 @@ def _expand_rule(node: RuleNode, premise_concls: Sequence[Sequent]) -> Node:
         (p,) = ps
         (pc,) = premise_concls
         phi, psi = pc.succedent[0], args[0]
-        from .syntax import disj
         moved, mc = to_succ_last(p, pc, phi)
         leaf = TautNode(Sequent((phi,), (disj(phi, psi),)))
         cut = CutNode(moved, leaf, phi)
@@ -449,7 +417,9 @@ def _expand_rule(node: RuleNode, premise_concls: Sequence[Sequent]) -> Node:
 def check_derivation(d: Derivation, lang: Language) -> CheckResult:
     """Validate every node and return the root conclusion plus the set of
     axiom schemas used (with their b5-family flags)."""
-    memo: dict[int, Sequent] = {}
+    # keyed by id; each entry holds its node so that transient macro
+    # expansions stay alive and their ids are never reused for other nodes
+    memo: dict[int, tuple[Node, Sequent]] = {}
     used: set[str] = set()
     count = 0
 
@@ -457,7 +427,7 @@ def check_derivation(d: Derivation, lang: Language) -> CheckResult:
         nonlocal count
         key = id(node)
         if key in memo:
-            return memo[key]
+            return memo[key][1]
         count += 1
         try:
             if isinstance(node, AxiomNode):
@@ -491,7 +461,7 @@ def check_derivation(d: Derivation, lang: Language) -> CheckResult:
             if not e.path.startswith("root"):
                 raise DerivationError(path, e.message) from None
             raise
-        memo[key] = concl
+        memo[key] = (node, concl)
         return concl
 
     conclusion = walk(d.root, "root")
@@ -522,12 +492,12 @@ def parse_system(text: str) -> tuple[System, bool]:
         raise ValueError(f"unknown system {text!r}") from None
 
 
-def _split_head(line: str) -> tuple[str, str, str]:
-    """Split ``id: op[bracket] rest`` -> (id, op, remainder-after-op)."""
+def _split_head(line: str) -> tuple[str, str]:
+    """Split ``id: body`` -> (id, body)."""
     name, sep, body = line.partition(":")
     if not sep:
         raise ValueError(f"missing ':' in line {line!r}")
-    return name.strip(), body.strip(), ""
+    return name.strip(), body.strip()
 
 
 def parse_derivation_file(text: str) -> tuple[Language, dict[str, Derivation]]:
@@ -546,7 +516,7 @@ def parse_derivation_file(text: str) -> tuple[Language, dict[str, Derivation]]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        name, body, _ = _split_head(line)
+        name, body = _split_head(line)
         if name == "theta":
             lang = Language([t.strip() for t in body.split(",")])
             continue

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Formula", "Atom", "Not", "Implies", "Cond", "Meta",
     "Sequent", "Language", "ParseError", "SubstitutionError",
     "disj", "conj", "iff", "indep", "parse",
     "atoms", "metas", "depth", "is_classical", "substitute", "subformulas",
+    "truth_columns", "evaluate",
 ]
 
 
@@ -168,6 +169,69 @@ def subformulas(f: Formula) -> Iterator[Formula]:
     elif isinstance(f, Cond):
         yield from subformulas(f.then)
         yield from subformulas(f.given)
+
+
+def truth_columns(names: Sequence[str]) -> dict[str, int]:
+    """Truth-table columns as bitmasks: row r sets bit r of the column of
+    ``names[i]`` exactly when bit i of r is set."""
+    rows = 1 << len(names)
+    out = {}
+    for i, name in enumerate(names):
+        half = 1 << i
+        col = ((1 << half) - 1) << half      # one period: 2**i rows off, 2**i on
+        width = 2 * half
+        while width < rows:
+            col |= col << width
+            width *= 2
+        out[name] = col
+    return out
+
+
+def evaluate(f: Formula, atom_map: Mapping[str, int], full: int,
+             cond: Callable[[int, int], int | None] | None = None,
+             ) -> tuple[int | None, int | None]:
+    """Bit-parallel value of `f` in the powerset algebra with top `full`.
+
+    Atoms take their masks from `atom_map`; ``(B | A)`` is ``cond(B, A)``,
+    which returns None for an undefined row.  Returns the value (None when
+    some needed row is undefined) and the innermost blocking condition: the
+    first A with ``cond(B, A)`` undefined in then-before-given,
+    left-before-right order.  Without `cond` the formula must be classical,
+    and with truth-table columns for `atom_map` the value is its set of
+    satisfying rows.
+    """
+    memo: dict[int, int | None] = {}
+    blocking: int | None = None
+
+    def ev(g: Formula) -> int | None:
+        nonlocal blocking
+        if isinstance(g, Atom):
+            return atom_map[g.name]
+        key = id(g)
+        if key in memo:
+            return memo[key]
+        if isinstance(g, Not):
+            v = ev(g.body)
+            out = None if v is None else full ^ v
+        elif isinstance(g, Implies):
+            l, r = ev(g.left), ev(g.right)
+            out = None if l is None or r is None else (full ^ l) | r
+        elif isinstance(g, Cond):
+            if cond is None:
+                raise ValueError("classical formula expected")
+            t, a = ev(g.then), ev(g.given)
+            if t is None or a is None:
+                out = None
+            else:
+                out = cond(t, a)
+                if out is None and blocking is None:
+                    blocking = a
+        else:
+            raise TypeError(g)
+        memo[key] = out
+        return out
+
+    return ev(f), blocking
 
 
 def substitute(schema: Formula, binding: Mapping[str, Formula]) -> Formula:

@@ -103,7 +103,7 @@ def test_acceptance_02_stage_verification():
         assert all(s.size <= 32 for s in stages)
         for s in stages[1:]:
             rep = verify_stage(s, rng=Random(0), exhaustive_limit=8, samples=10_000)
-            assert rep.ok(), (theta, s.index, rep.violations)
+            assert rep.ok(), (theta, s.index, rep.failures())
             assert rep.checks["cardinality"][0] >= 1
             assert rep.checks["partition-identities"][0] >= 1
             for axiom in ("beta1", "beta2", "beta3", "beta4", "beta6"):

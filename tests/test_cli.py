@@ -100,6 +100,16 @@ def test_prob_lewis_witness_printed():
     assert "collapses=True" in text
 
 
+def test_prob_lewis_collapse_demo_not_applicable():
+    # phi = a: the only atom phi changes is a itself, which phi does not
+    # split (P(!a /\ a) = 0), so the collapse demo has no psi to use
+    uniform = "a /\\ b : 1/4\na /\\ !b : 1/4\n!a /\\ b : 1/4\n!a /\\ !b : 1/4\n"
+    out = io.StringIO()
+    rc = cmd_prob(["a", "b"], uniform, [], 32, 0, False, "a", out=out)
+    assert rc == 0
+    assert "collapse demo not applicable" in out.getvalue()
+
+
 def test_main_entry(tmp_path, capsys):
     assert main(["check", proofs_dir()]) == 0
     capsys.readouterr()

@@ -3,7 +3,7 @@ import pytest
 from dblogic.construction import (
     BasePoint, BudgetExceeded, ConstructionError, PairPoint, advance,
     build_faithful, build_for_formulas, canonical_assignment, classify_case,
-    dump_stage, embed_element, load_stage, new_stage0, partition_data,
+    dump_stage, load_stage, new_stage0, partition_data,
     select_condition, verify_stage,
 )
 from dblogic.syntax import Language
@@ -85,11 +85,11 @@ def test_partition_cardinality_two_atoms():
 
 def test_mu_is_boolean_morphism_single_atom():
     s0 = new_stage0(["a"])
-    t = partition_data(s0, 1)
-    assert embed_element(s0, t, 1) == 0b01   # mu({u}) = {(u,v)}
-    assert embed_element(s0, t, 2) == 0b10   # mu({v}) = {(v,u)}
-    assert embed_element(s0, t, 0) == 0
-    assert embed_element(s0, t, 3) == 0b11
+    mu = advance(s0, 1, verify=False).embed
+    assert mu(1) == 0b01   # mu({u}) = {(u,v)}
+    assert mu(2) == 0b10   # mu({v}) = {(v,u)}
+    assert mu(0) == 0
+    assert mu(3) == 0b11
     s1 = advance(s0, 1)
     for a in range(4):
         for b in range(4):
@@ -158,6 +158,20 @@ def test_targeted_build_one_advance():
     assert stage.index == 1 and stage.size == 8
     h = canonical_assignment(stage)
     assert stage.apply_f(h["b"], h["a"]) is not None
+
+
+def test_targeted_build_verifies_each_stage_once(monkeypatch):
+    from dblogic import construction
+    calls = []
+
+    def counting_verify(stage, rng=None):
+        calls.append(stage.index)
+        return construction.CheckReport()
+
+    monkeypatch.setattr(construction, "verify_stage", counting_verify)
+    stage, reports = build_for_formulas(["a", "b"], [L2.parse("(b | a)"), L2.parse("(a | b)")])
+    assert stage.index == 2
+    assert calls == [1, 2] and len(reports) == 2
 
 
 def test_targeted_build_zero_advances_for_top():

@@ -32,8 +32,8 @@ def test_beta_axioms_pass_on_total_single_atom_model(m1):
     rep = check_beta_axioms(m1)
     assert rep.ok(include_extra=True)
     for name in ("beta1", "beta2", "beta3", "beta4", "beta5w"):
-        passed, skipped, ce = rep.checks[name]
-        assert passed > 0 and ce is None
+        passed, skipped = rep.checks[name]
+        assert passed > 0 and name not in rep.failures()
         assert skipped == 0  # f is total here
 
 
@@ -179,7 +179,20 @@ def test_equivalence_theorems_respected_by_evaluation(m1):
                 assert va == vb, (tid, amap)
 
 
+def test_stage_verifier_and_model_checker_share_the_law_table():
+    from dblogic.construction import BETA_LAWS, build_faithful, verify_stage
+    laws = {name for name, _, _ in BETA_LAWS}
+    stages, _ = build_faithful(["a", "b"], max_atoms=32, verify=False)
+    for s in stages[1:]:
+        stage_rep = verify_stage(s)
+        model_rep = check_beta_axioms(StageModel(s))
+        assert laws <= set(stage_rep.checks)
+        assert set(model_rep.checks) == laws
+        assert stage_rep.ok() and model_rep.ok(), (s.index, stage_rep.failures(),
+                                                   model_rep.failures())
+
+
 def test_beta6_identity_from_beta2_beta4(m2):
     rep = check_beta_axioms(m2)
-    passed, skipped, ce = rep.checks["beta6"]
-    assert ce is None and passed > 0
+    passed, skipped = rep.checks["beta6"]
+    assert "beta6" not in rep.failures() and passed > 0

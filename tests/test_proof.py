@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,7 @@ from dblogic.proof import (
     check_derivation, classical_leaf_check, format_derivation,
     instantiate_axiom, parse_derivation_file,
 )
-from dblogic.syntax import Atom, Language, Not, Sequent, indep
+from dblogic.syntax import Atom, Implies, Language, Not, Sequent, indep
 
 L = Language(["a", "b", "c"])
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -118,39 +119,61 @@ def test_leaf_empty_succedent():
     assert not classical_leaf_check(seq("a |-"))
 
 
+def _row_value(g, env):
+    """Independent per-row truth value of a classical formula."""
+    if isinstance(g, Atom):
+        return env[g.name]
+    if isinstance(g, Not):
+        return not _row_value(g.body, env)
+    return (not _row_value(g.left, env)) or _row_value(g.right, env)
+
+
+def _random_classical(rng, names, d):
+    if d == 0 or rng.random() < 0.3:
+        return Atom(rng.choice(names))
+    if rng.random() < 0.5:
+        return Not(_random_classical(rng, names, d - 1))
+    return Implies(_random_classical(rng, names, d - 1), _random_classical(rng, names, d - 1))
+
+
 def test_leaf_agrees_with_truth_tables_small():
     # all abstracted formulas over <= 4 placeholder atoms: compare against an
     # independent evaluator on a pseudorandom formula sample
     rng = random.Random(7)
-    lang = Language(["p", "q", "r", "s"])
     names = ["p", "q", "r", "s"]
 
-    def rand_formula(d):
-        if d == 0 or rng.random() < 0.3:
-            return Atom(rng.choice(names))
-        if rng.random() < 0.5:
-            return Not(rand_formula(d - 1))
-        from dblogic.syntax import Implies
-        return Implies(rand_formula(d - 1), rand_formula(d - 1))
-
     def brute_taut(f):
-        def ev(g, env):
-            from dblogic.syntax import Implies
-            if isinstance(g, Atom):
-                return env[g.name]
-            if isinstance(g, Not):
-                return not ev(g.body, env)
-            return (not ev(g.left, env)) or ev(g.right, env)
         for m in range(16):
             env = {n: bool((m >> i) & 1) for i, n in enumerate(names)}
-            if not ev(f, env):
+            if not _row_value(f, env):
                 return False
         return True
 
     from dblogic.proof import is_tautology
     for _ in range(200):
-        f = rand_formula(4)
+        f = _random_classical(rng, names, 4)
         assert is_tautology(f) == brute_taut(f)
+
+
+def test_one_evaluator_agrees_with_row_reference():
+    # the shared evaluator behind taut leaves, classical probabilities and
+    # stage-0 assignments gives each formula its set of true rows
+    from dblogic.construction import canonical_assignment, new_stage0
+    from dblogic.model import ConditionalAssignment, StageModel
+    from dblogic.probability import ClassicalProbability
+    from dblogic.proof import is_tautology
+    rng = random.Random(29)
+    names = ["a", "b", "c"]
+    uniform = ClassicalProbability.uniform(names)
+    s0 = new_stage0(names)
+    asg = ConditionalAssignment(StageModel(s0), canonical_assignment(s0))
+    for _ in range(200):
+        f = _random_classical(rng, names, 5)
+        rows = sum(1 << r for r in range(8)
+                   if _row_value(f, {n: bool((r >> i) & 1) for i, n in enumerate(names)}))
+        assert is_tautology(f) == (rows == 0xFF)
+        assert uniform.of(f) == Fraction(bin(rows).count("1"), 8)
+        assert asg.value(f) == rows
 
 
 # -- derived rules ---------------------------------------------------------------
@@ -229,6 +252,18 @@ def test_check_small_derivation():
     assert res.conclusion == seq("|- !a, (a | a)")
     assert "b1" in res.axioms_used
     assert res.flags == frozenset()
+
+
+def test_nested_macros_check_despite_transient_expansions():
+    # each andR expansion is a transient tree; a memo keyed on the ids of
+    # freed nodes would hand a stale conclusion to the next expansion
+    leaves = [A, B, C, Not(A), Not(B), Not(C), L.parse("a -> b"), L.parse("b -> c")]
+    node = RuleNode("I", (leaves[0],), ())
+    for phi in leaves[1:]:
+        node = RuleNode("andR", (), (node, RuleNode("I", (phi,), ())))
+    for _ in range(50):
+        res = check_derivation(Derivation(node, System.DBL_STAR), L)
+        assert res.conclusion.antecedent == tuple(leaves)
 
 
 def test_check_reports_failing_node_path():
