@@ -13,7 +13,7 @@ import sys
 
 from . import construction, library, model, probability, proof
 from .ratfunc import RatFunc
-from .syntax import Language, ParseError
+from .syntax import Language, ParseError, Sequent
 
 __all__ = ["main", "cmd_check", "cmd_model", "cmd_prob"]
 
@@ -21,6 +21,20 @@ __all__ = ["main", "cmd_check", "cmd_model", "cmd_prob"]
 def _emit(lines: list[str], out) -> None:
     for line in lines:
         print(line, file=out)
+
+
+def _parse_lines(lines: list[str], parse) -> list:
+    """Parse every input line that is not blank after stripping its
+    ``#`` comment; a parse error names its line."""
+    items = []
+    for n, raw in enumerate(lines, 1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            try:
+                items.append(parse(text))
+            except ParseError as e:
+                raise ParseError(f"input line {n}: {e}") from None
+    return items
 
 
 def _fmt_weight(w) -> str:
@@ -82,16 +96,14 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
     """Build a model (faithful or targeted), verify every stage, then
     evaluate formulas and check sequents from the input lines."""
     lang = Language(theta)
-    formulas = []
-    sequents = []
-    for raw in lines_in:
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "|-" in text:
-            sequents.append(lang.parse_sequent(text))
-        else:
-            formulas.append(lang.parse(text))
+    try:
+        items = _parse_lines(lines_in, lambda t: lang.parse_sequent(t) if "|-" in t
+                             else lang.parse(t))
+    except ParseError as e:
+        print(f"ERROR: {e}", file=out)
+        return 1
+    formulas = [x for x in items if not isinstance(x, Sequent)]
+    sequents = [x for x in items if isinstance(x, Sequent)]
 
     from random import Random
     rng = Random(seed)
@@ -104,7 +116,11 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
         report.append(f"faithful build: sizes {[s.size for s in stages]}"
                       f" halted={halted} seed={seed}")
     else:
-        targets = formulas if target is None else [lang.parse(target)]
+        try:
+            targets = formulas if target is None else [lang.parse(target)]
+        except ParseError as e:
+            print(f"ERROR: --target: {e}", file=out)
+            return 1
         try:
             stage, _ = construction.build_for_formulas(
                 theta, targets, max_atoms=max_atoms, verify=False, rng=rng)
@@ -172,10 +188,18 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
     except ValueError as e:
         print(f"ERROR: {e}", file=out)
         return 1
-    formulas = [lang.parse(t.split("#", 1)[0].strip())
-                for t in formula_lines if t.split("#", 1)[0].strip()]
+    try:
+        formulas = _parse_lines(formula_lines, lang.parse)
+    except ParseError as e:
+        print(f"ERROR: {e}", file=out)
+        return 1
+    try:
+        lewis_phi = None if lewis is None else lang.parse(lewis)
+    except ParseError as e:
+        print(f"ERROR: --lewis: {e}", file=out)
+        return 1
     targets = list(formulas)
-    if lewis is not None:
+    if lewis_phi is not None:
         targets += probability.default_lewis_deltas(lang)
     from random import Random
     stage, _ = construction.build_for_formulas(
@@ -219,15 +243,14 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
             if not eq:
                 failures += 1
 
-    if lewis is not None:
-        phi = lang.parse(lewis)
+    if lewis_phi is not None:
         try:
-            rep_ = probability.lewis_separation(stage, pi, phi, lang=lang)
+            rep_ = probability.lewis_separation(stage, pi, lewis_phi, lang=lang)
         except ValueError as e:
             print(f"ERROR: {e}", file=out)
             return 1
         wit = rep_.witnesses()
-        report.append(f"lewis separation on phi={lang.format(phi, 'sugared')}: "
+        report.append(f"lewis separation on phi={lang.format(lewis_phi, 'sugared')}: "
                       f"{len(wit)} witnesses of "
                       f"{sum(1 for e in rep_.entries if e.equal is not None)} decided")
         for e in wit[:8]:

@@ -400,9 +400,14 @@ def _next_atoms(stage: Stage, tdata: Transition) -> tuple[list[AtomPoint], list[
 
 
 def advance(stage: Stage, b_mask: int, verify: bool = True,
-            rng: Random | None = None) -> Stage:
-    """One construction step on the (already coherence-normalized) condition."""
-    tdata = partition_data(stage, b_mask)
+            rng: Random | None = None, tdata: Transition | None = None) -> Stage:
+    """One construction step on the (already coherence-normalized) condition.
+    `tdata` is `partition_data(stage, b_mask)` when the caller already has
+    it."""
+    if tdata is None:
+        tdata = partition_data(stage, b_mask)
+    elif tdata.b_mask != b_mask:
+        raise ValueError("partition data belongs to another condition")
     atoms, blocks = _next_atoms(stage, tdata)
     if len(atoms) != tdata.next_size:
         raise ConstructionError("cardinality formula violated")
@@ -791,14 +796,14 @@ def build_for_formulas(theta: Sequence[str], formulas: Sequence[Formula],
         if blocking is None:
             return stage, reports
         b = select_condition(stage, target=blocking)
-        needed = partition_data(stage, b).next_size
-        if needed > max_atoms:
+        tdata = partition_data(stage, b)
+        if tdata.next_size > max_atoms:
             if skip_unaffordable:
                 pending.remove(blocked_formula)
                 continue
             raise BudgetExceeded(f"element {b:#x} at stage {stage.index}",
-                                 stage.size, needed)
-        stage = advance(stage, b, verify=False)
+                                 stage.size, tdata.next_size)
+        stage = advance(stage, b, verify=False, tdata=tdata)
         if verify:
             reports.append(_verified(stage, rng))
 
@@ -814,9 +819,10 @@ def build_faithful(theta: Sequence[str], max_atoms: int = 32, verify: bool = Tru
         b = select_condition(stage)
         if b is None:
             return stages, True
-        if partition_data(stage, b).next_size > max_atoms:
+        tdata = partition_data(stage, b)
+        if tdata.next_size > max_atoms:
             return stages, False
-        stage = advance(stage, b, verify=verify, rng=rng)
+        stage = advance(stage, b, verify=verify, rng=rng, tdata=tdata)
         stages.append(stage)
 
 

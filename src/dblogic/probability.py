@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 from typing import Iterable, Sequence
 
 from .construction import Stage, canonical_assignment
 from .model import ConditionalAssignment, StageModel
-from .ratfunc import EPS, RatFunc
+from .ratfunc import EPS, Poly, RatFunc
 from .syntax import (
     Atom, Cond, Formula, Implies, Language, Not, conj, evaluate, is_classical,
     truth_columns,
@@ -50,6 +51,23 @@ Weight = Fraction | RatFunc
 def limit_at_zero(w: Weight) -> Fraction:
     """Value of a weight as the perturbation parameter goes to 0+."""
     return w.limit0() if isinstance(w, RatFunc) else w
+
+
+def _parts(w: Weight) -> tuple[Poly, Poly]:
+    """Numerator and denominator of a weight as polynomials."""
+    if isinstance(w, RatFunc):
+        return w.num, w.den
+    return Poly.const(w), Poly.const(1)
+
+
+def _is_product(c: Weight, a: Weight, b: Weight) -> bool:
+    """Exactly c == a * b.  With a rational function among them, compare
+    c.num a.den b.den with a.num b.num c.den, so that the product is never
+    normalized (no polynomial gcd)."""
+    if not any(isinstance(w, RatFunc) for w in (a, b, c)):
+        return c == a * b
+    (an, ad), (bn, bd), (cn, cd) = _parts(a), _parts(b), _parts(c)
+    return cn * ad * bd == an * bn * cd
 
 
 class ZeroBlockError(ZeroDivisionError):
@@ -149,6 +167,10 @@ def parse_probability_file(text: str, lang: Language,
 # Staged extension
 # ---------------------------------------------------------------------------
 
+_CHUNK = 8  # points per subset-sum table
+_CHUNK_FULL = (1 << _CHUNK) - 1
+
+
 @dataclass(frozen=True)
 class RationalValuation:
     """Exact weights on the points of one stage."""
@@ -156,16 +178,32 @@ class RationalValuation:
     stage: Stage
     weights: tuple[Weight, ...]
 
+    @cached_property
+    def _tables(self) -> tuple[tuple[Weight, ...], ...]:
+        """One subset-sum table per chunk of `_CHUNK` points: entry b of
+        table k weighs the points k*_CHUNK + i for the bits i of b."""
+        tables = []
+        for k in range(0, len(self.weights), _CHUNK):
+            w = self.weights[k:k + _CHUNK]
+            t: list[Weight] = [Fraction(0)] * (1 << len(w))
+            for b in range(1, len(t)):
+                low = b & -b
+                t[b] = t[b ^ low] + w[low.bit_length() - 1]
+            tables.append(tuple(t))
+        return tuple(tables)
+
     def measure(self, mask: int) -> Weight:
         if not 0 <= mask <= self.stage.full:
             raise ValueError("element does not belong to the valuation's stage")
-        out: Weight = Fraction(0)
-        m = mask
-        while m:
-            low = m & -m
-            out = out + self.weights[low.bit_length() - 1]
-            m ^= low
-        return out
+        out: Weight | None = None
+        for table in self._tables:
+            if not mask:
+                break
+            part = mask & _CHUNK_FULL
+            if part:
+                out = table[part] if out is None else out + table[part]
+            mask >>= _CHUNK
+        return Fraction(0) if out is None else out
 
 
 def p0_from_pi(pi: ClassicalProbability, stage0: Stage) -> RationalValuation:
@@ -312,9 +350,8 @@ def lemma2_check(parent_val: RationalValuation, child_val: RationalValuation,
     for a in elems:
         for side in sides:
             fa = child.apply_f(a, side)
-            lhs = child_val.measure(side & a)
-            rhs = child_val.measure(side) * child_val.measure(fa)
-            if not (lhs == rhs):
+            if not _is_product(child_val.measure(side & a),
+                               child_val.measure(side), child_val.measure(fa)):
                 rep.violations.append(f"conditioning not multiplicative at A={a:#x}")
                 return rep
         rep.checked += 1
@@ -348,7 +385,7 @@ def check_multiplicativity(ext: Extension,
         p_psi = ext.prob(psi)
         if p_and is None or p_phi is None or p_psi is None:
             raise ValueError("undefined evaluation in a multiplicativity pair")
-        out.append((phi, psi, p_and == p_phi * p_psi))
+        out.append((phi, psi, _is_product(p_and, p_phi, p_psi)))
     return out
 
 

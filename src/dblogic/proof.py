@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 from .syntax import (
     Atom, Cond, Formula, Implies, Language, Meta, Not, Sequent,
-    atoms, conj, disj, evaluate, indep, iff, substitute, truth_columns,
+    conj, disj, evaluate, indep, iff, substitute, truth_columns,
 )
 
 __all__ = [
@@ -170,31 +170,43 @@ def apply_struct(premise: Sequent, target: Sequent, lang: Language) -> Sequent:
 _MAX_TABLE_VARS = 18
 
 
-def _abstract(f: Formula, table: dict[Formula, int], names: list[Formula]) -> Formula:
+def _abstract(f: Formula, table: dict[Formula, int], names: set[str],
+              memo: dict[int, tuple[Formula, Formula]]) -> Formula:
     """Replace every maximal conditional subformula by a fresh placeholder
-    atom; structurally identical conditionals share one placeholder."""
+    atom; structurally identical conditionals share one placeholder.  The
+    names of the atoms of the result go into `names`.  A subterm without
+    conditionals is returned as it is, and `memo` maps id(node) to (node,
+    abstraction), so a subterm the parser shares is abstracted once and
+    stays shared."""
     if isinstance(f, Atom):
+        names.add(f.name)
         return f
+    hit = memo.get(id(f))
+    if hit is not None:
+        return hit[1]
     if isinstance(f, Meta):
         raise DerivationError("taut", "metavariable in a concrete leaf")
     if isinstance(f, Cond):
-        if f not in table:
-            table[f] = len(names)
-            names.append(f)
-        return Atom(f"\x00c{table[f]}")
-    if isinstance(f, Not):
-        return Not(_abstract(f.body, table, names))
-    if isinstance(f, Implies):
-        return Implies(_abstract(f.left, table, names), _abstract(f.right, table, names))
-    raise TypeError(f)
+        out: Formula = Atom(f"\x00c{table.setdefault(f, len(table))}")
+        names.add(out.name)
+    elif isinstance(f, Not):
+        body = _abstract(f.body, table, names, memo)
+        out = f if body is f.body else Not(body)
+    elif isinstance(f, Implies):
+        left = _abstract(f.left, table, names, memo)
+        right = _abstract(f.right, table, names, memo)
+        out = f if left is f.left and right is f.right else Implies(left, right)
+    else:
+        raise TypeError(f)
+    memo[id(f)] = (f, out)
+    return out
 
 
 def is_tautology(f: Formula) -> bool:
     """Truth-table tautology after abstracting maximal conditionals."""
-    table: dict[Formula, int] = {}
-    names: list[Formula] = []
-    g = _abstract(f, table, names)
-    vars_ = sorted(atoms(g))
+    names: set[str] = set()
+    g = _abstract(f, {}, names, {})
+    vars_ = sorted(names)
     if len(vars_) > _MAX_TABLE_VARS:
         raise DerivationError("taut", f"too many variables for a truth table ({len(vars_)})")
     full = (1 << (1 << len(vars_))) - 1

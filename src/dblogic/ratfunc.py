@@ -24,7 +24,7 @@ class Poly:
 
     @staticmethod
     def make(coeffs: Iterable[Fraction | int]) -> "Poly":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         return Poly(tuple(cs))

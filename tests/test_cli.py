@@ -1,8 +1,6 @@
 import io
 import os
 
-import pytest
-
 from dblogic.cli import cmd_check, cmd_model, cmd_prob, main
 from dblogic.library import proofs_dir
 
@@ -53,9 +51,34 @@ def test_model_targeted_build_and_entailment():
 
 
 def test_model_bad_formula_is_parse_error():
-    with pytest.raises(Exception):
-        cmd_model(["a"], ["(b | a)"], "targeted", 32, 0, None, None, None,
-                  out=io.StringIO())
+    # b is not a declared atom: a documented error, not a traceback
+    out = io.StringIO()
+    rc = cmd_model(["a"], ["a", "(b | a)"], "targeted", 32, 0, None, None, None,
+                   out=out)
+    assert rc == 1
+    assert out.getvalue().startswith("ERROR: input line 2: ")
+
+
+def test_model_bad_target_is_error():
+    out = io.StringIO()
+    rc = cmd_model(["a"], [], "targeted", 32, 0, None, "(a |", None, out=out)
+    assert rc == 1
+    assert out.getvalue().startswith("ERROR: --target: ")
+
+
+def test_prob_bad_input_formula_is_error():
+    out = io.StringIO()
+    rc = cmd_prob(["a", "b"], PI_TEXT, ["(b | a)", "a -> -> b"], 32, 0, False,
+                  None, out=out)
+    assert rc == 1
+    assert out.getvalue().startswith("ERROR: input line 2: ")
+
+
+def test_prob_bad_lewis_formula_is_error():
+    out = io.StringIO()
+    rc = cmd_prob(["a", "b"], PI_TEXT, [], 32, 0, False, "(a | ", out=out)
+    assert rc == 1
+    assert out.getvalue().startswith("ERROR: --lewis: ")
 
 
 def test_model_budget_exceeded_nonzero():
@@ -107,6 +130,7 @@ def test_prob_lewis_collapse_demo_not_applicable():
     out = io.StringIO()
     rc = cmd_prob(["a", "b"], uniform, [], 32, 0, False, "a", out=out)
     assert rc == 0
+    assert "lewis separation on phi=a: " in out.getvalue()
     assert "collapse demo not applicable" in out.getvalue()
 
 

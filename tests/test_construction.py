@@ -1,5 +1,6 @@
 import pytest
 
+from dblogic import construction
 from dblogic.construction import (
     BasePoint, BudgetExceeded, ConstructionError, PairPoint, advance,
     build_faithful, build_for_formulas, canonical_assignment, classify_case,
@@ -161,7 +162,6 @@ def test_targeted_build_one_advance():
 
 
 def test_targeted_build_verifies_each_stage_once(monkeypatch):
-    from dblogic import construction
     calls = []
 
     def counting_verify(stage, rng=None):
@@ -172,6 +172,30 @@ def test_targeted_build_verifies_each_stage_once(monkeypatch):
     stage, reports = build_for_formulas(["a", "b"], [L2.parse("(b | a)"), L2.parse("(a | b)")])
     assert stage.index == 2
     assert calls == [1, 2] and len(reports) == 2
+
+
+def test_builds_compute_each_partition_once(monkeypatch):
+    calls = []
+    original = construction.partition_data
+
+    def counting_partition(stage, b_mask):
+        calls.append(stage.index)
+        return original(stage, b_mask)
+
+    monkeypatch.setattr(construction, "partition_data", counting_partition)
+    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)"), L2.parse("(a | b)")],
+                                  verify=False)
+    assert stage.index == 2 and calls == [0, 1]
+    calls.clear()
+    stages, halted = build_faithful(["a", "b"], max_atoms=32, verify=False)
+    # one partition per advance, plus the one over budget that ended the build
+    assert not halted and calls == [s.index for s in stages]
+
+
+def test_advance_rejects_partition_of_another_condition():
+    s0 = new_stage0(["a", "b"])
+    with pytest.raises(ValueError):
+        advance(s0, 0b1010, verify=False, tdata=partition_data(s0, 0b0110))
 
 
 def test_targeted_build_zero_advances_for_top():

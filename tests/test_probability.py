@@ -1,13 +1,15 @@
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
 from dblogic.construction import advance, build_for_formulas, new_stage0
 from dblogic.probability import (
-    ClassicalProbability, ZeroBlockError, bayes_identity, limit_at_zero,
+    ClassicalProbability, RationalValuation, ZeroBlockError, bayes_identity,
     check_multiplicativity, default_lewis_deltas, epsilon_extension,
     extend_probability, extend_step, lemma1_check, lemma2_check,
-    lewis_collapse_demo, lewis_separation, p0_from_pi, parse_probability_file,
+    lewis_collapse_demo, lewis_separation, limit_at_zero, p0_from_pi,
+    parse_probability_file,
 )
 from dblogic.ratfunc import RatFunc
 from dblogic.syntax import Atom, Cond, Implies, Language, Not, conj
@@ -65,8 +67,72 @@ def test_extend_step_hand_values():
 def test_measure_rejects_foreign_elements():
     pi = ClassicalProbability.uniform(["a"])
     v0 = p0_from_pi(pi, new_stage0(["a"]))
-    with pytest.raises(ValueError):
-        v0.measure(1 << 7)
+    for bad in (1 << 7, 1 << 2, -1):
+        with pytest.raises(ValueError):
+            v0.measure(bad)
+    assert v0.measure(0) == 0 and type(v0.measure(0)) is F
+
+
+def _bitwise_measure(val, mask):
+    """Reference measure: one weight add per bit of the mask."""
+    out = F(0)
+    for i, w in enumerate(val.weights):
+        if (mask >> i) & 1:
+            out = out + w
+    return out
+
+
+def _assert_measure_matches_bitwise(val, masks):
+    for m in masks:
+        got, want = val.measure(m), _bitwise_measure(val, m)
+        assert got == want and type(got) is type(want) and str(got) == str(want)
+
+
+def test_measure_tables_join_chunks_of_fraction_weights():
+    stage = advance(new_stage0(["a", "b", "c"]), 0b10101010, verify=False)
+    assert stage.size == 32  # four 8-point tables are joined
+    rng = Random(5)
+    val = RationalValuation(stage, tuple(F(rng.randint(0, 9), rng.randint(1, 9))
+                                         for _ in range(stage.size)))
+    masks = [stage.full, 1, 1 << (stage.size - 1), 0xFF << 8]
+    masks += [rng.getrandbits(stage.size) for _ in range(300)]
+    _assert_measure_matches_bitwise(val, masks)
+
+
+def test_measure_tables_on_rational_function_weights():
+    pi = ClassicalProbability(["a", "b"], cells_ab(F(0), F(1, 2), F(1, 4), F(1, 4)))
+    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)"), L2.parse("(a | b)")],
+                                  verify=False)
+    ext = epsilon_extension(pi, stage)
+    top = ext.top
+    assert top.stage.size > 8 and all(isinstance(w, RatFunc) for w in top.weights)
+    rng = Random(7)
+    masks = [top.stage.full] + [rng.getrandbits(top.stage.size) for _ in range(40)]
+    _assert_measure_matches_bitwise(top, masks)
+    _assert_measure_matches_bitwise(ext.valuations[1], range(1 << ext.valuations[1].stage.size))
+
+
+def test_lemmas_reject_swapped_child_weights():
+    # a wrong extension: two unequal weights of the child swapped.  Every
+    # such swap breaks lemma 1 or lemma 2, and some break only the
+    # cross-multiplied product identity of lemma 2.
+    pi = ClassicalProbability(["a", "b"], cells_ab(F(0), F(1, 2), F(1, 4), F(1, 4)))
+    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    v0, v1 = epsilon_extension(pi, stage).valuations
+    assert lemma1_check(v0, v1).ok() and lemma2_check(v0, v1).ok()
+    only_lemma2 = 0
+    n = len(v1.weights)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if v1.weights[i] == v1.weights[j]:
+                continue
+            w = list(v1.weights)
+            w[i], w[j] = w[j], w[i]
+            bad = RationalValuation(v1.stage, tuple(w))
+            l1, l2 = lemma1_check(v0, bad), lemma2_check(v0, bad)
+            assert not (l1.ok() and l2.ok()), (i, j)
+            only_lemma2 += l1.ok()
+    assert only_lemma2 > 0
 
 
 def test_uniform_pair_weights_symmetric():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from dblogic.proof import (
     AxiomNode, CutNode, Derivation, DerivationError, RuleNode, StructNode,
     System, TautNode, apply_cut, apply_derived_rule, apply_struct,
     check_derivation, classical_leaf_check, format_derivation,
-    instantiate_axiom, parse_derivation_file,
+    instantiate_axiom, is_tautology, parse_derivation_file,
 )
 from dblogic.syntax import Atom, Implies, Language, Not, Sequent, indep
 
@@ -117,6 +118,22 @@ def test_leaf_rejects_multi_succedent():
 def test_leaf_empty_succedent():
     assert classical_leaf_check(seq("a, !a |-"))
     assert not classical_leaf_check(seq("a |-"))
+
+
+def test_tautology_keeps_iff_sharing():
+    # `<->` shares both sides by reference; a copy that unshares them costs
+    # 2**depth nodes.  a <-> ... <-> a with k copies of a is a tautology
+    # exactly when k is even.
+    def nested(depth):
+        text = "a"
+        for _ in range(depth):
+            text = f"a <-> ({text})"
+        return L.parse(text)
+
+    t0 = time.perf_counter()
+    assert not is_tautology(nested(24))
+    assert is_tautology(nested(23))
+    assert time.perf_counter() - t0 < 0.5
 
 
 def _row_value(g, env):
