@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from random import Random
 
 from . import construction, library, model, probability, proof
 from .ratfunc import RatFunc
@@ -35,6 +36,17 @@ def _parse_lines(lines: list[str], parse) -> list:
             except ParseError as e:
                 raise ParseError(f"input line {n}: {e}") from None
     return items
+
+
+def _language(theta: list[str], out) -> Language | None:
+    """The language of `theta`; None, after an error line, when it is no
+    valid atom set within the stage budget."""
+    try:
+        construction.new_stage0(theta)
+        return Language(theta)
+    except ValueError as e:
+        print(f"ERROR: --theta: {e}", file=out)
+        return None
 
 
 def _fmt_weight(w) -> str:
@@ -95,7 +107,9 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
               dump_path: str | None, out=sys.stdout) -> int:
     """Build a model (faithful or targeted), verify every stage, then
     evaluate formulas and check sequents from the input lines."""
-    lang = Language(theta)
+    lang = _language(theta, out)
+    if lang is None:
+        return 1
     try:
         items = _parse_lines(lines_in, lambda t: lang.parse_sequent(t) if "|-" in t
                              else lang.parse(t))
@@ -105,13 +119,11 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
     formulas = [x for x in items if not isinstance(x, Sequent)]
     sequents = [x for x in items if isinstance(x, Sequent)]
 
-    from random import Random
-    rng = Random(seed)
     report: list[str] = []
     failures = 0
     if mode == "faithful":
         stages, halted = construction.build_faithful(theta, max_atoms=max_atoms,
-                                                     verify=False, rng=rng)
+                                                     verify=False)
         stage = stages[-1]
         report.append(f"faithful build: sizes {[s.size for s in stages]}"
                       f" halted={halted} seed={seed}")
@@ -123,7 +135,7 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
             return 1
         try:
             stage, _ = construction.build_for_formulas(
-                theta, targets, max_atoms=max_atoms, verify=False, rng=rng)
+                theta, targets, max_atoms=max_atoms, verify=False)
         except construction.BudgetExceeded as e:
             print(f"ERROR: {e}", file=out)
             return 1
@@ -179,7 +191,9 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
     """Probability extension over a targeted build: per-formula values,
     pushforward/multiplicativity checks, Bayes defaults and optionally the
     separation demonstration."""
-    lang = Language(theta)
+    lang = _language(theta, out)
+    if lang is None:
+        return 1
     report: list[str] = []
     failures = 0
     try:
@@ -201,10 +215,8 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
     targets = list(formulas)
     if lewis_phi is not None:
         targets += probability.default_lewis_deltas(lang)
-    from random import Random
     stage, _ = construction.build_for_formulas(
-        theta, targets, max_atoms=max_atoms, verify=False,
-        rng=Random(seed), skip_unaffordable=True)
+        theta, targets, max_atoms=max_atoms, verify=False, skip_unaffordable=True)
     report.append(f"build: stage {stage.index}, {stage.size} points seed={seed}")
 
     if pi.strictly_positive:
@@ -321,25 +333,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "check":
         paths = args.paths or [library.proofs_dir()]
         return cmd_check(paths, args.system)
+    text = {}
+    for path in filter(None, (getattr(args, "prob", None), args.input)):
+        try:
+            with open(path) as fh:
+                text[path] = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            print(f"ERROR: {path}: {getattr(e, 'strerror', None) or e}")
+            return 1
+    lines = text[args.input].split("\n") if args.input else []
     if args.command == "model":
-        lines = []
-        if args.input:
-            with open(args.input) as fh:
-                lines = fh.readlines()
         samples = None if args.exhaustive else args.samples
         return cmd_model(args.theta, lines, args.mode, args.max_atoms,
                          args.seed, samples, args.target, args.dump)
-    if args.command == "prob":
-        with open(args.prob) as fh:
-            prob_text = fh.read()
-        lines = []
-        if args.input:
-            with open(args.input) as fh:
-                lines = fh.readlines()
-        return cmd_prob(args.theta, prob_text, lines, args.max_atoms,
-                        args.seed, args.strict_positive, args.lewis)
-    parser.error("unknown command")
-    return 2
+    return cmd_prob(args.theta, text[args.prob], lines, args.max_atoms,
+                    args.seed, args.strict_positive, args.lewis)
 
 
 if __name__ == "__main__":

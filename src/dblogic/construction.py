@@ -26,13 +26,15 @@ The laws of f are stated once, in `BETA_LAWS`: the axioms b1-b4 and b5w,
 the derived identities, and the extra full symmetry b5.  `check_beta_laws`
 runs that table; `verify_stage` applies it to each new stage next to the
 embedding checks, and `model.check_beta_axioms` to any conditional model.
-Both fill a `CheckReport`.
+Both fill a `CheckReport`.  Laws over pairs of elements are checked exactly
+on generators: f(., A) with f(0, A) = 0 preserves joins iff each f(B, A) is
+the join of f(x, A) over the generators x <= B, and then meets iff
+f(x & y, A) = f(x, A) & f(y, A) for any two generators x, y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 from random import Random
 from typing import Callable, Sequence
 
@@ -274,20 +276,12 @@ class Stage:
             return None
         return [self.embed_from(level, m) for m in range(1 << low.size)]
 
-    def random_embeddable(self, level: int, rng: Random) -> int:
-        low = self.stage_at(level)
-        return self.embed_from(level, rng.getrandbits(low.size))
-
 
 def _bits(mask: int):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _atoms_of(mask: int) -> list[int]:
-    return list(_bits(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +330,8 @@ def partition_data(stage: Stage, b_mask: int) -> Transition:
         stage_low = stage.stage_at(level)
         comp_low = stage_low.complement(b_low)
         pi, gamma = [], []
-        for wi in _atoms_of(b_low):
-            for wj in _atoms_of(comp_low):
+        for wi in _bits(b_low):
+            for wj in _bits(comp_low):
                 w_n = stage.embed_from(level, 1 << wi)
                 w2_n = stage.embed_from(level, 1 << wj)
                 f1 = stage.apply_f(w2_n, comp)
@@ -371,36 +365,19 @@ def _next_atoms(stage: Stage, tdata: Transition) -> tuple[list[AtomPoint], list[
     """Ordered next-stage points (the mu(b) half first), plus the per-point
     image blocks: mu(A) = union over blocks of (A&Pi_i) x Gamma_i u
     (A&Gamma_i) x Pi_i."""
-    pairs_pos: list[PairPoint] = []
-    pairs_neg: list[PairPoint] = []
-    for p_mask, g_mask in zip(tdata.pi, tdata.gamma):
-        p_atoms = _atoms_of(p_mask)
-        g_atoms = _atoms_of(g_mask)
-        for x in p_atoms:
-            for y in g_atoms:
-                pairs_pos.append(PairPoint(stage.atoms[x], stage.atoms[y]))
-        for x in g_atoms:
-            for y in p_atoms:
-                pairs_neg.append(PairPoint(stage.atoms[x], stage.atoms[y]))
-    atoms = pairs_pos + pairs_neg
-    index = {a: i for i, a in enumerate(atoms)}
+    atoms: list[AtomPoint] = []
     blocks = [0] * stage.size
-    for p_mask, g_mask in zip(tdata.pi, tdata.gamma):
-        for x in _atoms_of(p_mask):
-            blk = 0
-            for y in _atoms_of(g_mask):
-                blk |= 1 << index[PairPoint(stage.atoms[x], stage.atoms[y])]
-            blocks[x] = blk
-        for x in _atoms_of(g_mask):
-            blk = 0
-            for y in _atoms_of(p_mask):
-                blk |= 1 << index[PairPoint(stage.atoms[x], stage.atoms[y])]
-            blocks[x] = blk
+    for left, right in ((tdata.pi, tdata.gamma), (tdata.gamma, tdata.pi)):
+        for l_mask, r_mask in zip(left, right):
+            for x in _bits(l_mask):
+                for y in _bits(r_mask):
+                    blocks[x] |= 1 << len(atoms)
+                    atoms.append(PairPoint(stage.atoms[x], stage.atoms[y]))
     return atoms, blocks
 
 
 def advance(stage: Stage, b_mask: int, verify: bool = True,
-            rng: Random | None = None, tdata: Transition | None = None) -> Stage:
+            tdata: Transition | None = None) -> Stage:
     """One construction step on the (already coherence-normalized) condition.
     `tdata` is `partition_data(stage, b_mask)` when the caller already has
     it."""
@@ -432,13 +409,13 @@ def advance(stage: Stage, b_mask: int, verify: bool = True,
     if nxt.embed(b_mask) != mu_b:
         raise ConstructionError("mu(b) is not the positive pair half")
     if verify:
-        _verified(nxt, rng)
+        _verified(nxt)
     return nxt
 
 
-def _verified(stage: Stage, rng: Random | None) -> CheckReport:
+def _verified(stage: Stage) -> CheckReport:
     """`verify_stage`, raising ConstructionError on any fatal violation."""
-    report = verify_stage(stage, rng=rng)
+    report = verify_stage(stage)
     if not report.ok():
         raise ConstructionError("stage verification failed: " + "; ".join(
             f"{k}: {v}" for k, v in list(report.failures().items())[:5]))
@@ -572,17 +549,21 @@ def _tally(rep: CheckReport, name: str, holds: bool | None, *where: int) -> None
 
 def check_beta_laws(f: Callable[[int, int], int | None], full: int,
                     conditions: Sequence[int],
-                    pool_of: Callable[[int], Sequence[int]],
-                    rng: Random, samples: int, rep: CheckReport) -> None:
+                    pools_of: Callable[[int], tuple[Sequence[int], Sequence[int]]],
+                    rep: CheckReport) -> None:
     """Check every row of BETA_LAWS on the partial operator `f` (None for an
-    undefined row) of the algebra with top `full`, for each condition A over
-    the elements B of ``pool_of(A)`` and the pairs B, C drawn from it.  The
-    pair laws are symmetric, so each unordered pair is checked once; pairs
-    are exhausted when the pool has at most max(8 * samples, 8192) ordered
-    pairs, and `samples` seeded pairs are drawn otherwise."""
+    undefined row) of the algebra with top `full`.  ``pools_of(A)`` gives,
+    for each condition A, the elements B to check and the generators of
+    their subalgebra (disjoint, nonzero).  The element laws are checked at
+    each B; beta2-eq as f(B,A) = join of f(x,A) over the generators x <= B
+    (a failure counts against the inclusion beta2 when f(B,A) leaves the
+    join and B != 0); beta6 as f(x & y,A) = f(x,A) & f(y,A) for generators
+    x != y.  On a subalgebra these two fail exactly when some pair B, C
+    fails them (B = 0 checks f(0,A) = 0).  A B that is no union of
+    generators, or needs an undefined row, is skipped."""
     for a in conditions:
         na = full ^ a
-        pool = pool_of(a)
+        pool, gens = pools_of(a)
         fval: dict[int, int | None] = {}
         for b in pool:
             fb = fval[b] = f(b, a)
@@ -603,40 +584,44 @@ def check_beta_laws(f: Callable[[int, int], int | None], full: int,
             _tally(rep, "idempotence",
                    None if f1 is None or f2 is None else f1 == fb == f2, a, b)
 
-        if len(pool) ** 2 <= max(8 * samples, 8192):
-            pairs = combinations_with_replacement(pool, 2)
-        else:
-            pairs = ((rng.choice(pool), rng.choice(pool)) for _ in range(samples))
-        good = skipped = 0
-        for b, c in pairs:
-            fb, fc = fval[b], fval[c]
-            fu = fi = None
-            if fb is not None and fc is not None:
-                fu, fi = f(b | c, a), f(b & c, a)
-            if fu is None or fi is None:
-                skipped += 1
-                continue
-            union, inter = fb | fc, fb & fc
-            if fu == union and fi == inter:
-                good += 1
-                continue
-            _tally(rep, "beta2", fu | union == union, a, b, c)
-            _tally(rep, "beta2-eq", fu == union, a, b, c)
-            _tally(rep, "beta6", fi == inter, a, b, c)
-        for name in _PAIR_LAWS:
-            rep.record(name, good, skipped)
+        def fv(m: int) -> int | None:
+            if m not in fval:
+                fval[m] = f(m, a)
+            return fval[m]
 
+        owner = {1 << i: x for x in gens for i in _bits(x)}
+        joined: dict[int, int | None] = {0: 0}
 
-def _sample_element(stage: Stage, rng: Random) -> int:
-    return rng.getrandbits(stage.size)
+        def join_of(b: int) -> int | None:  # None: no union, or a row undefined
+            if b not in joined:
+                x = owner.get(b & -b)
+                rest = None if x is None or x & ~b else join_of(b ^ x)
+                fx = None if rest is None else fv(x)
+                joined[b] = None if fx is None else rest | fx
+            return joined[b]
+
+        for b in pool:
+            fb, fu = fval[b], join_of(b)
+            eq = None if fb is None or fu is None else fb == fu
+            _tally(rep, "beta2-eq", eq, a, b)
+            _tally(rep, "beta2", eq or (False if eq is False and b and fb & ~fu else None),
+                   a, b)
+        for i, x in enumerate(gens):
+            for y in gens[i + 1:]:
+                fx, fy, fi = fv(x), fv(y), fv(x & y)
+                _tally(rep, "beta6",
+                       None if None in (fx, fy, fi) else fi == fx & fy, a, x, y)
 
 
 def verify_stage(stage: Stage, rng: Random | None = None,
                  exhaustive_limit: int = 8, samples: int = 10_000) -> CheckReport:
     """Check the embedding/commutation properties and the conditional-operator
-    laws (BETA_LAWS) on the defined domain: exhaustively for small stages,
-    with seeded sampling beyond.  All identities are exact; any failure
-    other than of an extra law is fatal to the caller."""
+    laws (BETA_LAWS) on the defined domain: elements exhaustively for small
+    stages, with seeded sampling beyond; pairs never, as their laws are
+    checked on generators: each image as the union of its parent points'
+    blocks, f's pair laws on the images of the points of the stage where
+    the condition's chain was last processed.  All identities are exact;
+    any failure other than of an extra law is fatal to the caller."""
     seed = None
     if rng is None:
         seed = 0
@@ -668,8 +653,8 @@ def verify_stage(stage: Stage, rng: Random | None = None,
         rep.record("mu-b-swap", 0, 0, "~mu(b) differs from T(mu(b))")
     rep.record("mu-b-corollaries", 2)
 
-    # alpha1: blocks nonempty, disjoint, covering -- this makes mu an
-    # injective Boolean morphism exactly; spot identities are sampled on top
+    # alpha1: blocks nonempty, disjoint, covering, and each image the union
+    # of its points' blocks -- together exactly an injective Boolean morphism
     union = 0
     ok = True
     for i, blk in enumerate(stage.blocks):
@@ -686,16 +671,16 @@ def verify_stage(stage: Stage, rng: Random | None = None,
     rep.record("alpha1-block-partition", len(stage.blocks) if ok else 0)
 
     if parent.size <= exhaustive_limit:
-        pairs = [(a, b) for a in range(1 << parent.size) for b in range(1 << parent.size)]
+        elems = range(1 << parent.size)
     else:
-        pairs = [(_sample_element(parent, rng), _sample_element(parent, rng))
-                 for _ in range(samples)]
+        elems = [rng.getrandbits(parent.size) for _ in range(samples)]
     good = 0
-    for a, b in pairs:
-        if (stage.embed(a & b) != stage.embed(a) & stage.embed(b)
-                or stage.embed(a | b) != stage.embed(a) | stage.embed(b)
-                or stage.embed(parent.complement(a)) != stage.complement(stage.embed(a))):
-            rep.record("alpha1", 0, 0, f"morphism identity fails at A={a:#x} B={b:#x}")
+    for a in elems:
+        union = 0
+        for i in _bits(a):
+            union |= stage.blocks[i]
+        if stage.embed(a) != union:
+            rep.record("alpha1", 0, 0, f"image is not the union of its blocks at A={a:#x}")
             break
         good += 1
     rep.record("alpha1-morphism", good)
@@ -707,7 +692,8 @@ def verify_stage(stage: Stage, rng: Random | None = None,
         level = chain_info[0].processed_at if chain_info else parent.index
         elems = parent.embeddable_elements(level)
         if elems is None:
-            elems = [parent.random_embeddable(level, rng) for _ in range(samples // 10)]
+            size = parent.stage_at(level).size
+            elems = [parent.embed_from(level, rng.getrandbits(size)) for _ in range(samples // 10)]
         for b in elems:
             fv = parent.apply_f(b, cond)
             if fv is None:
@@ -722,15 +708,16 @@ def verify_stage(stage: Stage, rng: Random | None = None,
     rep.record("alpha2", good, skipped)
 
     # beta laws on the defined domain of the new stage
-    def defined_pool(cond: int) -> list[int]:
-        chain, _ = stage.chain_for(cond)
-        elems = stage.embeddable_elements(chain.processed_at)
-        if elems is not None and len(elems) <= (1 << exhaustive_limit):
-            return elems
-        return [stage.random_embeddable(chain.processed_at, rng) for _ in range(samples)]
+    def defined_pools(cond: int) -> tuple[list[int], list[int]]:
+        level = stage.chain_for(cond)[0].processed_at
+        size = stage.stage_at(level).size
+        elems = [stage.embed_from(level, m) for m in
+                 (range(1 << size) if size <= exhaustive_limit
+                  else (rng.getrandbits(size) for _ in range(samples)))]
+        return elems, [stage.embed_from(level, 1 << i) for i in range(size)]
 
     check_beta_laws(stage.apply_f, stage.full, stage.defined_conditions(),
-                    defined_pool, rng, samples, rep)
+                    defined_pools, rep)
 
     # trivial conditions
     probe = [rng.getrandbits(stage.size) for _ in range(64)]
@@ -749,7 +736,7 @@ def verify_stage(stage: Stage, rng: Random | None = None,
                 break
         good += 1
     sample_elems = parent.embeddable_elements(parent.index) or [
-        _sample_element(parent, rng) for _ in range(256)]
+        rng.getrandbits(parent.size) for _ in range(256)]
     for m in sample_elems[: 1 << exhaustive_limit]:
         if stage.rank(stage.embed(m)) != parent.rank(m):
             rep.record("ranks", 0, 0, f"embedding changed rank of {m:#x}")
@@ -773,7 +760,6 @@ def canonical_assignment(stage: Stage) -> dict[str, int]:
 
 def build_for_formulas(theta: Sequence[str], formulas: Sequence[Formula],
                        max_atoms: int = 32, verify: bool = True,
-                       rng: Random | None = None,
                        skip_unaffordable: bool = False,
                        ) -> tuple[Stage, list[CheckReport]]:
     """Targeted driver: advance on the innermost blocking condition of each
@@ -805,11 +791,11 @@ def build_for_formulas(theta: Sequence[str], formulas: Sequence[Formula],
                                  stage.size, tdata.next_size)
         stage = advance(stage, b, verify=False, tdata=tdata)
         if verify:
-            reports.append(_verified(stage, rng))
+            reports.append(_verified(stage))
 
 
-def build_faithful(theta: Sequence[str], max_atoms: int = 32, verify: bool = True,
-                   rng: Random | None = None) -> tuple[list[Stage], bool]:
+def build_faithful(theta: Sequence[str], max_atoms: int = 32,
+                   verify: bool = True) -> tuple[list[Stage], bool]:
     """Faithful driver: ranked selection until the operator is total or the
     next stage would exceed the budget.  Returns all stages plus a halt flag
     (True when f became total)."""
@@ -822,7 +808,7 @@ def build_faithful(theta: Sequence[str], max_atoms: int = 32, verify: bool = Tru
         tdata = partition_data(stage, b)
         if tdata.next_size > max_atoms:
             return stages, False
-        stage = advance(stage, b, verify=verify, rng=rng, tdata=tdata)
+        stage = advance(stage, b, verify=verify, tdata=tdata)
         stages.append(stage)
 
 

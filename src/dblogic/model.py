@@ -151,28 +151,30 @@ def extend_assignment(model: ConditionalModel, atom_map: Mapping[str, int]) -> C
 # Axiom verification on models
 # ---------------------------------------------------------------------------
 
-def check_beta_axioms(m: ConditionalModel, samples: int | None = None,
-                      seed: int = 0) -> CheckReport:
+def check_beta_axioms(m: ConditionalModel) -> CheckReport:
     """Per-law pass/skip counts with first counterexamples.
 
-    Conditions range over the rows f actually defines plus the trivial ones;
-    elements are exhausted on small models and sampled (seeded) beyond.  The
-    full symmetry law beta5 is an extra, reported but never required.
+    Conditions range over the rows f actually defines plus the trivial ones,
+    and elements over every defined row; the generators of each condition's
+    rows, on which `check_beta_laws` checks the pair laws, are its minimal
+    nonzero rows.  Models over 12 points, whose rows are not enumerated,
+    raise ValueError.  The full symmetry law beta5 is an extra, reported but
+    never required.
     """
-    rng = Random(seed)
-    exhaustive = samples is None and m.size <= 12
+    if m.size > 12:
+        raise ValueError("model too large to enumerate its rows")
 
-    def rows(cond: int) -> list[int]:
-        if exhaustive:
-            r = m.defined_rows(cond)
-            if r is not None:
-                return list(r)
-            return list(range(1 << m.size))
-        return [rng.getrandbits(m.size) for _ in range(samples or 1000)]
+    def pools(cond: int) -> tuple[list[int], list[int]]:
+        rows = m.defined_rows(cond)
+        rows = list(range(1 << m.size) if rows is None else rows)
+        gens: list[int] = []
+        for x in sorted(rows, key=int.bit_count):
+            if x and all(g & ~x for g in gens):
+                gens.append(x)
+        return rows, gens
 
-    rep = CheckReport(seed=seed)
-    check_beta_laws(m.f, m.full, list(m.known_conditions()) + [0, m.full],
-                    rows, rng, samples or 4096, rep)
+    rep = CheckReport()
+    check_beta_laws(m.f, m.full, list(m.known_conditions()) + [0, m.full], pools, rep)
     return rep
 
 

@@ -102,13 +102,17 @@ def indep(psi: Formula, phi: Formula) -> Formula:
     return iff(Cond(psi, phi), psi)
 
 
-def atoms(f: Formula) -> frozenset[str]:
-    """Names of all atoms occurring in `f`."""
+def _leaf_names(f: Formula, kind: type) -> frozenset[str]:
+    """Names of the `kind` leaves of `f`, visiting each shared node once."""
     out: set[str] = set()
+    seen: set[int] = set()
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, Atom):
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        if isinstance(g, kind):
             out.add(g.name)
         elif isinstance(g, Not):
             stack.append(g.body)
@@ -117,22 +121,16 @@ def atoms(f: Formula) -> frozenset[str]:
         elif isinstance(g, Cond):
             stack.extend((g.then, g.given))
     return frozenset(out)
+
+
+def atoms(f: Formula) -> frozenset[str]:
+    """Names of all atoms occurring in `f`."""
+    return _leaf_names(f, Atom)
 
 
 def metas(f: Formula) -> frozenset[str]:
-    out: set[str] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Meta):
-            out.add(g.name)
-        elif isinstance(g, Not):
-            stack.append(g.body)
-        elif isinstance(g, Implies):
-            stack.extend((g.left, g.right))
-        elif isinstance(g, Cond):
-            stack.extend((g.then, g.given))
-    return frozenset(out)
+    """Names of all metavariables occurring in `f`."""
+    return _leaf_names(f, Meta)
 
 
 def depth(f: Formula) -> int:

@@ -81,6 +81,27 @@ def test_prob_bad_lewis_formula_is_error():
     assert out.getvalue().startswith("ERROR: --lewis: ")
 
 
+def test_theta_over_the_stage_budget_is_error():
+    theta = ["a", "b", "c", "d"]
+    for run in (lambda out: cmd_model(theta, [], "targeted", 32, 0, None, None, None, out=out),
+                lambda out: cmd_prob(theta, PI_TEXT, [], 32, 0, False, None, out=out)):
+        out = io.StringIO()
+        assert run(out) == 1
+        assert out.getvalue() == "ERROR: --theta: too many atoms for the stage budget (4 > 3)\n"
+
+
+def test_unreadable_input_files_are_errors(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    table = tmp_path / "pi.txt"
+    table.write_text(PI_TEXT)
+    for argv in (["model", "--theta", "a", "--input", missing],
+                 ["model", "--theta", "a", "--input", str(tmp_path)],
+                 ["prob", "--theta", "a,b", "--prob", missing],
+                 ["prob", "--theta", "a,b", "--prob", str(table), "--input", missing]):
+        assert main(argv) == 1
+        assert capsys.readouterr().out.startswith(f"ERROR: {argv[-1]}: "), argv
+
+
 def test_model_budget_exceeded_nonzero():
     out = io.StringIO()
     rc = cmd_model(["a", "b"], ["(a | ((b | a) | (a | b)))"], "targeted",

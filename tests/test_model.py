@@ -1,8 +1,12 @@
 import random
+import re
 
 import pytest
 
-from dblogic.construction import advance, canonical_assignment, new_stage0
+from dblogic.construction import (
+    advance, build_faithful, build_for_formulas, canonical_assignment, new_stage0,
+    verify_stage,
+)
 from dblogic.library import library_language, theorem_library
 from dblogic.model import (
     ConditionalAssignment, StageModel, TableModel, check_beta_axioms,
@@ -180,19 +184,149 @@ def test_equivalence_theorems_respected_by_evaluation(m1):
 
 
 def test_stage_verifier_and_model_checker_share_the_law_table():
-    from dblogic.construction import BETA_LAWS, build_faithful, verify_stage
+    from dblogic.construction import BETA_LAWS
     laws = {name for name, _, _ in BETA_LAWS}
     stages, _ = build_faithful(["a", "b"], max_atoms=32, verify=False)
     for s in stages[1:]:
         stage_rep = verify_stage(s)
-        model_rep = check_beta_axioms(StageModel(s))
         assert laws <= set(stage_rep.checks)
+        assert stage_rep.ok(), (s.index, stage_rep.failures())
+        if s.size > 12:  # the model checker enumerates every row or refuses
+            with pytest.raises(ValueError):
+                check_beta_axioms(StageModel(s))
+            continue
+        model_rep = check_beta_axioms(StageModel(s))
         assert set(model_rep.checks) == laws
-        assert stage_rep.ok() and model_rep.ok(), (s.index, stage_rep.failures(),
-                                                   model_rep.failures())
+        assert model_rep.ok(), (s.index, model_rep.failures())
 
 
 def test_beta6_identity_from_beta2_beta4(m2):
     rep = check_beta_axioms(m2)
     passed, skipped = rep.checks["beta6"]
     assert "beta6" not in rep.failures() and passed > 0
+
+
+# -- pair laws: generator checks against every pair --------------------------
+
+PAIR_LAWS = {"beta2", "beta2-eq", "beta6"}
+
+
+def brute_pair_failures(f, cond, pool):
+    """The pair laws that fail for condition `cond` on some pair B, C of
+    `pool`: the old all-pairs semantics, skipping pairs with an undefined
+    row."""
+    val = {b: f(b, cond) for b in pool}
+
+    def get(m):
+        if m not in val:
+            val[m] = f(m, cond)
+        return val[m]
+
+    failed = set()
+    for i, b in enumerate(pool):
+        fb = val[b]
+        for c in pool[i:]:
+            fc, fu, fi = val[c], get(b | c), get(b & c)
+            if None in (fb, fc, fu, fi):
+                continue
+            if fu & ~(fb | fc):
+                failed.add("beta2")
+            if fu != fb | fc:
+                failed.add("beta2-eq")
+            if fi != fb & fc:
+                failed.add("beta6")
+    return failed
+
+
+def _where(counterexample):
+    return int(re.search(r"A=(0x[0-9a-f]+)", counterexample).group(1), 16)
+
+
+def _model_pool(m, cond):
+    rows = m.defined_rows(cond)
+    return list(range(1 << m.size) if rows is None else rows)
+
+
+def _small_stages():
+    """Every faithful {a} and {a,b} stage and the targeted (b|a), (a|b)
+    stages whose rows can be enumerated."""
+    out = []
+    for theta in (["a"], ["a", "b"]):
+        stages, _ = build_faithful(theta, max_atoms=32, verify=False)
+        out += stages[1:]
+    for text in ("(b | a)", "(a | b)"):
+        stage, _ = build_for_formulas(["a", "b"], [L2.parse(text)], verify=False)
+        out.append(stage)
+    return [s for s in out if s.size <= 12]
+
+
+def test_generator_checks_agree_with_all_pairs_on_stages():
+    stages = _small_stages()
+    assert [s.size for s in stages] == [2, 6, 10, 8, 8]
+    for s in stages:
+        m = StageModel(s)
+        conds = list(m.known_conditions()) + [0, m.full]
+        brute = set().union(*(brute_pair_failures(m.f, a, _model_pool(m, a)) for a in conds))
+        stage_rep, model_rep = verify_stage(s), check_beta_axioms(m)
+        assert not brute
+        assert stage_rep.ok() and model_rep.ok()
+        for rep in (stage_rep, model_rep):
+            assert rep.checks["beta2-eq"][0] > 0 and rep.checks["beta6"][0] > 0
+
+
+@pytest.fixture(scope="module")
+def tables():
+    return [TableModel.from_model(StageModel(s)) for s in _small_stages() if s.size <= 8]
+
+
+def test_generator_checks_agree_with_all_pairs_on_tampered_tables(tables):
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(240):
+        base = rng.choice(tables)
+        b, a = rng.choice(sorted(base.table))
+        value = rng.choice([v for v in range(base.full + 1) if v != base.table[(b, a)]])
+        t = base.override(b, a, value)
+        rep = check_beta_axioms(t)
+        brute = brute_pair_failures(t.f, a, _model_pool(t, a))
+        failed = set(rep.failures())
+        assert rep.ok() == (not (failed - PAIR_LAWS) and not brute)
+        for law in failed & PAIR_LAWS:       # every reported failure is real
+            assert _where(rep.failures()[law]) == a and law in brute, (law, b, a, value)
+        assert ("beta2-eq" in failed) == ("beta2-eq" in brute)
+        if "beta2-eq" not in brute:
+            assert ("beta6" in failed) == ("beta6" in brute)
+        seen.add(frozenset(failed & PAIR_LAWS))
+    # the draws reach tampers that only beta6, only the join equality, or
+    # also the join inclusion catch
+    assert {frozenset({"beta6"}), frozenset({"beta2-eq"}),
+            frozenset({"beta2", "beta2-eq"})} <= seen
+
+
+def test_overlapping_generator_images_fail_only_beta6(tables):
+    t = tables[-1]                              # the targeted (a|b) stage
+    a = t.known_conditions()[0]
+    gens = [1 << i for i in range(t.size)]      # the chain was processed here
+    x, y = [g for g in gens if t.f(g, a)][:2]
+    image = {g: t.f(g, a) for g in gens}
+    image[x] |= image[y]                        # overlap, then extend by joins
+    for b in range(1 << t.size):
+        joined = 0
+        for g in gens:
+            if g & b:
+                joined |= image[g]
+        t = t.override(b, a, joined)
+    rep = check_beta_axioms(t)
+    assert "beta6" in rep.failures()
+    assert not {"beta2", "beta2-eq"} & set(rep.failures())
+    assert brute_pair_failures(t.f, a, _model_pool(t, a)) == {"beta6"}
+
+
+def test_changed_non_generator_row_fails_beta2_eq(tables):
+    t = tables[-1]
+    a = t.known_conditions()[0]
+    b = 0b11                                    # the union of two generators
+    t = t.override(b, a, t.f(b, a) ^ 1)
+    rep = check_beta_axioms(t)
+    assert rep.failures()["beta2-eq"].endswith(f"at A={a:#x} B={b:#x}")
+    assert "beta2-eq" in brute_pair_failures(t.f, a, _model_pool(t, a))

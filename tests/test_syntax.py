@@ -1,10 +1,13 @@
+import dataclasses
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dblogic.syntax import (
     Atom, Cond, Implies, Language, Meta, Not, ParseError, Sequent,
-    SubstitutionError, atoms, conj, depth, iff, indep, is_classical,
+    SubstitutionError, atoms, conj, depth, iff, indep, is_classical, metas,
     substitute, disj,
 )
 
@@ -106,6 +109,36 @@ def test_helpers():
     assert is_classical(AB.parse("!a -> b"))
     assert depth(Atom("a")) == 0
     assert depth(Not(Atom("a"))) == 1
+
+
+def _tree_names(f, kind):
+    """Leaf names by walking `f` as a tree: every shared node again."""
+    if isinstance(f, kind):
+        return {f.name}
+    if isinstance(f, (Atom, Meta)):
+        return set()
+    return set().union(*(_tree_names(getattr(f, fl.name), kind)
+                         for fl in dataclasses.fields(f)))
+
+
+def _nested_iff(n):
+    # each level holds the one below twice, shared: 2**n tree paths
+    f = Meta("psi")
+    for _ in range(n):
+        f = iff(Cond(Atom("a"), Meta("phi")), f)
+    return f
+
+
+def test_leaf_names_visit_shared_nodes_once():
+    small = _nested_iff(6)
+    for walk, kind in ((atoms, Atom), (metas, Meta)):
+        assert walk(small) == _tree_names(small, kind)
+    deep = _nested_iff(24)
+    parsed = AB.parse("a <-> (" * 24 + "b" + ")" * 24)
+    t0 = time.perf_counter()
+    assert atoms(deep) == {"a"} and metas(deep) == {"phi", "psi"}
+    assert atoms(parsed) == {"a", "b"}
+    assert time.perf_counter() - t0 < 0.1
 
 
 # -- round trip property ------------------------------------------------------
