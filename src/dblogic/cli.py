@@ -174,8 +174,12 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
         if r.verdict == "fails":
             failures += 1
     if dump_path:
-        with open(dump_path, "w") as fh:
-            fh.write(construction.dump_stage(stage))
+        try:
+            with open(dump_path, "w") as fh:
+                fh.write(construction.dump_stage(stage))
+        except OSError as e:
+            print(f"ERROR: {dump_path}: {e.strerror or e}", file=out)
+            return 1
         report.append(f"dump written to {dump_path}")
     _emit(report, out)
     return 0 if failures == 0 else 1

@@ -43,7 +43,8 @@ from typing import Mapping, Sequence
 
 from .syntax import (
     Atom, Cond, Formula, Implies, Language, Meta, Not, Sequent,
-    conj, disj, evaluate, indep, iff, substitute, truth_columns,
+    SubstitutionError, conj, disj, evaluate, indep, iff, substitute,
+    truth_columns,
 )
 
 __all__ = [
@@ -132,8 +133,11 @@ def instantiate_axiom(schema_id: str, binding: Mapping[str, Formula],
     admissible = system in schema.systems or (schema_id == "star" and allow_star)
     if not admissible:
         raise DerivationError("axiom", f"schema {schema_id!r} not admissible in system {system.value!r}")
-    ant = tuple(substitute(f, binding) for f in schema.antecedent)
-    suc = tuple(substitute(f, binding) for f in schema.succedent)
+    try:
+        ant = tuple(substitute(f, binding) for f in schema.antecedent)
+        suc = tuple(substitute(f, binding) for f in schema.succedent)
+    except SubstitutionError as e:
+        raise DerivationError("axiom", f"schema {schema_id!r}: {e}") from None
     return Sequent(ant, suc)
 
 
@@ -524,28 +528,27 @@ def parse_derivation_file(text: str) -> tuple[Language, dict[str, Derivation]]:
     nodes: dict[str, Node] = {}
     results: dict[str, Derivation] = {}
     qed_count = 0
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        name, body = _split_head(line)
-        if name == "theta":
-            lang = Language([t.strip() for t in body.split(",")])
-            continue
-        if name == "system":
-            system, allow_star = parse_system(body)
-            continue
-        if lang is None:
-            raise ValueError("theta must be declared before any node")
-        if name == "qed":
-            label = body.strip()
-            node_name, _, label_rest = label.partition(" ")
-            node = nodes[node_name]
-            qed_count += 1
-            results[label_rest.strip() or f"derivation{qed_count}"] = \
-                Derivation(node, system, allow_star)
-            continue
-        nodes[name] = _parse_node(body, nodes, lang)
+        try:
+            name, body = _split_head(line)
+            if name == "theta":
+                lang = Language([t.strip() for t in body.split(",")])
+            elif name == "system":
+                system, allow_star = parse_system(body)
+            elif lang is None:
+                raise ValueError("theta must be declared before any node")
+            elif name == "qed":
+                node_name, _, label = body.partition(" ")
+                qed_count += 1
+                results[label.strip() or f"derivation{qed_count}"] = \
+                    Derivation(_ref(nodes, node_name), system, allow_star)
+            else:
+                nodes[name] = _parse_node(body, nodes, lang)
+        except ValueError as e:
+            raise type(e)(f"line {n}: {e}") from None
     if lang is None:
         raise ValueError("derivation file declares no theta")
     return lang, results
@@ -553,7 +556,7 @@ def parse_derivation_file(text: str) -> tuple[Language, dict[str, Derivation]]:
 
 def _parse_node(body: str, nodes: Mapping[str, Node], lang: Language) -> Node:
     op, bracket, rest = _split_op(body)
-    refs = [nodes[r] for r in rest.split()] if rest else []
+    refs = [_ref(nodes, r) for r in rest.split()]
     if op == "ax":
         parts = [p.strip() for p in bracket.split(";")]
         sid = parts[0]
@@ -578,19 +581,21 @@ def _parse_node(body: str, nodes: Mapping[str, Node], lang: Language) -> Node:
     raise ValueError(f"unknown node operator {op!r}")
 
 
+def _ref(nodes: Mapping[str, Node], name: str) -> Node:
+    try:
+        return nodes[name]
+    except KeyError:
+        raise ValueError(f"unknown node {name!r}") from None
+
+
 def _split_op(body: str) -> tuple[str, str, str]:
     """``op[bracket] rest`` -> (op, bracket, rest); bracket optional."""
     if "[" in body:
         op, _, tail = body.partition("[")
-        depth = 1
-        for i, ch in enumerate(tail):
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-                if depth == 0:
-                    return op.strip(), tail[:i], tail[i + 1:].strip()
-        raise ValueError(f"unbalanced '[' in {body!r}")
+        bracket, close, rest = tail.partition("]")
+        if not close or "[" in bracket:
+            raise ValueError(f"unbalanced '[' in {body!r}")
+        return op.strip(), bracket, rest.strip()
     op, _, rest = body.partition(" ")
     return op.strip(), "", rest.strip()
 

@@ -272,33 +272,49 @@ class Sequent:
 
 
 # ---------------------------------------------------------------------------
-# Lexer / parser (precedence climbing)
+# Lexer / parser
+#
+# One loop over the tokens: operands wait on one stack, operators and open
+# brackets on another.  A binary operator first reduces every stacked
+# operator that binds at least as tightly (strictly more tightly for the
+# right-associative ``->``), and ``)``, ``|``, ``,``, ``|-`` and the end of
+# input reduce down to the innermost open bracket.  Every node comes from
+# the node table of its `Language`, keyed by constructor and child ids, so a
+# subformula that repeats within the language's texts is one object.  Deep
+# input cannot hit the recursion limit here.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\|-|<->|->|/\\|\\/|><|[!()|,]|[A-Za-z_][A-Za-z0-9_]*")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = {"T", "F"}
+# binding power of a stacked operator; open brackets have none
+_POWER = {"<->": 1, "><": 1, "->": 2, "\\/": 3, "/\\": 4, "!": 5}
+# a binary operator reduces the stacked operators of at least this power
+_REDUCES = {"<->": 1, "><": 1, "->": 3, "\\/": 3, "/\\": 4}
 
 
 def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"lexical error at position {pos}: {text[pos:pos + 8]!r}")
-        out.append(m.group(0))
-        pos = m.end()
-    return out
+    tokens = _TOKEN_RE.findall(text)
+    if "".join(tokens) != "".join(text.split()):
+        # findall skipped a character that starts no token: find the first
+        pos = 0
+        for m in _TOKEN_RE.finditer(text):
+            if text[pos:m.start()].strip():
+                break
+            pos = m.end()
+        gap = text[pos:]
+        pos += len(gap) - len(gap.lstrip())
+        raise ParseError(f"lexical error at position {pos}: {text[pos:pos + 8]!r}")
+    return tokens
+
+
+def _found(tok: str | None) -> str:
+    return "end of input" if tok is None else repr(tok)
 
 
 class Language:
-    """A declared, ordered atom set plus its parser and printers."""
+    """A declared, ordered atom set plus its parser, its node table and its
+    printers."""
 
     def __init__(self, theta: Sequence[str]):
         names = tuple(theta)
@@ -310,23 +326,111 @@ class Language:
             if not _IDENT_RE.match(name) or name in _RESERVED:
                 raise ValueError(f"invalid atom name {name!r}")
         self.theta: tuple[str, ...] = names
-        first = Atom(names[0])
-        self.top: Formula = Implies(first, first)
-        self.bot: Formula = Not(self.top)
+        self._nodes: dict[tuple, Formula] = {}
+        self._leaves: dict[str, Formula] = {n: Atom(n) for n in names}
+        first = self._leaves[names[0]]
+        self.top: Formula = self._node(Implies, first, first)
+        self.bot: Formula = self._node(Not, self.top)
+        self._leaves.update(T=self.top, F=self.bot)
 
     # -- parsing ------------------------------------------------------------
 
     def parse(self, text: str) -> Formula:
-        p = _Parser(_tokenize(text), self)
-        f = p.formula()
-        p.expect_end()
-        return f
+        return self._read(text, False)
 
     def parse_sequent(self, text: str) -> Sequent:
-        p = _Parser(_tokenize(text), self)
-        seq = p.sequent()
-        p.expect_end()
-        return seq
+        return self._read(text, True)
+
+    def _node(self, cls: type, a: Formula, b: Formula | None = None) -> Formula:
+        key = (cls, id(a), id(b))
+        f = self._nodes.get(key)
+        if f is None:
+            f = self._nodes[key] = cls(a) if b is None else cls(a, b)
+        return f
+
+    def _reduce(self, op: str, out: list[Formula]) -> None:
+        """Replace the operands of `op` on top of `out` by its node, sugar
+        expanded as `disj`, `conj`, `iff` and `indep` expand it."""
+        node = self._node
+        b = out.pop()
+        if op == "!":
+            out.append(node(Not, b))
+            return
+        a = out.pop()
+        if op == "->":
+            out.append(node(Implies, a, b))
+        elif op == "\\/":
+            out.append(node(Implies, node(Not, a), b))
+        else:
+            if op == "><":
+                a, b = node(Cond, a, b), a
+            if op != "/\\":
+                a, b = node(Implies, a, b), node(Implies, b, a)
+            out.append(node(Not, node(Implies, node(Not, node(Not, a)), node(Not, b))))
+
+    def _read(self, text: str, sequent: bool) -> Formula | Sequent:
+        """`text` as one formula, or as a sequent when `sequent` is set."""
+        leaves, reduce = self._leaves, self._reduce
+        out: list[Formula] = []
+        ops: list[str] = []                # operators, "(" and "(|"
+        done: list[Formula] = []           # finished formulas of this side
+        ant: list[Formula] | None = None   # the antecedent, once past "|-"
+        operand = True                     # an operand is due
+        tokens = _tokenize(text)
+        tokens.append(None)
+        for tok in tokens:
+            if operand:
+                f = leaves.get(tok)
+                if f is not None:
+                    out.append(f)
+                    operand = False
+                elif tok == "!" or tok == "(":
+                    ops.append(tok)
+                elif (sequent and not ops and not done
+                      and tok == ("|-" if ant is None else None)):
+                    if ant is not None:    # empty succedent
+                        return Sequent(tuple(ant), ())
+                    ant = []               # empty antecedent
+                elif tok is None:
+                    raise ParseError("dangling operator or unexpected end of input")
+                elif _IDENT_RE.match(tok):
+                    raise ParseError(f"unknown atom {tok!r} (declared: {', '.join(self.theta)})")
+                else:
+                    raise ParseError(f"unexpected token {tok!r}")
+                continue
+            power = _REDUCES.get(tok)
+            while ops and _POWER.get(ops[-1], 0) >= (power or 1):
+                reduce(ops.pop(), out)
+            if power is not None:
+                ops.append(tok)
+                operand = True
+            elif ops:                      # inside brackets
+                if tok == ")":
+                    if ops.pop() == "(|":
+                        given = out.pop()
+                        out.append(self._node(Cond, out.pop(), given))
+                elif tok == "|" and ops[-1] == "(":
+                    ops[-1] = "(|"
+                    operand = True
+                else:
+                    raise ParseError(f"expected ')', found {_found(tok)}")
+            elif not sequent:
+                if tok is None:
+                    return out.pop()
+                raise ParseError(f"unexpected trailing token {tok!r}")
+            else:
+                done.append(out.pop())
+                operand = True
+                if tok == ",":
+                    continue
+                if ant is None:
+                    if tok != "|-":
+                        raise ParseError(f"expected '|-', found {_found(tok)}")
+                    ant, done = done, []
+                elif tok is None:
+                    return Sequent(tuple(ant), tuple(done))
+                else:
+                    raise ParseError(f"unexpected trailing token {tok!r}")
 
     # -- printing -----------------------------------------------------------
 
@@ -350,111 +454,6 @@ class Language:
 def parse(text: str, theta: Sequence[str]) -> Formula:
     """One-shot parse under a freshly declared atom set."""
     return Language(theta).parse(text)
-
-
-class _Parser:
-    def __init__(self, tokens: list[str], lang: Language):
-        self.tokens = tokens
-        self.pos = 0
-        self.lang = lang
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("dangling operator or unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.peek()
-        if got != tok:
-            if got is None:
-                raise ParseError(f"expected {tok!r}, found end of input")
-            raise ParseError(f"expected {tok!r}, found {got!r}")
-        self.pos += 1
-
-    def expect_end(self) -> None:
-        if self.peek() is not None:
-            raise ParseError(f"unexpected trailing token {self.peek()!r}")
-
-    # formula := iff level
-    def formula(self) -> Formula:
-        return self.iff_level()
-
-    def iff_level(self) -> Formula:
-        left = self.imp_level()
-        while self.peek() in ("<->", "><"):
-            op = self.take()
-            right = self.imp_level()
-            left = iff(left, right) if op == "<->" else indep(left, right)
-        return left
-
-    def imp_level(self) -> Formula:
-        left = self.or_level()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.imp_level())
-        return left
-
-    def or_level(self) -> Formula:
-        left = self.and_level()
-        while self.peek() == "\\/":
-            self.take()
-            left = disj(left, self.and_level())
-        return left
-
-    def and_level(self) -> Formula:
-        left = self.unary()
-        while self.peek() == "/\\":
-            self.take()
-            left = conj(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        if self.peek() == "!":
-            self.take()
-            return Not(self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        tok = self.take()
-        if tok == "(":
-            inner = self.formula()
-            if self.peek() == "|":
-                self.take()
-                given = self.formula()
-                self.expect(")")
-                return Cond(inner, given)
-            self.expect(")")
-            return inner
-        if tok == "T":
-            return self.lang.top
-        if tok == "F":
-            return self.lang.bot
-        if _IDENT_RE.match(tok):
-            if tok not in self.lang.theta:
-                raise ParseError(f"unknown atom {tok!r} (declared: {', '.join(self.lang.theta)})")
-            return Atom(tok)
-        raise ParseError(f"unexpected token {tok!r}")
-
-    def sequent(self) -> Sequent:
-        ant: list[Formula] = []
-        if self.peek() != "|-":
-            ant.append(self.formula())
-            while self.peek() == ",":
-                self.take()
-                ant.append(self.formula())
-        self.expect("|-")
-        suc: list[Formula] = []
-        if self.peek() is not None:
-            suc.append(self.formula())
-            while self.peek() == ",":
-                self.take()
-                suc.append(self.formula())
-        return Sequent(tuple(ant), tuple(suc))
 
 
 # ---------------------------------------------------------------------------

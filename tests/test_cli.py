@@ -32,6 +32,49 @@ def test_check_empty_input_is_green(tmp_path):
     assert "checked 0" in out.getvalue()
 
 
+DSEQ_HEAD = "theta: x, y\nsystem: dbl*\nn1: I[x]\n"
+
+
+def _check_text(tmp_path, body):
+    path = tmp_path / "bad.dseq"
+    path.write_text(DSEQ_HEAD + body)
+    out = io.StringIO()
+    return cmd_check([str(path)], None, out=out), out.getvalue(), str(path)
+
+
+def test_check_unknown_premise_is_error(tmp_path):
+    rc, text, path = _check_text(tmp_path, "n2: andR n1 n9\nqed: n2\n")
+    assert rc == 1
+    assert text.splitlines()[0] == f"ERROR {path}: line 4: unknown node 'n9'"
+
+
+def test_check_unknown_qed_node_is_error(tmp_path):
+    rc, text, path = _check_text(tmp_path, "qed: n7\n")
+    assert rc == 1
+    assert text.splitlines()[0] == f"ERROR {path}: line 4: unknown node 'n7'"
+
+
+def test_check_unbound_metavariable_fails(tmp_path):
+    rc, text, _ = _check_text(tmp_path, "n2: ax[b1; phi = x; chi = x]\nqed: n2 t\n")
+    assert rc == 1
+    assert text.splitlines()[0] == \
+        "FAIL t [bad.dseq]: root: schema 'b1': unbound metavariable 'psi'"
+
+
+def test_check_parse_errors_name_their_line(tmp_path):
+    rc, text, path = _check_text(tmp_path, "n2: cut[x -> ] n1 n1\n")
+    assert rc == 1
+    assert text.splitlines()[0] == \
+        f"ERROR {path}: line 4: dangling operator or unexpected end of input"
+
+
+def test_model_unwritable_dump_is_error(tmp_path):
+    dump = str(tmp_path / "missing" / "stage.txt")
+    out = io.StringIO()
+    assert cmd_model(["a"], [], "targeted", 32, 0, None, None, dump, out=out) == 1
+    assert out.getvalue() == f"ERROR: {dump}: No such file or directory\n"
+
+
 def test_model_faithful_single_atom_halts():
     out = io.StringIO()
     rc = cmd_model(["a"], [], "faithful", 32, 0, None, None, None, out=out)

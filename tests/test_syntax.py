@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import time
 
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 from dblogic.syntax import (
     Atom, Cond, Implies, Language, Meta, Not, ParseError, Sequent,
     SubstitutionError, atoms, conj, depth, iff, indep, is_classical, metas,
-    substitute, disj,
+    _tokenize, substitute, disj,
 )
+from dblogic.library import proofs_dir
+
+import parser_reference as ref
 
 AB = Language(["a", "b"])
 
@@ -179,3 +183,126 @@ def test_trees_are_core_only(f):
     from dblogic.syntax import subformulas
     for g in subformulas(f):
         assert isinstance(g, (Atom, Not, Implies, Cond))
+
+
+# -- differential tests against the recursive-descent reference --------------
+
+TOKENS = ["|-", "<->", "->", "/\\", "\\/", "><", "!", "(", ")", "|", ",",
+          "T", "F", "a", "b", "c"]      # c is not declared in AB
+
+
+def _outcome(parse, *args):
+    """The result of `parse`, or its ParseError text."""
+    try:
+        return parse(*args)
+    except ParseError as e:
+        return ("ParseError", str(e))
+
+
+def _agree(lang: Language, text: str) -> None:
+    assert _outcome(lang.parse, text) == _outcome(ref.parse, lang, text), text
+    assert _outcome(lang.parse_sequent, text) == _outcome(ref.parse_sequent, lang, text), text
+
+
+def _shipped_texts():
+    """(file name, theta line, formula texts, sequent texts) per shipped file."""
+    for name in sorted(os.listdir(proofs_dir())):
+        formulas, sequents, theta = [], [], None
+        with open(os.path.join(proofs_dir(), name)) as fh:
+            for raw in fh:
+                head, _, body = raw.split("#", 1)[0].partition(":")
+                op, _, tail = body.partition("[")
+                bracket = tail.partition("]")[0]
+                if head.strip() == "theta":
+                    theta = [t.strip() for t in body.split(",")]
+                elif op.strip() == "ax":
+                    formulas += [p.partition("=")[2] for p in bracket.split(";")[1:]]
+                elif op.strip() in ("taut", "struct"):
+                    sequents.append(bracket)
+                elif bracket:
+                    formulas += bracket.split(";")
+        yield name, theta, formulas, sequents
+
+
+def test_parser_agrees_with_reference_on_shipped_files():
+    files = texts = 0
+    for name, theta, formulas, sequents in _shipped_texts():
+        lang = Language(theta)
+        for text in formulas:
+            assert lang.parse(text) == ref.parse(lang, text), (name, text)
+        for text in sequents:
+            assert lang.parse_sequent(text) == ref.parse_sequent(lang, text), (name, text)
+        files += 1
+        texts += len(formulas) + len(sequents)
+    assert files == 34 and texts > 5000
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula_strategy(AB), st.sampled_from(["core", "sugared"]))
+def test_parser_agrees_with_reference_on_printed_formulas(f, style):
+    _agree(AB, AB.format(f, style))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=12))
+def test_parser_agrees_with_reference_on_token_sequences(tokens):
+    _agree(AB, " ".join(tokens))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="ab c!()|,-<>/\\TF&1_\t", max_size=16))
+def test_tokenizer_agrees_with_reference(text):
+    assert _outcome(_tokenize, text) == _outcome(ref.tokenize, text)
+
+
+# -- stack safety and sharing ---------------------------------------------------
+
+def _nodes(f):
+    """Every node of `f` once, walked without recursion."""
+    seen, stack = {}, [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen[id(g)] = g
+            if isinstance(g, Not):
+                stack.append(g.body)
+            elif isinstance(g, (Implies, Cond)):
+                stack.extend((getattr(g, fl.name) for fl in dataclasses.fields(g)))
+    return seen
+
+
+def test_deep_negation_parses_without_recursion():
+    f = AB.parse("!" * 1000 + "a")
+    for _ in range(1000):
+        assert isinstance(f, Not)
+        f = f.body
+    assert f == Atom("a")
+
+
+def test_long_conjunction_parses_without_recursion():
+    names = ["ab"[i % 2] for i in range(300)]
+    f = AB.parse(" /\\ ".join(names))
+    # left-associative: ((n0 /\ n1) /\ n2) ...; x /\ y is !(!!x -> !y)
+    for name in reversed(names[1:]):
+        assert isinstance(f, Not) and isinstance(f.body, Implies)
+        left, right = f.body.left, f.body.right
+        assert isinstance(right, Not) and right.body == Atom(name)
+        assert isinstance(left, Not) and isinstance(left.body, Not)
+        f = left.body.body
+    assert f == Atom(names[0])
+
+
+def test_equal_subformulas_are_one_node():
+    lang = Language(["x", "z"])
+    f = lang.parse("(x | z) -> (x | z)")
+    assert f.left is f.right
+    assert lang.parse("(x | z)") is f.left
+    assert lang.parse("x -> x") is lang.top and lang.parse("!T") is lang.bot
+
+
+def test_languages_share_no_node():
+    one, two = Language(["a", "b"]), Language(["a", "b"])
+    text = "(a | b) <-> !b /\\ T"
+    f, g = one.parse(text), two.parse(text)
+    assert f == g
+    assert not set(_nodes(f)) & set(_nodes(g))
