@@ -2,7 +2,9 @@
 probability extension, with reproducible seeds and plain-text reports.
 
 Identical configuration and seed produce byte-identical reports; the exit
-status is 0 exactly when no check failed and no error occurred.
+status is 0 exactly when no check failed and no error occurred.  Each
+``cmd_*`` writes to its `out` stream, or to the ``sys.stdout`` of the moment
+it is called when `out` is None.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ def _fmt_weight(w) -> str:
 # check
 # ---------------------------------------------------------------------------
 
-def cmd_check(paths: list[str], system: str | None, out=sys.stdout) -> int:
+def cmd_check(paths: list[str], system: str | None, out=None) -> int:
     """Check derivation files (or directories of them)."""
+    out = sys.stdout if out is None else out
     files: list[str] = []
     for p in paths:
         if os.path.isdir(p):
@@ -104,9 +107,10 @@ def cmd_check(paths: list[str], system: str | None, out=sys.stdout) -> int:
 
 def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
               seed: int, samples: int | None, target: str | None,
-              dump_path: str | None, out=sys.stdout) -> int:
+              dump_path: str | None, out=None) -> int:
     """Build a model (faithful or targeted), verify every stage, then
     evaluate formulas and check sequents from the input lines."""
+    out = sys.stdout if out is None else out
     lang = _language(theta, out)
     if lang is None:
         return 1
@@ -191,10 +195,11 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
 
 def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
              max_atoms: int, seed: int, strict_positive: bool,
-             lewis: str | None, out=sys.stdout) -> int:
+             lewis: str | None, out=None) -> int:
     """Probability extension over a targeted build: per-formula values,
     pushforward/multiplicativity checks, Bayes defaults and optionally the
     separation demonstration."""
+    out = sys.stdout if out is None else out
     lang = _language(theta, out)
     if lang is None:
         return 1

@@ -13,6 +13,12 @@ the interior of the simplex with an infinitesimal parameter; weights then
 live in the field of rational functions and the extension value is the limit
 at 0+.
 
+A stage's weights are stored as numerators over one common denominator:
+ints in the direct mode, integer-coefficient polynomials in the perturbed
+mode.  Advances, subset sums and the lemma identities work on numerators
+without dividing, so they take no gcd; values are normalized to a Fraction
+or a RatFunc only where they leave a valuation.
+
 The separation demonstration at the end contrasts extending a conditioned
 probability with conditioning the extension: the two disagree on genuine
 conditionals, which is exactly how the logic escapes the classical
@@ -24,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from random import Random
 from typing import Iterable, Sequence
 
@@ -51,23 +58,6 @@ Weight = Fraction | RatFunc
 def limit_at_zero(w: Weight) -> Fraction:
     """Value of a weight as the perturbation parameter goes to 0+."""
     return w.limit0() if isinstance(w, RatFunc) else w
-
-
-def _parts(w: Weight) -> tuple[Poly, Poly]:
-    """Numerator and denominator of a weight as polynomials."""
-    if isinstance(w, RatFunc):
-        return w.num, w.den
-    return Poly.const(w), Poly.const(1)
-
-
-def _is_product(c: Weight, a: Weight, b: Weight) -> bool:
-    """Exactly c == a * b.  With a rational function among them, compare
-    c.num a.den b.den with a.num b.num c.den, so that the product is never
-    normalized (no polynomial gcd)."""
-    if not any(isinstance(w, RatFunc) for w in (a, b, c)):
-        return c == a * b
-    (an, ad), (bn, bd), (cn, cd) = _parts(a), _parts(b), _parts(c)
-    return cn * ad * bd == an * bn * cd
 
 
 class ZeroBlockError(ZeroDivisionError):
@@ -170,40 +160,103 @@ def parse_probability_file(text: str, lang: Language,
 _CHUNK = 8  # points per subset-sum table
 _CHUNK_FULL = (1 << _CHUNK) - 1
 
+Num = int | Poly  # a numerator or common denominator of a valuation
 
-@dataclass(frozen=True)
+
+def _others(factors: Sequence[Num], one: Num) -> list[Num]:
+    """For each factor, the product of all the others."""
+    out = []
+    for i in range(len(factors)):
+        prod = one
+        for j, f in enumerate(factors):
+            if j != i:
+                prod = prod * f
+        out.append(prod)
+    return out
+
+
+def _common_denominator(weights: Sequence[Weight]) -> tuple[tuple[Num, ...], Num]:
+    """Integer numerators over one integer denominator for rational weights;
+    integer-coefficient polynomial numerators over one such polynomial when
+    any weight is a rational function."""
+    if not any(isinstance(w, RatFunc) for w in weights):
+        fs = [Fraction(w) for w in weights]
+        den = lcm(*(f.denominator for f in fs))
+        return tuple(f.numerator * (den // f.denominator) for f in fs), den
+    rs = [RatFunc.of(w) for w in weights]
+    dens = list(dict.fromkeys(r.den for r in rs))
+    other = dict(zip(dens, _others(dens, Poly.const(1))))
+    den = other[dens[0]] * dens[0]
+    nums = [r.num * other[r.den] for r in rs]
+    scale = lcm(*(Fraction(c).denominator for p in nums + [den] for c in p.coeffs))
+    return (tuple(Poly.make([(c * scale).numerator for c in p.coeffs]) for p in nums),
+            Poly.make([(c * scale).numerator for c in den.coeffs]))
+
+
 class RationalValuation:
-    """Exact weights on the points of one stage."""
+    """Exact weights on the points of one stage, kept as numerators over one
+    common denominator: Python ints in direct mode, integer-coefficient
+    polynomials in the perturbed mode.  Sums of weights are sums of
+    numerators, and the identities of the lemma checks compare numerators
+    cross-multiplied, so neither needs a gcd.  Values are normalized only
+    where they leave the valuation, in `measure` and `weights`, to a
+    Fraction or a RatFunc in normal form.
 
-    stage: Stage
-    weights: tuple[Weight, ...]
+    ``RationalValuation(stage, weights)`` puts the weights over a common
+    denominator; ``RationalValuation(stage, nums=..., den=...)`` takes
+    numerators and the denominator as they are."""
+
+    def __init__(self, stage: Stage, weights: Sequence[Weight] | None = None, *,
+                 nums: Sequence[Num] = (), den: Num = 1):
+        if weights is not None:
+            nums, den = _common_denominator(weights)
+        self.stage = stage
+        self.nums = tuple(nums)
+        self.den = den
+
+    def _value(self, num: Num) -> Weight:
+        if isinstance(self.den, Poly):
+            return RatFunc.make(num, self.den)
+        return Fraction(num, self.den)
 
     @cached_property
-    def _tables(self) -> tuple[tuple[Weight, ...], ...]:
-        """One subset-sum table per chunk of `_CHUNK` points: entry b of
-        table k weighs the points k*_CHUNK + i for the bits i of b."""
+    def weights(self) -> tuple[Weight, ...]:
+        return tuple(self._value(n) for n in self.nums)
+
+    @cached_property
+    def _tables(self) -> tuple[tuple[Num, ...], ...]:
+        """One subset-sum table of numerators per chunk of `_CHUNK` points:
+        entry b of table k sums the points k*_CHUNK + i for the bits i of b."""
+        zero = Poly(()) if isinstance(self.den, Poly) else 0
         tables = []
-        for k in range(0, len(self.weights), _CHUNK):
-            w = self.weights[k:k + _CHUNK]
-            t: list[Weight] = [Fraction(0)] * (1 << len(w))
+        for k in range(0, len(self.nums), _CHUNK):
+            w = self.nums[k:k + _CHUNK]
+            t: list[Num] = [zero] * (1 << len(w))
             for b in range(1, len(t)):
                 low = b & -b
                 t[b] = t[b ^ low] + w[low.bit_length() - 1]
             tables.append(tuple(t))
         return tuple(tables)
 
-    def measure(self, mask: int) -> Weight:
+    def numerator(self, mask: int) -> Num:
+        """Numerator, over `den`, of the weight of an element."""
         if not 0 <= mask <= self.stage.full:
             raise ValueError("element does not belong to the valuation's stage")
-        out: Weight | None = None
-        for table in self._tables:
+        tables = self._tables
+        out = tables[0][mask & _CHUNK_FULL]
+        mask >>= _CHUNK
+        for table in tables[1:]:
             if not mask:
                 break
             part = mask & _CHUNK_FULL
             if part:
-                out = table[part] if out is None else out + table[part]
+                out = out + table[part]
             mask >>= _CHUNK
-        return Fraction(0) if out is None else out
+        return out
+
+    def measure(self, mask: int) -> Weight:
+        num = self.numerator(mask)
+        return self._value(num) if mask else Fraction(0)
 
 
 def p0_from_pi(pi: ClassicalProbability, stage0: Stage) -> RationalValuation:
@@ -216,7 +269,12 @@ def p0_from_pi(pi: ClassicalProbability, stage0: Stage) -> RationalValuation:
 
 
 def extend_step(val: RationalValuation, next_stage: Stage) -> RationalValuation:
-    """One advance of the weights: P'(w,w') = P(w)P(w')/P(block of w')."""
+    """One advance of the weights: P'(x,y) = P(x)P(y)/P(block of y).
+
+    With P(x) = n_x/D and N_B the numerator of block B, that is
+    n_x n_y / (D N_B(y)), kept as the numerator n_x n_y prod_{B != B(y)} N_B
+    over the denominator D prod_B N_B, the products taken over the blocks
+    that hold some y; nothing is divided."""
     parent = next_stage.parent
     if val.stage is not parent and val.stage.index != next_stage.index - 1:
         raise ValueError("valuation stage mismatch")
@@ -228,19 +286,18 @@ def extend_step(val: RationalValuation, next_stage: Stage) -> RationalValuation:
                 block_of[i] = p_mask
             elif (g_mask >> i) & 1:
                 block_of[i] = g_mask
-    block_weight: dict[int, Weight] = {}
-    for m in set(t.pi) | set(t.gamma):
-        block_weight[m] = val.measure(m)
-    weights = []
-    for point in next_stage.atoms:
-        x = parent.atom_index[point.first]
-        y = parent.atom_index[point.second]
-        denom = block_weight[block_of[y]]
-        if denom == 0:
-            raise ZeroBlockError(
-                "a partition block has probability zero; use the perturbed mode")
-        weights.append(val.weights[x] * val.weights[y] / denom)
-    return RationalValuation(next_stage, tuple(weights))
+    pairs = [(parent.atom_index[p.first], parent.atom_index[p.second])
+             for p in next_stage.atoms]
+    blocks = list(dict.fromkeys(block_of[y] for _, y in pairs))
+    block_num = [val.numerator(b) for b in blocks]
+    if not all(block_num):
+        raise ZeroBlockError(
+            "a partition block has probability zero; use the perturbed mode")
+    one = Poly.const(1) if isinstance(val.den, Poly) else 1
+    other = dict(zip(blocks, _others(block_num, one)))
+    den = val.den * block_num[0] * other[blocks[0]]
+    nums = [val.nums[x] * val.nums[y] * other[block_of[y]] for x, y in pairs]
+    return RationalValuation(next_stage, nums=nums, den=den)
 
 
 @dataclass
@@ -291,24 +348,31 @@ class LemmaReport:
         return not self.violations
 
 
+def _elements(size: int, exhaustive_limit: int, samples: int, seed: int,
+              rep: LemmaReport) -> Iterable[int]:
+    """Every element of a `size`-point stage up to `exhaustive_limit`
+    points, else `samples` seeded ones (the seed is recorded in `rep`)."""
+    if size <= exhaustive_limit:
+        return range(1 << size)
+    rng = Random(seed)
+    rep.seed = seed
+    return (rng.getrandbits(size) for _ in range(samples))
+
+
 def lemma1_check(parent_val: RationalValuation, child_val: RationalValuation,
                  exhaustive_limit: int = 16, samples: int = 2000,
                  seed: int = 0) -> LemmaReport:
     """Pushforward equality: the weight of every element is preserved by the
-    embedding; in particular the whole space keeps weight one."""
+    embedding; in particular the whole space keeps weight one.  Checked on
+    numerators: Nc(mu(m)) Dp == Np(m) Dc, and Nc(full) == Dc."""
     parent = parent_val.stage
     child = child_val.stage
+    dp, dc = parent_val.den, child_val.den
     rep = LemmaReport("lemma1", 0, [])
-    if not (child_val.measure(child.full) == 1):
+    if not (child_val.numerator(child.full) == dc):
         rep.violations.append("full space does not weigh 1")
-    if parent.size <= exhaustive_limit:
-        elems: Iterable[int] = range(1 << parent.size)
-    else:
-        rng = Random(seed)
-        rep.seed = seed
-        elems = (rng.getrandbits(parent.size) for _ in range(samples))
-    for m in elems:
-        if not (child_val.measure(child.embed(m)) == parent_val.measure(m)):
+    for m in _elements(parent.size, exhaustive_limit, samples, seed, rep):
+        if not (child_val.numerator(child.embed(m)) * dp == parent_val.numerator(m) * dc):
             rep.violations.append(f"pushforward differs at {m:#x}")
             break
         rep.checked += 1
@@ -319,39 +383,36 @@ def lemma2_check(parent_val: RationalValuation, child_val: RationalValuation,
                  exhaustive_limit: int = 16, samples: int = 2000,
                  seed: int = 0) -> LemmaReport:
     """Block proportionality and multiplicativity of conditioning on the
-    processed element, checked as exact identities."""
+    processed element, checked as exact identities on numerators:
+    (P(Pi)+P(Gamma)) P(b) == P(Pi) and (P(Pi)+P(Gamma)) P(~b) == P(Gamma)
+    for every block, and P(side & A) == P(side) P(f(A, side)) for both
+    sides of the processed element."""
     parent = parent_val.stage
     child = child_val.stage
     t = child.transition
+    dp, dc = parent_val.den, child_val.den
     rep = LemmaReport("lemma2", 0, [])
-    pb = parent_val.measure(t.b_mask)
-    pnb = parent_val.measure(parent.complement(t.b_mask))
+    pb = parent_val.numerator(t.b_mask)
+    pnb = parent_val.numerator(parent.complement(t.b_mask))
     for i, (p_mask, g_mask) in enumerate(zip(t.pi, t.gamma)):
-        wp = parent_val.measure(p_mask)
-        wg = parent_val.measure(g_mask)
-        if pb == 0 or pnb == 0:
+        wp = parent_val.numerator(p_mask)
+        wg = parent_val.numerator(g_mask)
+        if not (pb and pnb):
             rep.violations.append("zero-weight condition side")
             break
-        if not (wp + wg == wp / pb):
+        if not ((wp + wg) * pb == wp * dp):
             rep.violations.append(f"block {i}: P(Pi)+P(Gamma) != P(Pi)/P(b)")
             break
-        if not (wp + wg == wg / pnb):
+        if not ((wp + wg) * pnb == wg * dp):
             rep.violations.append(f"block {i}: P(Pi)+P(Gamma) != P(Gamma)/P(~b)")
             break
         rep.checked += 1
     mu_b = child.embed(t.b_mask)
-    sides = [mu_b, child.complement(mu_b)]
-    if child.size <= exhaustive_limit:
-        elems: Iterable[int] = range(1 << child.size)
-    else:
-        rng = Random(seed)
-        rep.seed = seed
-        elems = (rng.getrandbits(child.size) for _ in range(samples))
-    for a in elems:
-        for side in sides:
+    sides = [(side, child_val.numerator(side)) for side in (mu_b, child.complement(mu_b))]
+    for a in _elements(child.size, exhaustive_limit, samples, seed, rep):
+        for side, n_side in sides:
             fa = child.apply_f(a, side)
-            if not _is_product(child_val.measure(side & a),
-                               child_val.measure(side), child_val.measure(fa)):
+            if not (child_val.numerator(side & a) * dc == n_side * child_val.numerator(fa)):
                 rep.violations.append(f"conditioning not multiplicative at A={a:#x}")
                 return rep
         rep.checked += 1
@@ -377,15 +438,16 @@ def bayes_identity(ext: Extension, phi: Formula, psi: Formula
 def check_multiplicativity(ext: Extension,
                            pairs: Sequence[tuple[Formula, Formula]]
                            ) -> list[tuple[Formula, Formula, bool]]:
-    """P(phi /\\ psi) = P(phi) P(psi) for certified independent pairs."""
+    """P(phi /\\ psi) = P(phi) P(psi) for certified independent pairs,
+    checked on numerators: N(phi /\\ psi) D == N(phi) N(psi)."""
+    top = ext.top
     out = []
     for phi, psi in pairs:
-        p_and = ext.prob(conj(phi, psi))
-        p_phi = ext.prob(phi)
-        p_psi = ext.prob(psi)
-        if p_and is None or p_phi is None or p_psi is None:
+        masks = [ext.assignment.value(f) for f in (conj(phi, psi), phi, psi)]
+        if None in masks:
             raise ValueError("undefined evaluation in a multiplicativity pair")
-        out.append((phi, psi, _is_product(p_and, p_phi, p_psi)))
+        n_and, n_phi, n_psi = (top.numerator(m) for m in masks)
+        out.append((phi, psi, n_and * top.den == n_phi * n_psi))
     return out
 
 

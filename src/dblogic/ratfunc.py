@@ -5,6 +5,11 @@ parameter when a distribution with zero cells is nudged onto the interior of
 the simplex.  Fractions are kept in normal form (polynomial gcd cancelled,
 monic denominator), so equality is structural and the one-sided limit at 0+
 is a coefficient lookup.
+
+A polynomial's coefficients are Python ints or Fractions, never floats: the
+staged extension keeps its numerators as integer-coefficient polynomials
+(see probability.RationalValuation), so ints are not wrapped, and every
+division goes through Fraction (``int / int`` would be a float).
 """
 
 from __future__ import annotations
@@ -20,11 +25,11 @@ __all__ = ["Poly", "RatFunc", "EPS"]
 class Poly:
     """Dense polynomial; coeffs[i] multiplies x**i, trailing zeros stripped."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     @staticmethod
-    def make(coeffs: Iterable[Fraction | int]) -> "Poly":
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    def make(coeffs: Iterable[int | Fraction]) -> "Poly":
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         return Poly(tuple(cs))
@@ -40,15 +45,18 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # degree of 0 is -1
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Poly.make(x + y for x, y in zip(a, b))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly.make([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
@@ -59,7 +67,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -67,13 +75,13 @@ class Poly:
                 out[i + j] += a * b
         return Poly.make(out)
 
-    def scale(self, c: Fraction) -> "Poly":
+    def scale(self, c: int | Fraction) -> "Poly":
         return Poly.make(x * c for x in self.coeffs)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
+        q = [0] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
         r = list(self.coeffs)
         d = other.coeffs
         while len(r) >= len(d) and any(c != 0 for c in r):
@@ -82,7 +90,7 @@ class Poly:
             if len(r) < len(d):
                 break
             k = len(r) - len(d)
-            c = r[-1] / d[-1]
+            c = Fraction(r[-1], d[-1])
             q[k] = c
             for i, dc in enumerate(d):
                 r[i + k] -= c * dc
@@ -94,9 +102,9 @@ class Poly:
             a, b = b, a.divmod(b)[1]
         if a.is_zero():
             return a
-        return a.scale(1 / a.coeffs[-1])  # monic
+        return a.scale(Fraction(1, a.coeffs[-1]))  # monic
 
-    def eval(self, x: Fraction) -> Fraction:
+    def eval(self, x: int | Fraction) -> Fraction:
         out = Fraction(0)
         for c in reversed(self.coeffs):
             out = out * x + c
@@ -145,8 +153,8 @@ class RatFunc:
         if g.degree > 0:
             num = num.divmod(g)[0]
             den = den.divmod(g)[0]
-        lead = den.coeffs[-1]
-        return RatFunc(num.scale(1 / lead), den.scale(1 / lead))
+        inv = Fraction(1, den.coeffs[-1])
+        return RatFunc(num.scale(inv), den.scale(inv))
 
     @staticmethod
     def const(c: Fraction | int) -> "RatFunc":
@@ -204,8 +212,8 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def eval(self, x: Fraction) -> Fraction:
-        return self.num.eval(x) / self.den.eval(x)
+    def eval(self, x: int | Fraction) -> Fraction:
+        return Fraction(self.num.eval(x), self.den.eval(x))
 
     def limit0(self) -> Fraction:
         """One-sided limit at 0+ (exists whenever the function is bounded
@@ -218,7 +226,7 @@ class RatFunc:
             raise ValueError("unbounded at 0: no limit")
         if vn > vd:
             return Fraction(0)
-        return self.num.coeffs[vn] / self.den.coeffs[vd]
+        return Fraction(self.num.coeffs[vn], self.den.coeffs[vd])
 
     def __str__(self) -> str:
         if self.den == Poly.const(1):

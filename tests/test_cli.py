@@ -1,5 +1,8 @@
+import contextlib
+import hashlib
 import io
 import os
+import time
 
 from dblogic.cli import cmd_check, cmd_model, cmd_prob, main
 from dblogic.library import proofs_dir
@@ -72,6 +75,15 @@ def test_model_unwritable_dump_is_error(tmp_path):
     dump = str(tmp_path / "missing" / "stage.txt")
     out = io.StringIO()
     assert cmd_model(["a"], [], "targeted", 32, 0, None, None, dump, out=out) == 1
+    assert out.getvalue() == f"ERROR: {dump}: No such file or directory\n"
+
+
+def test_main_output_follows_redirected_stdout(tmp_path):
+    # the report stream is looked up when a command runs, not at import
+    dump = str(tmp_path / "missing" / "stage.txt")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["model", "--theta", "a", "--dump", dump]) == 1
     assert out.getvalue() == f"ERROR: {dump}: No such file or directory\n"
 
 
@@ -176,6 +188,24 @@ def test_prob_zero_cells_strict_mode_advises(tmp_path):
                   [], 32, 0, True, None, out=out)
     assert rc == 1
     assert "strict-positive" in out.getvalue()
+
+
+def test_prob_perturbed_32_point_stage():
+    # one zero cell, three targets: a 32-point stage in the perturbed mode.
+    # The report is frozen from the per-point RatFunc extension, which took
+    # 13-19 s on a 2-vCPU VM
+    table = "a /\\ b : 1/2\na /\\ !b : 1/4\n!a /\\ b : 1/4\n"
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    rc = cmd_prob(["a", "b"], table, ["(b | a)", "(a | b)", "((a | b) | a)"],
+                  32, 0, False, None, out=out)
+    elapsed = time.perf_counter() - t0
+    assert rc == 0
+    text = out.getvalue()
+    assert text.startswith("build: stage 2, 32 points seed=0\nmode: perturbed")
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "fbff91d9c17992d4430efb57ab5af1d55ef078e8e2d39a288731b029773834c9"
+    assert elapsed < 5.0, elapsed
 
 
 def test_prob_lewis_witness_printed():

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from dblogic.construction import advance, build_for_formulas, new_stage0
+from dblogic.construction import advance, build_faithful, build_for_formulas, new_stage0
 from dblogic.probability import (
     ClassicalProbability, RationalValuation, ZeroBlockError, bayes_identity,
     check_multiplicativity, default_lewis_deltas, epsilon_extension,
@@ -13,6 +13,8 @@ from dblogic.probability import (
 )
 from dblogic.ratfunc import RatFunc
 from dblogic.syntax import Atom, Cond, Implies, Language, Not, conj
+
+from probability_reference import reference_extension
 
 L1 = Language(["a"])
 L2 = Language(["a", "b"])
@@ -133,6 +135,60 @@ def test_lemmas_reject_swapped_child_weights():
             assert not (l1.ok() and l2.ok()), (i, j)
             only_lemma2 += l1.ok()
     assert only_lemma2 > 0
+
+
+def _towers():
+    """Targeted (b|a), (a|b) and both, and the faithful {a,b} tower up to
+    32 points: stages of 8, 8, 32 and 6, 10, 32 points."""
+    tops = [build_for_formulas(["a", "b"], [L2.parse(t) for t in ts], verify=False)[0]
+            for ts in (["(b | a)"], ["(a | b)"], ["(b | a)", "(a | b)"])]
+    stages, _ = build_faithful(["a", "b"], max_atoms=32, verify=False)
+    return tops + [stages[-1]]
+
+
+def _differential_tables():
+    rng = Random(17)
+    raw = [rng.randint(1, 9) for _ in range(4)]
+    direct = [PI_DOC, ClassicalProbability.uniform(["a", "b"]),
+              ClassicalProbability(["a", "b"], [F(r, sum(raw)) for r in raw])]
+    zero_cells = [cells_ab(F(0), F(1, 2), F(1, 4), F(1, 4)),
+                  cells_ab(F(1, 3), F(0), F(2, 3), F(0))]
+    return direct, [ClassicalProbability(["a", "b"], c) for c in zero_cells]
+
+
+def test_valuations_agree_with_per_point_reference():
+    # weights and measures of the numerator/denominator valuation against
+    # the per-point Fraction/RatFunc extension: value, type and printed form
+    direct, zero_cells = _differential_tables()
+    rng = Random(23)
+    for top in _towers():
+        runs = [(extend_probability(pi, top), pi) for pi in direct]
+        runs += [(epsilon_extension(pi, top), pi.epsilon_perturbed()) for pi in zero_cells]
+        for ext, table in runs:
+            want = reference_extension(table, top)
+            assert len(ext.valuations) == len(want)
+            for got, ref in zip(ext.valuations, want):
+                n = got.stage.size
+                assert [(type(w), str(w)) for w in got.weights] == \
+                    [(type(w), str(w)) for w in ref.weights]
+                assert got.weights == ref.weights
+                masks = (range(1 << n) if n <= 8
+                         else [got.stage.full] + [rng.getrandbits(n) for _ in range(300)])
+                for m in masks:
+                    g, r = got.measure(m), ref.measure(m)
+                    assert g == r and type(g) is type(r) and str(g) == str(r), (n, m)
+
+
+def test_lemma1_rejects_a_doubled_denominator():
+    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    zero_cell = ClassicalProbability(["a", "b"], cells_ab(F(0), F(1, 2), F(1, 4), F(1, 4)))
+    for pi, extend in ((PI_DOC, extend_probability), (zero_cell, epsilon_extension)):
+        v0, v1 = extend(pi, stage).valuations
+        assert lemma1_check(v0, v1).ok()
+        bad = RationalValuation(v1.stage, nums=v1.nums, den=v1.den + v1.den)
+        rep = lemma1_check(v0, bad)
+        assert rep.violations[0] == "full space does not weigh 1"
+        assert "pushforward differs at 0x1" in rep.violations
 
 
 def test_uniform_pair_weights_symmetric():

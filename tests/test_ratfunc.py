@@ -72,3 +72,43 @@ def test_field_laws(a, b, c):
     assert (x + y) - y == x
     if not y.is_zero():
         assert (x / y) * y == x
+
+
+_COEFFS = st.one_of(st.integers(-20, 20),
+                    st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+def _exact(x) -> bool:
+    """An int or a Fraction, never a float (nor a bool)."""
+    return type(x) in (int, Fraction)
+
+
+def _exact_poly(p: Poly) -> bool:
+    return all(_exact(c) for c in p.coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COEFFS, max_size=4), st.lists(_COEFFS, max_size=4),
+       st.fractions(min_value=-3, max_value=3, max_denominator=5), st.integers(-3, 3))
+def test_no_float_anywhere(a, b, x, k):
+    # int- and Fraction-coefficient polynomials through every operation:
+    # each coefficient and result stays an int or a Fraction
+    p, q = Poly.make(a), Poly.make(b)
+    assert _exact_poly(p) and _exact_poly(q)
+    for r in (p + q, p - q, p * q, p.gcd(q)):
+        assert _exact_poly(r)
+    assert _exact(p.eval(x)) and _exact(p.eval(k))
+    if q.is_zero():
+        return
+    quo, rem = p.divmod(q)
+    assert _exact_poly(quo) and _exact_poly(rem)
+    assert quo * q + rem == p
+    f = RatFunc.make(p, q)
+    assert _exact_poly(f.num) and _exact_poly(f.den)
+    if f.den.eval(x) != 0:
+        assert _exact(f.eval(x))
+    try:
+        lim = f.limit0()
+    except ValueError:
+        return
+    assert _exact(lim)

@@ -16,15 +16,21 @@ def _random_poly(rng: Random, max_degree: int = 2) -> Poly:
                      for _ in range(rng.randint(1, max_degree + 1)))
 
 
-def _random_ratfunc(rng: Random) -> RatFunc:
+def _random_int_poly(rng: Random, max_degree: int = 2) -> Poly:
+    """Integer coefficients, kept as ints, as the staged extension's
+    numerators and denominators are."""
+    return Poly.make(rng.randint(-9, 9) for _ in range(rng.randint(1, max_degree + 1)))
+
+
+def _random_ratfunc(rng: Random, poly=_random_poly) -> RatFunc:
     """Small p*r / (q*r): the common factor r makes the gcd do work."""
-    den = _random_poly(rng)
+    den = poly(rng)
     while den.is_zero():
-        den = _random_poly(rng)
-    common = _random_poly(rng, 1)
+        den = poly(rng)
+    common = poly(rng, 1)
     if common.is_zero():
         common = Poly.const(1)
-    return RatFunc.make(_random_poly(rng) * common, den * common)
+    return RatFunc.make(poly(rng) * common, den * common)
 
 
 def _poly_expr(p: Poly):
@@ -58,8 +64,8 @@ def _form(r: RatFunc):
 
 def test_arithmetic_matches_sympy_normal_form():
     rng = Random(11)
-    for _ in range(60):
-        a, b = _random_ratfunc(rng), _random_ratfunc(rng)
+    for poly in [_random_poly] * 60 + [_random_int_poly] * 60:
+        a, b = _random_ratfunc(rng, poly), _random_ratfunc(rng, poly)
         sa, sb = _expr(a), _expr(b)
         assert _form(a) == _normal_form(sa)
         assert _form(a + b) == _normal_form(sa + sb)
@@ -67,6 +73,23 @@ def test_arithmetic_matches_sympy_normal_form():
         assert _form(a * b) == _normal_form(sa * sb)
         if not b.is_zero():
             assert _form(a / b) == _normal_form(sa / sb)
+
+
+def test_int_poly_division_and_gcd_match_sympy():
+    rng = Random(14)
+    for _ in range(60):
+        a, b = _random_int_poly(rng, 4), _random_int_poly(rng, 2)
+        if b.is_zero():
+            continue
+        sa = sympy.Poly(_poly_expr(a), E, domain="QQ")
+        sb = sympy.Poly(_poly_expr(b), E, domain="QQ")
+        q, r = a.divmod(b)
+        sq, sr = sa.div(sb)
+        assert (q.coeffs, r.coeffs) == (_coeffs(sq), _coeffs(sr))
+        g = sa.gcd(sb)
+        assert a.gcd(b).coeffs == (_coeffs(g.monic()) if not g.is_zero else ())
+        # a RatFunc built from integer polynomials is in sympy's normal form
+        assert _form(RatFunc.make(a, b)) == _normal_form(_poly_expr(a) / _poly_expr(b))
 
 
 def test_equality_matches_sympy():
@@ -85,8 +108,8 @@ def test_equality_matches_sympy():
 
 def test_limit0_matches_sympy():
     rng = Random(13)
-    for _ in range(40):
-        r = _random_ratfunc(rng)
+    for poly in [_random_poly] * 40 + [_random_int_poly] * 40:
+        r = _random_ratfunc(rng, poly)
         lim = sympy.limit(_expr(r), E, 0, "+")
         if lim.is_finite:
             assert r.limit0() == Fraction(int(lim.p), int(lim.q))
