@@ -145,12 +145,7 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
             return 1
         report.append(f"targeted build: stage {stage.index}, {stage.size} points seed={seed}")
 
-    tower = []
-    s = stage
-    while s is not None:
-        tower.append(s)
-        s = s.parent
-    for st in reversed(tower[:-1]):
+    for st in stage.tower()[1:]:
         rep = construction.verify_stage(st, rng=Random(seed))
         status = "ok" if rep.ok() else "FAIL " + "; ".join(
             f"{k}: {v}" for k, v in list(rep.failures().items())[:3])
@@ -235,8 +230,8 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
         ext = probability.epsilon_extension(pi, stage)
         report.append("mode: perturbed (zero cells present)")
     for v0, v1 in zip(ext.valuations, ext.valuations[1:]):
-        l1 = probability.lemma1_check(v0, v1, seed=seed)
-        l2 = probability.lemma2_check(v0, v1, seed=seed)
+        l1 = probability.lemma1_check(v0, v1)
+        l2 = probability.lemma2_check(v0, v1)
         for rep_ in (l1, l2):
             status = "ok" if rep_.ok() else "FAIL " + "; ".join(rep_.violations[:3])
             report.append(f"{rep_.name} stage {v1.stage.index}: {status} ({rep_.checked} checks)")

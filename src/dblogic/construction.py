@@ -172,6 +172,15 @@ class Stage:
 
     # -- embeddings -----------------------------------------------------------
 
+    def tower(self) -> list["Stage"]:
+        """Stages 0..index of this stage's tower, the bottom stage first."""
+        levels = []
+        s: Stage | None = self
+        while s is not None:
+            levels.append(s)
+            s = s.parent
+        return levels[::-1]
+
     def stage_at(self, level: int) -> "Stage":
         s: Stage = self
         while s.index > level:
@@ -303,8 +312,8 @@ def new_stage0(theta: Sequence[str], max_theta: int = MAX_THETA) -> Stage:
 def classify_case(stage: Stage, b_mask: int) -> tuple[int, int | None]:
     """Case 0 when {b, ~b} matches an earlier chain (nu = latest selection
     stage of that chain); case 1 otherwise."""
-    if b_mask in (0, stage.full):
-        raise ValueError("condition must be nontrivial")
+    if not 0 < b_mask < stage.full:
+        raise ValueError("condition must be a nontrivial element of the stage")
     found = stage.chain_for(b_mask)
     if found is None:
         return 1, None
@@ -826,12 +835,7 @@ def dump_stage(stage: Stage) -> str:
     """Structured-text dump of the whole stage tower: atoms with pair
     provenance, per-level blocks, selection history and chains.  The loader
     reconstructs f exactly."""
-    levels: list[Stage] = []
-    s: Stage | None = stage
-    while s is not None:
-        levels.append(s)
-        s = s.parent
-    levels.reverse()
+    levels = stage.tower()
     lines = [f"theta: {', '.join(stage.theta)}", f"stages: {len(levels)}"]
     for st in levels:
         lines.append(f"stage {st.index}: atoms {st.size}")
@@ -852,48 +856,43 @@ def dump_stage(stage: Stage) -> str:
 
 
 def load_stage(text: str) -> Stage:
-    lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
-    pos = 0
-
-    def take(prefix: str) -> str:
-        nonlocal pos
-        ln = lines[pos].strip()
-        if not ln.startswith(prefix):
-            raise ValueError(f"expected {prefix!r}, got {ln!r}")
-        pos += 1
-        return ln[len(prefix):].strip()
-
-    theta = tuple(t.strip() for t in take("theta:").split(","))
-    n_stages = int(take("stages:"))
+    """Rebuild a dumped tower by replay: read theta and each level's
+    condition `b:`, advance on it, and require the dump of the replayed
+    tower to equal `text` line by line (blank lines skipped, whitespace
+    stripped).  Before each advance the next stage's size is compared with
+    the level's declared `atoms N`, so a tampered file cannot make the
+    loader build a larger stage than it declares.  A difference, a bad or
+    trivial condition and a bad atom set are each a ValueError naming the
+    line where they show."""
+    lines: list[tuple[int, str | None]] = [
+        (n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     stage: Stage | None = None
-    for _ in range(n_stages):
-        head = take("stage")
-        idx = int(head.split(":")[0])
-        points_text = take("points:").split()
-        if idx == 0:
-            atoms: list[AtomPoint] = [BasePoint(int(t)) for t in points_text]
-            stage = Stage(theta, 0, atoms, None, None, None, ())
-        else:
-            case_line = take("case:").split()
-            case = int(case_line[0])
-            nu = None if case_line[2] == "-" else int(case_line[2])
-            b_mask = int(take("b:"), 16)
-            pi = tuple(int(t, 16) for t in take("pi:").split())
-            gamma = tuple(int(t, 16) for t in take("gamma:").split())
-            blocks = tuple(int(t, 16) for t in take("blocks:").split())
-            atoms = []
-            for t in points_text:
-                i, j = t.split(".")
-                atoms.append(PairPoint(stage.atoms[int(i)], stage.atoms[int(j)]))
-            stage = Stage(theta, idx, atoms, stage, blocks,
-                          Transition(case, nu, b_mask, pi, gamma), ())
-        take("ranks:")
-    take("chains:")
-    chains = []
-    while pos < len(lines):
-        parts = take("chain:").split()
-        chains.append(Chain(int(parts[1]), int(parts[3]), int(parts[5]),
-                            int(parts[7], 16)))
-    final = Stage(stage.theta, stage.index, stage.atoms, stage.parent,
-                  stage.blocks, stage.transition, chains)
-    return final
+    declared = None
+    for n, ln in lines:
+        key, _, value = ln.partition(":")
+        try:
+            if stage is None:
+                if key != "theta":
+                    raise ValueError(f"expected theta: ..., got {ln}")
+                stage = new_stage0([t.strip() for t in value.split(",")])
+            elif key.startswith("stage "):
+                declared = value.strip()
+            elif key == "b":
+                b = int(value, 16)
+                tdata = partition_data(stage, b)
+                if f"atoms {tdata.next_size}" != declared:
+                    raise ValueError(f"condition {b:#x} gives atoms {tdata.next_size}, "
+                                     f"the stage declares {declared}")
+                stage = advance(stage, b, verify=False, tdata=tdata)
+        except (ValueError, ConstructionError) as e:
+            raise ValueError(f"line {n}: {e}") from None
+    if stage is None:
+        raise ValueError("line 1: expected theta: ..., got end of file")
+    want: list[str | None] = [ln.strip() for ln in dump_stage(stage).splitlines()]
+    lines += [(lines[-1][0] + 1, None)] * (len(want) - len(lines))
+    want += [None] * (len(lines) - len(want))
+    for (n, got), exp in zip(lines, want):
+        if got != exp:
+            raise ValueError(f"line {n}: expected {exp or 'end of file'}, "
+                             f"got {got or 'end of file'}")
+    return stage

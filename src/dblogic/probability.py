@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from random import Random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .construction import Stage, canonical_assignment
 from .model import ConditionalAssignment, StageModel
@@ -320,12 +319,7 @@ class Extension:
 
 
 def extend_probability(pi: ClassicalProbability, stage: Stage) -> Extension:
-    levels: list[Stage] = []
-    s: Stage | None = stage
-    while s is not None:
-        levels.append(s)
-        s = s.parent
-    levels.reverse()
+    levels = stage.tower()
     vals = [p0_from_pi(pi, levels[0])]
     for nxt in levels[1:]:
         vals.append(extend_step(vals[-1], nxt))
@@ -342,51 +336,59 @@ class LemmaReport:
     name: str
     checked: int
     violations: list[str]
-    seed: int | None = None
 
     def ok(self) -> bool:
         return not self.violations
 
 
-def _elements(size: int, exhaustive_limit: int, samples: int, seed: int,
-              rep: LemmaReport) -> Iterable[int]:
-    """Every element of a `size`-point stage up to `exhaustive_limit`
-    points, else `samples` seeded ones (the seed is recorded in `rep`)."""
-    if size <= exhaustive_limit:
-        return range(1 << size)
-    rng = Random(seed)
-    rep.seed = seed
-    return (rng.getrandbits(size) for _ in range(samples))
+def lemma1_check(parent_val: RationalValuation,
+                 child_val: RationalValuation) -> LemmaReport:
+    """Pushforward equality: the embedding preserves the weight of every
+    element, and the whole space keeps weight one.  Checked on numerators:
+    Nc(full) == Dc, and Nc(mu(m)) Dp == Np(m) Dc for each parent point m.
 
-
-def lemma1_check(parent_val: RationalValuation, child_val: RationalValuation,
-                 exhaustive_limit: int = 16, samples: int = 2000,
-                 seed: int = 0) -> LemmaReport:
-    """Pushforward equality: the weight of every element is preserved by the
-    embedding; in particular the whole space keeps weight one.  Checked on
-    numerators: Nc(mu(m)) Dp == Np(m) Dc, and Nc(full) == Dc."""
+    The point checks are exact for every element.  The child's blocks, one
+    per parent point, are nonempty, disjoint and cover the child's points
+    (confirmed here first), so mu(m) is the disjoint union of the blocks of
+    m's points, and both sides of the identity are sums over m's points.
+    `checked` counts the parent points."""
     parent = parent_val.stage
     child = child_val.stage
     dp, dc = parent_val.den, child_val.den
     rep = LemmaReport("lemma1", 0, [])
+    union = 0
+    for i, blk in enumerate(child.blocks):
+        if not blk or blk & union:
+            rep.violations.append(f"block {i} is empty or overlaps an earlier block")
+            return rep
+        union |= blk
+    if len(child.blocks) != parent.size or union != child.full:
+        rep.violations.append("blocks do not partition the child's points")
+        return rep
     if not (child_val.numerator(child.full) == dc):
         rep.violations.append("full space does not weigh 1")
-    for m in _elements(parent.size, exhaustive_limit, samples, seed, rep):
-        if not (child_val.numerator(child.embed(m)) * dp == parent_val.numerator(m) * dc):
-            rep.violations.append(f"pushforward differs at {m:#x}")
+    for i, blk in enumerate(child.blocks):
+        if not (child_val.numerator(blk) * dp == parent_val.numerator(1 << i) * dc):
+            rep.violations.append(f"pushforward differs at {1 << i:#x}")
             break
         rep.checked += 1
     return rep
 
 
-def lemma2_check(parent_val: RationalValuation, child_val: RationalValuation,
-                 exhaustive_limit: int = 16, samples: int = 2000,
-                 seed: int = 0) -> LemmaReport:
+def lemma2_check(parent_val: RationalValuation,
+                 child_val: RationalValuation) -> LemmaReport:
     """Block proportionality and multiplicativity of conditioning on the
     processed element, checked as exact identities on numerators:
     (P(Pi)+P(Gamma)) P(b) == P(Pi) and (P(Pi)+P(Gamma)) P(~b) == P(Gamma)
     for every block, and P(side & A) == P(side) P(f(A, side)) for both
-    sides of the processed element."""
+    sides of the processed element at each child point A.
+
+    The point checks are exact for every A.  `advance` records the
+    condition's chain as processed at the child's own stage, so f(A, side) is
+    (A & side) | T(A & side), with T the pair swap: a union of disjoint
+    parts, one per point of A, since T maps mu(b) onto ~mu(b).  Both sides
+    of the identity are then sums over A's points.  `checked` counts the
+    blocks and the child points."""
     parent = parent_val.stage
     child = child_val.stage
     t = child.transition
@@ -409,7 +411,7 @@ def lemma2_check(parent_val: RationalValuation, child_val: RationalValuation,
         rep.checked += 1
     mu_b = child.embed(t.b_mask)
     sides = [(side, child_val.numerator(side)) for side in (mu_b, child.complement(mu_b))]
-    for a in _elements(child.size, exhaustive_limit, samples, seed, rep):
+    for a in (1 << x for x in range(child.size)):
         for side, n_side in sides:
             fa = child.apply_f(a, side)
             if not (child_val.numerator(side & a) * dc == n_side * child_val.numerator(fa)):

@@ -1,12 +1,15 @@
-"""Test-only reference: the per-point staged extension that
-`RationalValuation` replaced, with every weight a Fraction or a normalized
-RatFunc.
+"""Test-only references for the staged extension and its lemma checks.
 
-Each weight of an advance is P(x) P(y) / P(block of y), computed in Fraction
-or RatFunc arithmetic, and `measure` joins per-8-point subset-sum tables of
-weights, so every sum is normalized.  Differential tests hold the
-numerator/denominator valuation to these values, their types and their
-printed forms.
+The per-point extension that `RationalValuation` replaced keeps every weight
+a Fraction or a normalized RatFunc.  Each weight of an advance is
+P(x) P(y) / P(block of y), computed in Fraction or RatFunc arithmetic, and
+`measure` joins per-8-point subset-sum tables of weights, so every sum is
+normalized.  Differential tests hold the numerator/denominator valuation to
+these values, their types and their printed forms.
+
+The element-loop lemma checks that the point checks replaced test every
+element of a stage up to 16 points, and 2000 seeded ones above.
+Differential tests hold the point checks' verdicts to theirs.
 """
 
 from __future__ import annotations
@@ -14,9 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from random import Random
+from typing import Iterable
 
 from dblogic.construction import Stage
-from dblogic.probability import ClassicalProbability, Weight, ZeroBlockError
+from dblogic.probability import (
+    ClassicalProbability, LemmaReport, RationalValuation, Weight, ZeroBlockError,
+)
 
 _CHUNK = 8
 _CHUNK_FULL = (1 << _CHUNK) - 1
@@ -78,13 +85,74 @@ def reference_step(val: ReferenceValuation, next_stage: Stage) -> ReferenceValua
 
 def reference_extension(pi: ClassicalProbability, stage: Stage) -> list[ReferenceValuation]:
     """The valuations of every level of `stage`'s tower, stage 0 first."""
-    levels: list[Stage] = []
-    s: Stage | None = stage
-    while s is not None:
-        levels.append(s)
-        s = s.parent
-    levels.reverse()
+    levels = stage.tower()
     vals = [ReferenceValuation(levels[0], tuple(pi.table[a.bits] for a in levels[0].atoms))]
     for nxt in levels[1:]:
         vals.append(reference_step(vals[-1], nxt))
     return vals
+
+
+def _elements(size: int, exhaustive_limit: int, samples: int, seed: int) -> Iterable[int]:
+    """Every element of a `size`-point stage up to `exhaustive_limit`
+    points, else `samples` seeded ones."""
+    if size <= exhaustive_limit:
+        return range(1 << size)
+    rng = Random(seed)
+    return (rng.getrandbits(size) for _ in range(samples))
+
+
+def reference_lemma1(parent_val: RationalValuation, child_val: RationalValuation,
+                     exhaustive_limit: int = 16, samples: int = 2000,
+                     seed: int = 0) -> LemmaReport:
+    """Pushforward equality on every (or every sampled) parent element:
+    Nc(mu(m)) Dp == Np(m) Dc, and Nc(full) == Dc."""
+    parent = parent_val.stage
+    child = child_val.stage
+    dp, dc = parent_val.den, child_val.den
+    rep = LemmaReport("lemma1", 0, [])
+    if not (child_val.numerator(child.full) == dc):
+        rep.violations.append("full space does not weigh 1")
+    for m in _elements(parent.size, exhaustive_limit, samples, seed):
+        if not (child_val.numerator(child.embed(m)) * dp == parent_val.numerator(m) * dc):
+            rep.violations.append(f"pushforward differs at {m:#x}")
+            break
+        rep.checked += 1
+    return rep
+
+
+def reference_lemma2(parent_val: RationalValuation, child_val: RationalValuation,
+                     exhaustive_limit: int = 16, samples: int = 2000,
+                     seed: int = 0) -> LemmaReport:
+    """Block proportionality for every block, and
+    P(side & A) == P(side) P(f(A, side)) on every (or every sampled) child
+    element A for both sides of the processed element."""
+    parent = parent_val.stage
+    child = child_val.stage
+    t = child.transition
+    dp, dc = parent_val.den, child_val.den
+    rep = LemmaReport("lemma2", 0, [])
+    pb = parent_val.numerator(t.b_mask)
+    pnb = parent_val.numerator(parent.complement(t.b_mask))
+    for i, (p_mask, g_mask) in enumerate(zip(t.pi, t.gamma)):
+        wp = parent_val.numerator(p_mask)
+        wg = parent_val.numerator(g_mask)
+        if not (pb and pnb):
+            rep.violations.append("zero-weight condition side")
+            break
+        if not ((wp + wg) * pb == wp * dp):
+            rep.violations.append(f"block {i}: P(Pi)+P(Gamma) != P(Pi)/P(b)")
+            break
+        if not ((wp + wg) * pnb == wg * dp):
+            rep.violations.append(f"block {i}: P(Pi)+P(Gamma) != P(Gamma)/P(~b)")
+            break
+        rep.checked += 1
+    mu_b = child.embed(t.b_mask)
+    sides = [(side, child_val.numerator(side)) for side in (mu_b, child.complement(mu_b))]
+    for a in _elements(child.size, exhaustive_limit, samples, seed):
+        for side, n_side in sides:
+            fa = child.apply_f(a, side)
+            if not (child_val.numerator(side & a) * dc == n_side * child_val.numerator(fa)):
+                rep.violations.append(f"conditioning not multiplicative at A={a:#x}")
+                return rep
+        rep.checked += 1
+    return rep

@@ -187,15 +187,14 @@ def test_acceptance_06_probability_exactness():
         for v in ext.valuations:
             assert v.measure(v.stage.full) == 1
         for v0, v1 in zip(ext.valuations, ext.valuations[1:]):
-            assert v0.stage.size <= 16  # exhaustive pushforward within scope
-            l1 = lemma1_check(v0, v1, exhaustive_limit=16)
-            assert l1.ok() and l1.checked == 1 << v0.stage.size
-            l2 = lemma2_check(v0, v1, exhaustive_limit=16, samples=2000, seed=0)
+            l1 = lemma1_check(v0, v1)
+            assert l1.ok() and l1.checked == v0.stage.size
+            l2 = lemma2_check(v0, v1)
             assert l2.ok()
             transitions += 1
-    _ok(6, f"pushforward equality exhaustive over every element at "
-           f"{transitions} transitions; block identities and conditional "
-           f"multiplicativity exact; full measure 1 at every stage")
+    _ok(6, f"pushforward equality exact on points at {transitions} "
+           f"transitions; block identities and conditional multiplicativity "
+           f"exact on points; full measure 1 at every stage")
 
 
 # -- 7. Bayes identity ---------------------------------------------------------------

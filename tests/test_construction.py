@@ -240,6 +240,31 @@ def test_dump_load_round_trip():
             assert back.apply_f(b, a) == stage.apply_f(b, a)
 
 
+def test_load_stage_replays_every_level_and_rejects_tampering():
+    stages, _ = build_faithful(["a", "b"], max_atoms=32, verify=False)
+    text = dump_stage(stages[-1])
+    back = load_stage(text)
+    assert dump_stage(back) == text
+    assert [s.size for s in back.tower()] == [s.size for s in stages]
+    for orig, loaded in zip(stages, back.tower()):
+        assert verify_stage(loaded).checks == verify_stage(orig).checks
+    lines = text.splitlines()
+    assert lines[11] == "  blocks: 0x7 0x8 0x10 0x20"
+    tampered = lines[:11] + ["  blocks: 0x37 0x8 0x10 0x20"] + lines[12:]
+    with pytest.raises(ValueError, match="^line 12: expected blocks: 0x7 "):
+        load_stage("\n".join(tampered))
+    # trivial, out of the stage, not hex, a larger stage than declared, and
+    # another condition of the declared size, whose replay differs later
+    for n, bad, named in ((9, "  b: 0x0", 9), (9, "  b: 0xf", 9), (9, "  b: 0x10", 9),
+                          (9, "  b: zz", 9), (17, "  b: 0x3", 17), (17, "  b: 0x1", 15)):
+        with pytest.raises(ValueError, match=f"^line {named}: "):
+            load_stage("\n".join(lines[:n - 1] + [bad] + lines[n:]))
+    with pytest.raises(ValueError, match="^line 34: expected end of file"):
+        load_stage(text + "chain: extra\n")
+    with pytest.raises(ValueError, match="^line 33: expected chain: .*, got end of file"):
+        load_stage("\n".join(lines[:-1]))
+
+
 def test_generating_partition_bound_single_atom():
     # conjunctions sigma /\ (sigma'|beta) /\ (sigma''|!beta) over the stage-1
     # model: the number of distinct nonempty values is bounded by the number

@@ -3,7 +3,9 @@ from random import Random
 
 import pytest
 
-from dblogic.construction import advance, build_faithful, build_for_formulas, new_stage0
+from dblogic.construction import (
+    Stage, advance, build_faithful, build_for_formulas, new_stage0,
+)
 from dblogic.probability import (
     ClassicalProbability, RationalValuation, ZeroBlockError, bayes_identity,
     check_multiplicativity, default_lewis_deltas, epsilon_extension,
@@ -14,7 +16,7 @@ from dblogic.probability import (
 from dblogic.ratfunc import RatFunc
 from dblogic.syntax import Atom, Cond, Implies, Language, Not, conj
 
-from probability_reference import reference_extension
+from probability_reference import reference_extension, reference_lemma1, reference_lemma2
 
 L1 = Language(["a"])
 L2 = Language(["a", "b"])
@@ -179,6 +181,49 @@ def test_valuations_agree_with_per_point_reference():
                     assert g == r and type(g) is type(r) and str(g) == str(r), (n, m)
 
 
+def _tampered(val: RationalValuation) -> list[RationalValuation]:
+    """Wrong valuations of `val`'s stage: a doubled denominator, the whole
+    weight of each point moved onto the next point, and, up to 8 points,
+    every swap of two unequal weights."""
+    nums, den, n = list(val.nums), val.den, len(val.nums)
+    variants = []
+    for i in range(n):
+        moved = list(nums)
+        moved[(i + 1) % n] = moved[(i + 1) % n] + nums[i]
+        moved[i] = nums[i] - nums[i]
+        variants.append(moved)
+    if n <= 8:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if nums[i] != nums[j]:
+                    swapped = list(nums)
+                    swapped[i], swapped[j] = nums[j], nums[i]
+                    variants.append(swapped)
+    return ([RationalValuation(val.stage, nums=nums, den=den + den)]
+            + [RationalValuation(val.stage, nums=v, den=den) for v in variants])
+
+
+def test_lemma_point_checks_agree_with_element_loops():
+    # the verdicts of the point checks against the element loops they
+    # replaced (every element up to 16 points, 2000 seeded ones above), on
+    # every transition of the four towers, honest and tampered
+    direct, zero_cells = _differential_tables()
+    cases = rejected = 0
+    for top in _towers():
+        exts = [extend_probability(pi, top) for pi in direct]
+        exts += [epsilon_extension(pi, top) for pi in zero_cells]
+        for ext in exts:
+            for v0, v1 in zip(ext.valuations, ext.valuations[1:]):
+                assert lemma1_check(v0, v1).ok() and lemma2_check(v0, v1).ok()
+                for val in [v1] + _tampered(v1):
+                    got = (lemma1_check(v0, val).ok(), lemma2_check(v0, val).ok())
+                    want = (reference_lemma1(v0, val).ok(), reference_lemma2(v0, val).ok())
+                    assert got == want, (v1.stage.size, val.nums, val.den)
+                    cases += 1
+                    rejected += not all(got)
+    assert cases > 900 and rejected > 850, (cases, rejected)
+
+
 def test_lemma1_rejects_a_doubled_denominator():
     stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
     zero_cell = ClassicalProbability(["a", "b"], cells_ab(F(0), F(1, 2), F(1, 4), F(1, 4)))
@@ -189,6 +234,23 @@ def test_lemma1_rejects_a_doubled_denominator():
         rep = lemma1_check(v0, bad)
         assert rep.violations[0] == "full space does not weigh 1"
         assert "pushforward differs at 0x1" in rep.violations
+
+
+def test_lemma1_rejects_blocks_that_do_not_partition():
+    # the point check is exact only over a partition, so lemma 1 confirms
+    # one before checking points
+    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    v0, v1 = extend_probability(PI_DOC, stage).valuations
+    b = list(stage.blocks)
+    for blocks, where in (([0, b[0] | b[1]] + b[2:], "block 0"),
+                          ([b[0], b[1] | b[0]] + b[2:], "block 1"),
+                          (b[:-1] + [b[-1] & (b[-1] - 1)], "partition"),
+                          (b[:-1], "partition")):
+        bad = Stage(stage.theta, stage.index, stage.atoms, stage.parent, blocks,
+                    stage.transition, stage.chains)
+        rep = lemma1_check(v0, RationalValuation(bad, nums=v1.nums, den=v1.den))
+        assert len(rep.violations) == 1 and where in rep.violations[0]
+        assert rep.checked == 0
 
 
 def test_uniform_pair_weights_symmetric():
@@ -343,7 +405,7 @@ def test_lemma_checks_hold_in_epsilon_mode():
     ext = epsilon_extension(pi, stage)
     for v0, v1 in zip(ext.valuations, ext.valuations[1:]):
         assert lemma1_check(v0, v1).ok()
-        assert lemma2_check(v0, v1, samples=60, seed=1).ok()
+        assert lemma2_check(v0, v1).ok()
 
 
 def test_lewis_separation_documented_instance():
