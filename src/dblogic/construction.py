@@ -8,10 +8,15 @@ element becomes total: f(C, mu(b)) = (id u T)(C & mu(b)), where T swaps pair
 components.  Previously defined rows of f are carried along the embedding.
 
 Elements are int bitmasks over the stage's atom list (atom i <-> bit i).
-f is never tabulated: it is recomputed on demand from the pair structure and
-the selection history, by un-embedding both arguments to the stage where the
-condition chain was last processed, applying the (id u T) formula there and
-re-embedding the result.
+f is read off per-point tables.  For a condition A on a chain last processed
+at level L, f(B, A) is defined exactly when B is the image of a level-L
+element, that is a union of fibres (the images of the level-L points, which
+partition the stage), and there it is the image of (id u T)(B & A), a join
+over the level-L points of B.  The embedding preserves joins, so f(., A) is
+additive over the fibres: f(B, A) is the join of one row per point of B, and
+B is a union of fibres exactly when the join of the fibres of its points is
+B.  `Stage.apply_f` reads both joins off 8-bit chunk tables, built on a
+condition's first use and kept, since a stage never changes.
 
 Two selection modes exist.  Faithful mode scores candidate conditions by
 lambda(B) = r(B) + min rank of an element A with f(A, B) undefined, picks the
@@ -153,6 +158,11 @@ class Stage:
         self.size = len(self.atoms)
         self.full = (1 << self.size) - 1
         self.atom_index = {a: i for i, a in enumerate(self.atoms)}
+        self._chain_of: dict[int, tuple[Chain, bool]] = {}
+        for c in self.chains:  # the first chain wins, its mask before its complement
+            self._chain_of.setdefault(c.mask, (c, False))
+            self._chain_of.setdefault(self.full ^ c.mask, (c, True))
+        self._f_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
         if index > 0:
             self._swap = tuple(self.atom_index[PairPoint(a.second, a.first)]
                                for a in self.atoms)
@@ -243,39 +253,49 @@ class Stage:
     def chain_for(self, mask: int) -> tuple[Chain, bool] | None:
         """Chain whose current image (or its complement) equals `mask`; the
         boolean says whether `mask` is the complement side."""
-        for c in self.chains:
-            if mask == c.mask:
-                return c, False
-            if mask == self.complement(c.mask):
-                return c, True
-        return None
+        return self._chain_of.get(mask)
 
     def apply_f(self, b_mask: int, a_mask: int) -> int | None:
-        """f(B, A): defined for trivial conditions, and for condition chains
-        when B embeds back to the stage where the chain was last processed."""
-        if a_mask == 0 or a_mask == self.full:
-            return b_mask
-        found = self.chain_for(a_mask)
-        if found is None:
-            return None
-        chain, _ = found
-        level = chain.processed_at
-        b_low = self.unembed_to(level, b_mask)
-        if b_low is None:
-            return None
+        """f(B, A): B for the trivial conditions, None for a condition on no
+        chain.  For a condition on a chain last processed at level L, f(B, A)
+        is defined exactly when B is a union of fibres (images of level-L
+        points), and it is additive over them (see the module docstring): one
+        pass over 8-bit chunk tables, built on the condition's first call and
+        kept, joins row_A[p] << size | fib_L[p] over the points p of B."""
+        tables = self._f_tables.get(a_mask)
+        if tables is None:
+            if a_mask == 0 or a_mask == self.full:
+                return b_mask
+            found = self._chain_of.get(a_mask)
+            if found is None:
+                return None
+            tables = self._f_tables[a_mask] = _join_tables(
+                self._point_rows(found[0].processed_at, a_mask))
+        if not 0 <= b_mask <= self.full:
+            raise ValueError(f"{b_mask:#x} is not an element of stage {self.index}")
+        joined, rest = 0, b_mask
+        for table in tables:
+            joined |= table[rest & 0xFF]
+            rest >>= 8
+        return joined >> self.size if joined & self.full == b_mask else None
+
+    def _point_rows(self, level: int, a_mask: int) -> list[int]:
+        """row_A[p] << size | fib_L[p] at each point p, for a condition A on a
+        chain last processed at `level`: fib_L[p] is the fibre holding p, of
+        the level-L point q, and row_A[p] the image of (id u T)({q} & A)."""
+        low = self.stage_at(level)
         a_low = self.unembed_to(level, a_mask)
-        stage_low = self.stage_at(level)
-        inter = b_low & a_low
-        res_low = inter | stage_low.swap_pairs(inter)
-        return self.embed_from(level, res_low)
+        fibre = [self.embed_from(level, 1 << q) for q in range(low.size)]
+        rows = [0] * self.size
+        for q, fib in enumerate(fibre):
+            row = fib | fibre[low._swap[q]] if a_low >> q & 1 else 0
+            for p in _bits(fib):
+                rows[p] = row << self.size | fib
+        return rows
 
     def defined_conditions(self) -> list[int]:
-        """Nontrivial condition elements for which f has any defined row."""
-        out = []
-        for c in self.chains:
-            out.append(c.mask)
-            out.append(self.complement(c.mask))
-        return out
+        """Nontrivial conditions with a defined row: each chain's mask and complement."""
+        return list(self._chain_of)
 
     def embeddable_elements(self, level: int, cap: int = _ENUM_LIMIT) -> list[int] | None:
         """All current-stage images of level-`level` elements, or None when
@@ -291,6 +311,18 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _join_tables(rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """One table per 8 points: entry m of table k joins rows[8k + i] over the
+    bits i of m."""
+    tables = []
+    for k in range(0, len(rows), 8):
+        table = [0]
+        for row in rows[k:k + 8]:
+            table += [m | row for m in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -545,17 +577,6 @@ _PAIR_LAWS = ("beta2", "beta2-eq", "beta6")
 _ELEMENT_LAWS = tuple(name for name in _STATEMENTS if name not in _PAIR_LAWS)
 
 
-def _tally(rep: CheckReport, name: str, holds: bool | None, *where: int) -> None:
-    """Record one instance of a law: None when a needed row is undefined."""
-    if holds is None:
-        rep.record(name, 0, 1)
-    elif holds:
-        rep.record(name, 1)
-    else:
-        at = " ".join(f"{k}={v:#x}" for k, v in zip("ABC", where))
-        rep.record(name, 0, 0, f"fails {_STATEMENTS[name]} at {at}")
-
-
 def check_beta_laws(f: Callable[[int, int], int | None], full: int,
                     conditions: Sequence[int],
                     pools_of: Callable[[int], tuple[Sequence[int], Sequence[int]]],
@@ -569,7 +590,21 @@ def check_beta_laws(f: Callable[[int, int], int | None], full: int,
     join and B != 0); beta6 as f(x & y,A) = f(x,A) & f(y,A) for generators
     x != y.  On a subalgebra these two fail exactly when some pair B, C
     fails them (B = 0 checks f(0,A) = 0).  A B that is no union of
-    generators, or needs an undefined row, is skipped."""
+    generators, or needs an undefined row, is skipped.  Passes and skips
+    are counted here and recorded once per law at the end; a counterexample
+    is recorded when it is found."""
+    passed, skipped = dict.fromkeys(_STATEMENTS, 0), dict.fromkeys(_STATEMENTS, 0)
+
+    def tally(name: str, holds: bool | None, *where: int) -> None:
+        """One instance of a law: None when a needed row is undefined."""
+        if holds:
+            passed[name] += 1
+        elif holds is None:
+            skipped[name] += 1
+        else:
+            at = " ".join(f"{k}={v:#x}" for k, v in zip("ABC", where))
+            rep.record(name, 0, 0, f"fails {_STATEMENTS[name]} at {at}")
+
     for a in conditions:
         na = full ^ a
         pool, gens = pools_of(a)
@@ -578,20 +613,19 @@ def check_beta_laws(f: Callable[[int, int], int | None], full: int,
             fb = fval[b] = f(b, a)
             if fb is None:
                 for name in _ELEMENT_LAWS:
-                    rep.record(name, 0, 1)
+                    tally(name, None)
                 continue
-            _tally(rep, "beta1", fb == full or a == 0 or a & b != a, a, b)
-            _tally(rep, "beta3", a & fb & ~b == 0, a, b)
-            _tally(rep, "beta3-eq", a & fb == a & b, a, b)
+            tally("beta1", fb == full or a == 0 or a & b != a, a, b)
+            tally("beta3", a & fb & ~b == 0, a, b)
+            tally("beta3-eq", a & fb == a & b, a, b)
             fnb = f(full ^ b, a)
-            _tally(rep, "beta4", None if fnb is None else fnb == full ^ fb, a, b)
+            tally("beta4", None if fnb is None else fnb == full ^ fb, a, b)
             if fb == b:
                 fw, fab = f(b, na), f(a, b)
-                _tally(rep, "beta5w", None if fw is None else fw == b, a, b)
-                _tally(rep, "beta5", None if fab is None else fab == a, a, b)
+                tally("beta5w", None if fw is None else fw == b, a, b)
+                tally("beta5", None if fab is None else fab == a, a, b)
             f1, f2 = f(fb, a), f(fb, na)
-            _tally(rep, "idempotence",
-                   None if f1 is None or f2 is None else f1 == fb == f2, a, b)
+            tally("idempotence", None if f1 is None or f2 is None else f1 == fb == f2, a, b)
 
         def fv(m: int) -> int | None:
             if m not in fval:
@@ -612,14 +646,16 @@ def check_beta_laws(f: Callable[[int, int], int | None], full: int,
         for b in pool:
             fb, fu = fval[b], join_of(b)
             eq = None if fb is None or fu is None else fb == fu
-            _tally(rep, "beta2-eq", eq, a, b)
-            _tally(rep, "beta2", eq or (False if eq is False and b and fb & ~fu else None),
-                   a, b)
+            tally("beta2-eq", eq, a, b)
+            tally("beta2", eq or (False if eq is False and b and fb & ~fu else None), a, b)
         for i, x in enumerate(gens):
             for y in gens[i + 1:]:
                 fx, fy, fi = fv(x), fv(y), fv(x & y)
-                _tally(rep, "beta6",
-                       None if None in (fx, fy, fi) else fi == fx & fy, a, x, y)
+                tally("beta6", None if None in (fx, fy, fi) else fi == fx & fy, a, x, y)
+
+    for name in _STATEMENTS:
+        if passed[name] or skipped[name]:
+            rep.record(name, passed[name], skipped[name])
 
 
 def verify_stage(stage: Stage, rng: Random | None = None,

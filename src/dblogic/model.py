@@ -8,16 +8,17 @@ error: the free model defines f progressively, so evaluation reports the
 offending condition element and entailment counts skipped assignments instead
 of guessing.
 
-Formula values come from the one bit-parallel evaluator,
-`syntax.evaluate`; `ConditionalAssignment` is its memoizing front-end on a
-model.  The beta laws are the one table `construction.BETA_LAWS`, which
-`check_beta_axioms` runs on any model and `construction.verify_stage` on
-each new stage.
+Formula values come from the one bit-parallel evaluator, `syntax.evaluate`,
+which `entails` calls directly for each assignment; `ConditionalAssignment`
+is its front-end on a model, memoized by node id.  The beta laws are the one
+table `construction.BETA_LAWS`, which `check_beta_axioms` runs on any model
+and `construction.verify_stage` on each new stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
@@ -122,25 +123,26 @@ class TableModel(ConditionalModel):
 # ---------------------------------------------------------------------------
 
 class ConditionalAssignment:
-    """Unique homomorphic extension of an atom map; memoized per formula."""
+    """Unique homomorphic extension of an atom map, memoized by node id (the
+    entry keeps its node, so the id is not reused; nothing is hashed)."""
 
     def __init__(self, model: ConditionalModel, atom_map: Mapping[str, int]):
         self.model = model
         self.atom_map = dict(atom_map)
-        self._memo: dict[Formula, tuple[int | None, int | None]] = {}
+        self._memo: dict[int, tuple[Formula, int | None, int | None]] = {}
 
     def value(self, f: Formula) -> int | None:
         """Homomorphic value, or None when some required f row is missing."""
-        hit = self._memo.get(f)
+        hit = self._memo.get(id(f))
         if hit is None:
-            hit = self._memo[f] = evaluate(f, self.atom_map, self.model.full,
-                                           self.model.f)
-        return hit[0]
+            hit = self._memo[id(f)] = (f, *evaluate(f, self.atom_map, self.model.full,
+                                                    self.model.f))
+        return hit[1]
 
     def blocking_condition(self, f: Formula) -> int | None:
         """The innermost condition element whose f row was missing."""
         self.value(f)
-        return self._memo[f][1]
+        return self._memo[id(f)][2]
 
 
 def extend_assignment(model: ConditionalModel, atom_map: Mapping[str, int]) -> ConditionalAssignment:
@@ -200,60 +202,48 @@ def entails(m: ConditionalModel, s: Sequent, samples: int | None = None,
     denotes the full element, some succedent formula must.  Exhaustive over
     all atom assignments when feasible, else seeded sampling; assignments
     whose evaluation is undefined count as skips."""
-    names = sorted(set().union(*[formula_atoms(f) for f in s.antecedent + s.succedent])
-                   ) if (s.antecedent or s.succedent) else []
-    n_elems = 1 << m.size
+    names = sorted(set().union(*map(formula_atoms, s.antecedent + s.succedent)))
     exhaustive = samples is None and len(names) * m.size <= 18
-    rng = Random(seed)
+    if exhaustive:  # every assignment, the first name varying fastest
+        amaps = (dict(zip(names, reversed(vals)))
+                 for vals in product(range(1 << m.size), repeat=len(names)))
+    else:
+        rng = Random(seed)
+        amaps = ({n: rng.getrandbits(m.size) for n in names} for _ in range(samples or 1000))
+
+    # Each node is evaluated once per assignment: a repeat decides nothing new,
+    # and once the succedent is reached every antecedent node is full.
+    full, cond = m.full, m.f
+    ante = list({id(g): g for g in s.antecedent}.values())
+    ante_ids = {id(g) for g in ante}
+    succ = list({id(d): d for d in s.succedent}.values())
+
+    def holds_at(amap: dict[str, int]) -> bool | None:
+        """Whether the sequent holds under `amap`; None when undefined."""
+        for g in ante:
+            v = evaluate(g, amap, full, cond)[0]
+            if v != full:
+                return None if v is None else True
+        undefined = False
+        for d in succ:
+            v = full if id(d) in ante_ids else evaluate(d, amap, full, cond)[0]
+            if v == full:
+                return True
+            undefined = undefined or v is None
+        return None if undefined else False
+
     skipped = checked = 0
-
-    def assignments():
-        if exhaustive:
-            total = n_elems ** len(names)
-            for code in range(total):
-                c, vals = code, []
-                for _ in names:
-                    vals.append(c % n_elems)
-                    c //= n_elems
-                yield dict(zip(names, vals))
-        else:
-            for _ in range(samples or 1000):
-                yield {n: rng.getrandbits(m.size) for n in names}
-
-    for amap in assignments():
-        asg = ConditionalAssignment(m, amap)
-        ok = None
-        skip = False
-        for g in s.antecedent:
-            v = asg.value(g)
-            if v is None:
-                skip = True
-                break
-            if v != m.full:
-                ok = True
-                break
-        if skip:
+    for amap in amaps:
+        holds = holds_at(amap)
+        if holds is None:
             skipped += 1
-            continue
-        if ok is None:
-            saw_undef = False
-            for d in s.succedent:
-                v = asg.value(d)
-                if v == m.full:
-                    ok = True
-                    break
-                if v is None:
-                    saw_undef = True
-            if ok is None:
-                if saw_undef:
-                    skipped += 1
-                    continue
-                return EntailmentResult("fails", checked, skipped, dict(amap),
-                                        None if exhaustive else seed)
-        checked += 1
-    verdict = "holds" if skipped == 0 else "undecided"
-    return EntailmentResult(verdict, checked, skipped, None,
-                            None if exhaustive else seed)
+        elif holds:
+            checked += 1
+        else:
+            return EntailmentResult("fails", checked, skipped, amap,
+                                    None if exhaustive else seed)
+    return EntailmentResult("undecided" if skipped else "holds", checked, skipped,
+                            None, None if exhaustive else seed)
 
 
 @dataclass

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 __all__ = [
     "Formula", "Atom", "Not", "Implies", "Cond", "Meta",
     "Sequent", "Language", "ParseError", "SubstitutionError",
     "disj", "conj", "iff", "indep", "parse",
-    "atoms", "metas", "depth", "is_classical", "substitute", "subformulas",
-    "truth_columns", "evaluate",
+    "atoms", "metas", "is_classical", "substitute", "truth_columns", "evaluate",
 ]
 
 
@@ -133,19 +132,6 @@ def metas(f: Formula) -> frozenset[str]:
     return _leaf_names(f, Meta)
 
 
-def depth(f: Formula) -> int:
-    """Depth of the core tree (atoms have depth 0)."""
-    if isinstance(f, (Atom, Meta)):
-        return 0
-    if isinstance(f, Not):
-        return 1 + depth(f.body)
-    if isinstance(f, Implies):
-        return 1 + max(depth(f.left), depth(f.right))
-    if isinstance(f, Cond):
-        return 1 + max(depth(f.then), depth(f.given))
-    raise TypeError(f)
-
-
 def is_classical(f: Formula) -> bool:
     """True when `f` contains no conditional constructor."""
     if isinstance(f, (Atom, Meta)):
@@ -155,18 +141,6 @@ def is_classical(f: Formula) -> bool:
     if isinstance(f, Implies):
         return is_classical(f.left) and is_classical(f.right)
     return False
-
-
-def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.body)
-    elif isinstance(f, Implies):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, Cond):
-        yield from subformulas(f.then)
-        yield from subformulas(f.given)
 
 
 def truth_columns(names: Sequence[str]) -> dict[str, int]:

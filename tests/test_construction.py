@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
 from dblogic import construction
 from dblogic.construction import (
-    BasePoint, BudgetExceeded, ConstructionError, PairPoint, advance,
+    BasePoint, BudgetExceeded, ConstructionError, PairPoint, Stage, advance,
     build_faithful, build_for_formulas, canonical_assignment, classify_case,
     dump_stage, load_stage, new_stage0, partition_data,
     select_condition, verify_stage,
 )
 from dblogic.syntax import Language
+
+from stage_reference import reference_apply_f
 
 L1 = Language(["a"])
 L2 = Language(["a", "b"])
@@ -283,3 +287,95 @@ def test_generating_partition_bound_single_atom():
                 values.add(s & v1 & v2)
     values.discard(0)
     assert len(values) <= s1.size
+
+
+# -- the per-point operator tables against the walk-based reference ---------
+
+@pytest.fixture(scope="module")
+def towers():
+    """Faithful {a} and {a,b} towers and the targeted (b|a), (a|b) towers."""
+    out = [build_faithful(theta, max_atoms=32, verify=False)[0]
+           for theta in (["a"], ["a", "b"])]
+    for text in ("(b | a)", "(a | b)"):
+        stage, _ = build_for_formulas(["a", "b"], [L2.parse(text)], verify=False)
+        out.append(stage.tower())
+    return out
+
+
+def _conditions(stage, rng):
+    """0, full, every defined condition and up to three seeded non-chain
+    masks (a 2-point stage has none)."""
+    masks = (rng.getrandbits(stage.size) for _ in range(50))
+    others = [m for m in masks if 0 < m < stage.full and stage.chain_for(m) is None]
+    return [0, stage.full] + stage.defined_conditions() + others[:3]
+
+
+def test_operator_tables_agree_with_the_walk_on_small_stages(towers):
+    rng = random.Random(8)
+    stages = [s for tower in towers for s in tower if s.size <= 10]
+    assert sorted(s.size for s in stages) == [2, 2, 4, 4, 4, 6, 8, 8, 10]
+    compared = 0
+    for s in stages:
+        assert s.defined_conditions() == [m for c in s.chains for m in (c.mask, s.full ^ c.mask)]
+        for a in _conditions(s, rng):
+            for b in range(1 << s.size):
+                assert s.apply_f(b, a) == reference_apply_f(s, b, a), (s.index, b, a)
+                compared += 1
+    assert compared > 10_000
+
+
+def test_operator_tables_agree_with_the_walk_on_32_points(towers):
+    rng = random.Random(32)
+    s = towers[1][-1]
+    assert s.size == 32
+    bs = [rng.getrandbits(32) for _ in range(300)]
+    for level in range(s.index):     # images of lower-level elements
+        size = s.stage_at(level).size
+        bs += [s.embed_from(level, rng.getrandbits(size)) for _ in range(300)]
+    defined = 0
+    for a in _conditions(s, rng):
+        for b in bs:
+            got = s.apply_f(b, a)
+            assert got == reference_apply_f(s, b, a), (b, a)
+            defined += got is not None
+    assert defined > 1000
+
+
+def test_apply_f_edge_cases():
+    s = stage1_single_atom()
+    assert s.apply_f(7, 0) == 7 and s.apply_f(-1, s.full) == -1   # trivial: B itself
+    s0 = new_stage0(["a", "b"])
+    assert s0.apply_f(3, 1) is None                              # no chain
+    for bad in (-1, s.full + 1, 1 << 40):
+        with pytest.raises(ValueError, match="not an element of stage 1"):
+            s.apply_f(bad, 1)
+
+
+def test_corrupted_operator_row_fails_verification(towers, monkeypatch):
+    rows_of = Stage._point_rows
+    caught = cases = 0
+    for s in towers[1][1:3]:               # the 6- and 10-point faithful stages
+        assert verify_stage(s).ok()
+        for a in s.defined_conditions():
+            for p in range(s.size):
+                def corrupt(self, level, a_mask, s=s, a=a, p=p):
+                    rows = rows_of(self, level, a_mask)
+                    if self is s and a_mask == a:
+                        rows[p] ^= self.full << self.size   # complement the row
+                    return rows
+                monkeypatch.setattr(Stage, "_point_rows", corrupt)
+                s._f_tables.clear()
+                cases += 1
+                caught += not verify_stage(s).ok()
+                monkeypatch.setattr(Stage, "_point_rows", rows_of)
+                s._f_tables.clear()
+    assert (caught, cases) == (52, 52)
+
+
+def test_verify_totals_on_the_faithful_two_atom_stages(towers):
+    totals = []
+    for s in towers[1][1:]:
+        rep = verify_stage(s)
+        totals.append((sum(p for p, _ in rep.checks.values()),
+                       sum(k for _, k in rep.checks.values())))
+    assert totals == [(1_086, 12), (142_148, 596), (297_226, 566)]

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 
@@ -13,7 +14,7 @@ from dblogic.model import (
     check_soundness, entails, extend_assignment,
 )
 from dblogic.proof import System
-from dblogic.syntax import Cond, Language
+from dblogic.syntax import Atom, Cond, Language, Sequent, iff
 
 L1 = Language(["a"])
 L2 = Language(["a", "b"])
@@ -330,3 +331,21 @@ def test_changed_non_generator_row_fails_beta2_eq(tables):
     rep = check_beta_axioms(t)
     assert rep.failures()["beta2-eq"].endswith(f"at A={a:#x} B={b:#x}")
     assert "beta2-eq" in brute_pair_failures(t.f, a, _model_pool(t, a))
+
+
+def test_value_and_entails_hash_no_formula():
+    # a <-> (a <-> ... b) shares each level's subformula, so a structural
+    # hash walks 2**24 paths; the memo and entails go by node id instead
+    a, f = Atom("a"), Atom("b")
+    for _ in range(24):
+        f = iff(a, f)
+    m = StageModel(new_stage0(["a", "b"]))
+    t0 = time.perf_counter()
+    h = canonical_assignment(m.stage)
+    value = extend_assignment(m, h).value(f)
+    r = entails(m, Sequent((), (f,)))
+    elapsed = time.perf_counter() - t0
+    # no assert names f: printing it would walk the same 2**24 paths
+    assert value == h["b"]                        # the 24 copies of a cancel
+    assert (r.verdict, r.witness, r.checked) == ("fails", {"a": 0, "b": 0}, 0)
+    assert elapsed < 0.5
