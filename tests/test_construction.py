@@ -343,9 +343,8 @@ def test_operator_tables_agree_with_the_walk_on_32_points(towers):
 
 def test_apply_f_edge_cases():
     s = stage1_single_atom()
-    assert s.apply_f(7, 0) == 7 and s.apply_f(-1, s.full) == -1   # trivial: B itself
-    s0 = new_stage0(["a", "b"])
-    assert s0.apply_f(3, 1) is None                              # no chain
+    assert [s.apply_f(b, a) for a in (0, s.full) for b in range(4)] == [0, 1, 2, 3] * 2
+    assert new_stage0(["a", "b"]).apply_f(3, 1) is None         # no chain
     for bad in (-1, s.full + 1, 1 << 40):
         with pytest.raises(ValueError, match="not an element of stage 1"):
             s.apply_f(bad, 1)
