@@ -4,7 +4,8 @@ Stage 0 over a single atom has points u = "a false" and v = "a true".  The
 ranked selection picks b0 = {u}; the advance replaces the points by the
 ordered pairs (u,v) and (v,u) and makes conditioning on both sides total, so
 the construction halts immediately: a complete four-element conditional
-algebra.
+algebra.  Points print as in a stage dump: stage-0 points by their valuation
+bits, later points as x.y, the indices of the pair's two parent points.
 """
 
 from random import Random
@@ -17,11 +18,11 @@ from dblogic import (
 
 print("== one atom ==")
 s0 = new_stage0(["a"])
-print("stage 0 points:", s0.atoms)
+print("stage 0 points:", *s0.points)
 b0 = select_condition(s0)
 print("ranked choice b0 =", f"{b0:#x}")
 s1 = advance(s0, b0)
-print("stage 1 points:", s1.atoms)
+print("stage 1 points:", *(f"{x}.{y}" for x, y in s1.points))
 print("f rows (condition -> values for B = 0..3):")
 for a in range(4):
     print(f"  f(., {a}) =", [s1.apply_f(b, a) for b in range(4)])

@@ -319,9 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     p_model.add_argument("--target", default=None,
                          help="explicit condition formula for targeted mode")
     p_model.add_argument("--dump", default=None, help="write the stage dump here")
-    group = p_model.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true")
-    group.add_argument("--samples", type=int, default=None)
+    p_model.add_argument("--samples", type=int, default=None)
 
     p_prob = sub.add_parser("prob", help="extend a probability over the logic")
     p_prob.add_argument("--theta", type=_theta, required=True)
@@ -347,9 +345,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     lines = text[args.input].split("\n") if args.input else []
     if args.command == "model":
-        samples = None if args.exhaustive else args.samples
         return cmd_model(args.theta, lines, args.mode, args.max_atoms,
-                         args.seed, samples, args.target, args.dump)
+                         args.seed, args.samples, args.target, args.dump)
     return cmd_prob(args.theta, text[args.prob], lines, args.max_atoms,
                     args.seed, args.strict_positive, args.lewis)
 

@@ -7,7 +7,13 @@ conditional operator f so that conditioning on the (image of the) chosen
 element becomes total: f(C, mu(b)) = (id u T)(C & mu(b)), where T swaps pair
 components.  Previously defined rows of f are carried along the embedding.
 
-Elements are int bitmasks over the stage's atom list (atom i <-> bit i).
+Elements are int bitmasks over the stage's points (point i <-> bit i).  A
+stage is three flat tables: `points` (at stage 0 the valuation bits, later
+(x, y) index pairs into the parent's points), `levels` (the tower, bottom
+stage first) and `fibres`, where fibres[L][q] is the image of level-L point q.
+Embedding a level-L element joins the fibres of its points, un-embedding reads
+which fibres it is a union of, and its rank is the lowest such level.
+
 f is read off per-point tables.  For a condition A on a chain last processed
 at level L, f(B, A) is defined exactly when B is the image of a level-L
 element, that is a union of fibres (the images of the level-L points, which
@@ -46,7 +52,7 @@ from typing import Callable, Sequence
 from .syntax import Formula, evaluate, truth_columns
 
 __all__ = [
-    "AtomPoint", "BasePoint", "PairPoint", "Chain", "Transition", "Stage",
+    "Chain", "Transition", "Stage",
     "ConstructionError", "BudgetExceeded", "new_stage0", "select_condition",
     "classify_case", "partition_data", "advance", "verify_stage",
     "canonical_assignment", "build_for_formulas", "build_faithful",
@@ -55,6 +61,10 @@ __all__ = [
 
 MAX_THETA = 3
 _ENUM_LIMIT = 12  # enumerate whole powersets only up to 2**_ENUM_LIMIT elements
+# verify_stage checks every element of a level of at most _VERIFY_LIMIT
+# points, and _VERIFY_SAMPLES seeded elements of a larger one
+_VERIFY_LIMIT = 8
+_VERIFY_SAMPLES = 10_000
 
 
 class ConstructionError(RuntimeError):
@@ -69,47 +79,6 @@ class BudgetExceeded(RuntimeError):
         self.condition_text = condition_text
         self.size = size
         self.needed = needed
-
-
-class BasePoint:
-    """Stage-0 point: one truth-value bit per declared atom."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: int):
-        self.bits = bits
-
-    def __eq__(self, other):
-        return isinstance(other, BasePoint) and self.bits == other.bits
-
-    def __hash__(self):
-        return hash(("w", self.bits))
-
-    def __repr__(self):
-        return f"w{self.bits}"
-
-
-class PairPoint:
-    """Point of a later stage: an ordered pair of previous-stage points."""
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first: "AtomPoint", second: "AtomPoint"):
-        self.first = first
-        self.second = second
-
-    def __eq__(self, other):
-        return (isinstance(other, PairPoint)
-                and self.first == other.first and self.second == other.second)
-
-    def __hash__(self):
-        return hash((self.first, self.second))
-
-    def __repr__(self):
-        return f"({self.first!r}.{self.second!r})"
-
-
-AtomPoint = BasePoint | PairPoint
 
 
 @dataclass(frozen=True)
@@ -142,32 +111,46 @@ class Transition:
 
 
 class Stage:
-    """One finite partial conditional model plus its embedding history."""
+    """One finite partial conditional model plus its embedding history, in
+    flat tables: `points` (stage 0: the valuation bits; later: (x, y) index
+    pairs into the parent's points), `levels` (the tower, bottom stage
+    first) and `fibres` (per level, the images of that level's points)."""
 
     def __init__(self, theta: Sequence[str], index: int,
-                 atoms: Sequence[AtomPoint], parent: "Stage | None",
+                 points: Sequence[int | tuple[int, int]], parent: "Stage | None",
                  blocks: Sequence[int] | None, transition: Transition | None,
                  chains: Sequence[Chain]):
         self.theta = tuple(theta)
         self.index = index
-        self.atoms = tuple(atoms)
+        self.points = tuple(points)
         self.parent = parent
         self.blocks = tuple(blocks) if blocks is not None else None
         self.transition = transition
         self.chains = tuple(chains)
-        self.size = len(self.atoms)
+        self.size = len(self.points)
         self.full = (1 << self.size) - 1
-        self.atom_index = {a: i for i, a in enumerate(self.atoms)}
+        self.levels: tuple[Stage, ...] = (parent.levels if parent else ()) + (self,)
         self._chain_of: dict[int, tuple[Chain, bool]] = {}
         for c in self.chains:  # the first chain wins, its mask before its complement
             self._chain_of.setdefault(c.mask, (c, False))
             self._chain_of.setdefault(self.full ^ c.mask, (c, True))
         self._f_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._fibres: tuple[tuple[int, ...], ...] | None = None
         if index > 0:
-            self._swap = tuple(self.atom_index[PairPoint(a.second, a.first)]
-                               for a in self.atoms)
+            where = {p: i for i, p in enumerate(self.points)}
+            self._swap = tuple(where[y, x] for x, y in self.points)
         else:
             self._swap = None
+
+    @property
+    def fibres(self) -> tuple[tuple[int, ...], ...]:
+        """fibres[L][q]: the image in this stage of level-L point q.  Built
+        on first use, from the parent's fibres and this stage's blocks."""
+        if self._fibres is None:
+            own = tuple(1 << p for p in range(self.size))
+            below = self.parent.fibres if self.parent else ()
+            self._fibres = tuple(tuple(map(self.embed, low)) for low in below) + (own,)
+        return self._fibres
 
     # -- boolean algebra ----------------------------------------------------
 
@@ -184,21 +167,12 @@ class Stage:
 
     def tower(self) -> list["Stage"]:
         """Stages 0..index of this stage's tower, the bottom stage first."""
-        levels = []
-        s: Stage | None = self
-        while s is not None:
-            levels.append(s)
-            s = s.parent
-        return levels[::-1]
+        return list(self.levels)
 
     def stage_at(self, level: int) -> "Stage":
-        s: Stage = self
-        while s.index > level:
-            assert s.parent is not None
-            s = s.parent
-        if s.index != level:
+        if not 0 <= level <= self.index:
             raise ValueError(f"no stage {level} below stage {self.index}")
-        return s
+        return self.levels[level]
 
     def embed(self, parent_mask: int) -> int:
         """Image of a parent-stage element in this stage."""
@@ -210,42 +184,37 @@ class Stage:
     def unembed(self, mask: int) -> int | None:
         """Pre-image under the last embedding, or None if `mask` is not an
         exact union of blocks."""
-        out = 0
-        rest = mask
-        for i, block in enumerate(self.blocks):
-            if block & mask and (block & mask) == block:
-                out |= 1 << i
-                rest &= ~block
-        return out if rest == 0 else None
+        return self.unembed_to(self.index - 1, mask)
 
     def embed_from(self, level: int, mask: int) -> int:
-        stages = []
-        s: Stage = self
-        while s.index > level:
-            stages.append(s)
-            s = s.parent
-        for st in reversed(stages):
-            mask = st.embed(mask)
-        return mask
+        """Image of a level-`level` element: the join of its points' fibres."""
+        if level == self.index:
+            return mask
+        fibres = self.fibres[level]
+        out = 0
+        for q in _bits(mask):
+            out |= fibres[q]
+        return out
 
     def unembed_to(self, level: int, mask: int) -> int | None:
-        s: Stage = self
-        while s.index > level:
-            mask = s.unembed(mask)
-            if mask is None:
-                return None
-            s = s.parent
-        return mask
+        """Pre-image at `level`, or None if `mask` is not a union of that
+        level's fibres."""
+        if level == self.index:
+            return mask
+        out = joined = 0
+        for q, fib in enumerate(self.fibres[level]):
+            if fib & mask == fib:
+                out |= 1 << q
+                joined |= fib
+        return out if joined == mask else None
 
     def rank(self, mask: int) -> int:
-        """Stage at which the element first occurred."""
-        s: Stage = self
-        while s.index > 0:
-            prev = s.unembed(mask)
-            if prev is None:
-                return s.index
-            mask = prev
-            s = s.parent
+        """Stage at which the element first occurred: a union of level-L
+        fibres is one of level-(L+1) fibres too, so the first level from the
+        top whose fibres miss it is one below its rank."""
+        for level in range(self.index - 1, -1, -1):
+            if self.unembed_to(level, mask) is None:
+                return level + 1
         return 0
 
     # -- conditional operator --------------------------------------------------
@@ -261,9 +230,13 @@ class Stage:
         is defined exactly when B is a union of fibres (images of level-L
         points), and it is additive over them (see the module docstring): one
         pass over 8-bit chunk tables, built on the condition's first call and
-        kept, joins row_A[p] << size | fib_L[p] over the points p of B."""
+        kept, joins row_A[p] << size | fib_L[p] over the points p of B.  An A
+        or B outside the stage is a ValueError."""
         tables = self._f_tables.get(a_mask)
         if tables is None:
+            if (a_mask | b_mask) >> self.size:  # a negative or too wide mask
+                bad = a_mask if a_mask >> self.size else b_mask
+                raise ValueError(f"{bad:#x} is not an element of stage {self.index}")
             if a_mask == 0 or a_mask == self.full:
                 return b_mask
             found = self._chain_of.get(a_mask)
@@ -283,12 +256,12 @@ class Stage:
         """row_A[p] << size | fib_L[p] at each point p, for a condition A on a
         chain last processed at `level`: fib_L[p] is the fibre holding p, of
         the level-L point q, and row_A[p] the image of (id u T)({q} & A)."""
-        low = self.stage_at(level)
+        fibres = self.fibres[level]
+        swap = self.levels[level]._swap
         a_low = self.unembed_to(level, a_mask)
-        fibre = [self.embed_from(level, 1 << q) for q in range(low.size)]
         rows = [0] * self.size
-        for q, fib in enumerate(fibre):
-            row = fib | fibre[low._swap[q]] if a_low >> q & 1 else 0
+        for q, fib in enumerate(fibres):
+            row = fib | fibres[swap[q]] if a_low >> q & 1 else 0
             for p in _bits(fib):
                 rows[p] = row << self.size | fib
         return rows
@@ -297,13 +270,13 @@ class Stage:
         """Nontrivial conditions with a defined row: each chain's mask and complement."""
         return list(self._chain_of)
 
-    def embeddable_elements(self, level: int, cap: int = _ENUM_LIMIT) -> list[int] | None:
+    def embeddable_elements(self, level: int) -> list[int] | None:
         """All current-stage images of level-`level` elements, or None when
         that powerset is too large to enumerate."""
-        low = self.stage_at(level)
-        if low.size > cap:
+        size = self.levels[level].size
+        if size > _ENUM_LIMIT:
             return None
-        return [self.embed_from(level, m) for m in range(1 << low.size)]
+        return [self.embed_from(level, m) for m in range(1 << size)]
 
 
 def _bits(mask: int):
@@ -329,16 +302,15 @@ def _join_tables(rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 # Construction steps
 # ---------------------------------------------------------------------------
 
-def new_stage0(theta: Sequence[str], max_theta: int = MAX_THETA) -> Stage:
+def new_stage0(theta: Sequence[str]) -> Stage:
     """Initial stage: all bit-vectors over the atoms; f defined only on the
     trivial conditions; all ranks 0."""
     names = tuple(theta)
     if not names:
         raise ValueError("atom set must be nonempty")
-    if len(names) > max_theta:
-        raise ValueError(f"too many atoms for the stage budget ({len(names)} > {max_theta})")
-    atoms = [BasePoint(bits) for bits in range(1 << len(names))]
-    return Stage(names, 0, atoms, None, None, None, ())
+    if len(names) > MAX_THETA:
+        raise ValueError(f"too many atoms for the stage budget ({len(names)} > {MAX_THETA})")
+    return Stage(names, 0, range(1 << len(names)), None, None, None, ())
 
 
 def classify_case(stage: Stage, b_mask: int) -> tuple[int, int | None]:
@@ -367,14 +339,13 @@ def partition_data(stage: Stage, b_mask: int) -> Transition:
             # the coherence rule keeps the original orientation
             raise ConstructionError("case-0 condition must use the chain orientation")
         level = chain.processed_at
+        fibres = stage.fibres[level]
         b_low = stage.unembed_to(level, b_mask)
-        stage_low = stage.stage_at(level)
-        comp_low = stage_low.complement(b_low)
+        comp_low = stage.levels[level].complement(b_low)
         pi, gamma = [], []
         for wi in _bits(b_low):
             for wj in _bits(comp_low):
-                w_n = stage.embed_from(level, 1 << wi)
-                w2_n = stage.embed_from(level, 1 << wj)
+                w_n, w2_n = fibres[wi], fibres[wj]
                 f1 = stage.apply_f(w2_n, comp)
                 f2 = stage.apply_f(w_n, b_mask)
                 if f1 is None or f2 is None:
@@ -402,19 +373,19 @@ def _check_partition(stage: Stage, b_mask: int, pi: Sequence[int], gamma: Sequen
         raise ConstructionError("partition blocks do not cover ~b")
 
 
-def _next_atoms(stage: Stage, tdata: Transition) -> tuple[list[AtomPoint], list[int]]:
-    """Ordered next-stage points (the mu(b) half first), plus the per-point
-    image blocks: mu(A) = union over blocks of (A&Pi_i) x Gamma_i u
-    (A&Gamma_i) x Pi_i."""
-    atoms: list[AtomPoint] = []
+def _next_points(stage: Stage, tdata: Transition) -> tuple[list[tuple[int, int]], list[int]]:
+    """Ordered next-stage points, as index pairs (x, y) into `stage`'s points
+    (the mu(b) half first), plus the per-point image blocks: mu(A) = union
+    over blocks of (A&Pi_i) x Gamma_i u (A&Gamma_i) x Pi_i."""
+    points: list[tuple[int, int]] = []
     blocks = [0] * stage.size
     for left, right in ((tdata.pi, tdata.gamma), (tdata.gamma, tdata.pi)):
         for l_mask, r_mask in zip(left, right):
             for x in _bits(l_mask):
                 for y in _bits(r_mask):
-                    blocks[x] |= 1 << len(atoms)
-                    atoms.append(PairPoint(stage.atoms[x], stage.atoms[y]))
-    return atoms, blocks
+                    blocks[x] |= 1 << len(points)
+                    points.append((x, y))
+    return points, blocks
 
 
 def advance(stage: Stage, b_mask: int, verify: bool = True,
@@ -426,10 +397,10 @@ def advance(stage: Stage, b_mask: int, verify: bool = True,
         tdata = partition_data(stage, b_mask)
     elif tdata.b_mask != b_mask:
         raise ValueError("partition data belongs to another condition")
-    atoms, blocks = _next_atoms(stage, tdata)
-    if len(atoms) != tdata.next_size:
+    points, blocks = _next_points(stage, tdata)
+    if len(points) != tdata.next_size:
         raise ConstructionError("cardinality formula violated")
-    n_pos = len(atoms) // 2
+    n_pos = len(points) // 2
     mu_b = (1 << n_pos) - 1
 
     new_chains: list[Chain] = []
@@ -446,7 +417,7 @@ def advance(stage: Stage, b_mask: int, verify: bool = True,
     if not replaced:
         new_chains.append(Chain(stage.index, stage.index, stage.index + 1, mu_b))
 
-    nxt = Stage(stage.theta, stage.index + 1, atoms, stage, blocks, tdata, new_chains)
+    nxt = Stage(stage.theta, stage.index + 1, points, stage, blocks, tdata, new_chains)
     if nxt.embed(b_mask) != mu_b:
         raise ConstructionError("mu(b) is not the positive pair half")
     if verify:
@@ -504,7 +475,7 @@ def select_condition(stage: Stage, target: int | None = None) -> int | None:
             return None
     best: tuple[float, int] | None = None
     for level in range(stage.index + 1):
-        low = stage.stage_at(level)
+        low = stage.levels[level]
         if low.size > _ENUM_LIMIT:
             break
         if best is not None and level >= best[0]:
@@ -658,8 +629,7 @@ def check_beta_laws(f: Callable[[int, int], int | None], full: int,
             rep.record(name, passed[name], skipped[name])
 
 
-def verify_stage(stage: Stage, rng: Random | None = None,
-                 exhaustive_limit: int = 8, samples: int = 10_000) -> CheckReport:
+def verify_stage(stage: Stage, rng: Random | None = None) -> CheckReport:
     """Check the embedding/commutation properties and the conditional-operator
     laws (BETA_LAWS) on the defined domain: elements exhaustively for small
     stages, with seeded sampling beyond; pairs never, as their laws are
@@ -674,7 +644,7 @@ def verify_stage(stage: Stage, rng: Random | None = None,
     rep = CheckReport(seed=seed)
 
     if stage.index == 0:
-        rep.record("trivial-conditions", 1 << min(stage.size, exhaustive_limit))
+        rep.record("trivial-conditions", 1 << min(stage.size, _VERIFY_LIMIT))
         return rep
 
     parent = stage.parent
@@ -715,10 +685,10 @@ def verify_stage(stage: Stage, rng: Random | None = None,
         ok = False
     rep.record("alpha1-block-partition", len(stage.blocks) if ok else 0)
 
-    if parent.size <= exhaustive_limit:
+    if parent.size <= _VERIFY_LIMIT:
         elems = range(1 << parent.size)
     else:
-        elems = [rng.getrandbits(parent.size) for _ in range(samples)]
+        elems = [rng.getrandbits(parent.size) for _ in range(_VERIFY_SAMPLES)]
     good = 0
     for a in elems:
         union = 0
@@ -737,8 +707,9 @@ def verify_stage(stage: Stage, rng: Random | None = None,
         level = chain_info[0].processed_at if chain_info else parent.index
         elems = parent.embeddable_elements(level)
         if elems is None:
-            size = parent.stage_at(level).size
-            elems = [parent.embed_from(level, rng.getrandbits(size)) for _ in range(samples // 10)]
+            size = parent.levels[level].size
+            elems = [parent.embed_from(level, rng.getrandbits(size))
+                     for _ in range(_VERIFY_SAMPLES // 10)]
         for b in elems:
             fv = parent.apply_f(b, cond)
             if fv is None:
@@ -753,13 +724,13 @@ def verify_stage(stage: Stage, rng: Random | None = None,
     rep.record("alpha2", good, skipped)
 
     # beta laws on the defined domain of the new stage
-    def defined_pools(cond: int) -> tuple[list[int], list[int]]:
+    def defined_pools(cond: int) -> tuple[list[int], tuple[int, ...]]:
         level = stage.chain_for(cond)[0].processed_at
-        size = stage.stage_at(level).size
+        size = stage.levels[level].size
         elems = [stage.embed_from(level, m) for m in
-                 (range(1 << size) if size <= exhaustive_limit
-                  else (rng.getrandbits(size) for _ in range(samples)))]
-        return elems, [stage.embed_from(level, 1 << i) for i in range(size)]
+                 (range(1 << size) if size <= _VERIFY_LIMIT
+                  else (rng.getrandbits(size) for _ in range(_VERIFY_SAMPLES)))]
+        return elems, stage.fibres[level]
 
     check_beta_laws(stage.apply_f, stage.full, stage.defined_conditions(),
                     defined_pools, rep)
@@ -782,7 +753,7 @@ def verify_stage(stage: Stage, rng: Random | None = None,
         good += 1
     sample_elems = parent.embeddable_elements(parent.index) or [
         rng.getrandbits(parent.size) for _ in range(256)]
-    for m in sample_elems[: 1 << exhaustive_limit]:
+    for m in sample_elems[: 1 << _VERIFY_LIMIT]:
         if stage.rank(stage.embed(m)) != parent.rank(m):
             rep.record("ranks", 0, 0, f"embedding changed rank of {m:#x}")
             break
@@ -861,21 +832,15 @@ def build_faithful(theta: Sequence[str], max_atoms: int = 32,
 # Dump / load
 # ---------------------------------------------------------------------------
 
-def _point_text(p: AtomPoint, parent: Stage | None) -> str:
-    if isinstance(p, BasePoint):
-        return str(p.bits)
-    return f"{parent.atom_index[p.first]}.{parent.atom_index[p.second]}"
-
-
 def dump_stage(stage: Stage) -> str:
     """Structured-text dump of the whole stage tower: atoms with pair
     provenance, per-level blocks, selection history and chains.  The loader
     reconstructs f exactly."""
-    levels = stage.tower()
-    lines = [f"theta: {', '.join(stage.theta)}", f"stages: {len(levels)}"]
-    for st in levels:
+    lines = [f"theta: {', '.join(stage.theta)}", f"stages: {len(stage.levels)}"]
+    for st in stage.levels:
         lines.append(f"stage {st.index}: atoms {st.size}")
-        lines.append("  points: " + " ".join(_point_text(p, st.parent) for p in st.atoms))
+        lines.append("  points: " + " ".join(
+            f"{p[0]}.{p[1]}" if st.index else str(p) for p in st.points))
         if st.index > 0:
             t = st.transition
             lines.append(f"  case: {t.case} nu: {'-' if t.nu is None else t.nu}")

@@ -48,7 +48,7 @@ class ConditionalModel:
         """Nontrivial condition elements with at least one defined row."""
         raise NotImplementedError
 
-    def defined_rows(self, cond: int, cap: int = 12) -> Sequence[int] | None:
+    def defined_rows(self, cond: int) -> Sequence[int] | None:
         """Elements B for which f(B, cond) may be defined; None when that set
         is too large to enumerate."""
         raise NotImplementedError
@@ -68,11 +68,11 @@ class StageModel(ConditionalModel):
     def known_conditions(self) -> Sequence[int]:
         return self.stage.defined_conditions()
 
-    def defined_rows(self, cond: int, cap: int = 12) -> Sequence[int] | None:
+    def defined_rows(self, cond: int) -> Sequence[int] | None:
         found = self.stage.chain_for(cond)
         if found is None:
             return []
-        return self.stage.embeddable_elements(found[0].processed_at, cap)
+        return self.stage.embeddable_elements(found[0].processed_at)
 
 
 class TableModel(ConditionalModel):
@@ -109,7 +109,7 @@ class TableModel(ConditionalModel):
     def known_conditions(self) -> Sequence[int]:
         return sorted({a for (_, a) in self.table if a not in (0, self.full)})
 
-    def defined_rows(self, cond: int, cap: int = 12) -> Sequence[int] | None:
+    def defined_rows(self, cond: int) -> Sequence[int] | None:
         return sorted({b for (b, a) in self.table if a == cond})
 
     def override(self, b: int, a: int, value: int) -> "TableModel":

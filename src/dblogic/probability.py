@@ -264,7 +264,7 @@ def p0_from_pi(pi: ClassicalProbability, stage0: Stage) -> RationalValuation:
         raise ValueError("stage-0 valuation needs the initial stage")
     if tuple(pi.theta) != tuple(stage0.theta):
         raise ValueError("atom sets differ")
-    return RationalValuation(stage0, tuple(pi.table[a.bits] for a in stage0.atoms))
+    return RationalValuation(stage0, tuple(pi.table[bits] for bits in stage0.points))
 
 
 def extend_step(val: RationalValuation, next_stage: Stage) -> RationalValuation:
@@ -285,9 +285,7 @@ def extend_step(val: RationalValuation, next_stage: Stage) -> RationalValuation:
                 block_of[i] = p_mask
             elif (g_mask >> i) & 1:
                 block_of[i] = g_mask
-    pairs = [(parent.atom_index[p.first], parent.atom_index[p.second])
-             for p in next_stage.atoms]
-    blocks = list(dict.fromkeys(block_of[y] for _, y in pairs))
+    blocks = list(dict.fromkeys(block_of[y] for _, y in next_stage.points))
     block_num = [val.numerator(b) for b in blocks]
     if not all(block_num):
         raise ZeroBlockError(
@@ -295,7 +293,7 @@ def extend_step(val: RationalValuation, next_stage: Stage) -> RationalValuation:
     one = Poly.const(1) if isinstance(val.den, Poly) else 1
     other = dict(zip(blocks, _others(block_num, one)))
     den = val.den * block_num[0] * other[blocks[0]]
-    nums = [val.nums[x] * val.nums[y] * other[block_of[y]] for x, y in pairs]
+    nums = [val.nums[x] * val.nums[y] * other[block_of[y]] for x, y in next_stage.points]
     return RationalValuation(next_stage, nums=nums, den=den)
 
 

@@ -117,9 +117,6 @@ class Poly:
                 return i
         raise ValueError("zero polynomial has no valuation")
 
-    def shift_down(self, k: int) -> "Poly":
-        return Poly.make(self.coeffs[k:])
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

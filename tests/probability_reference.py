@@ -73,9 +73,7 @@ def reference_step(val: ReferenceValuation, next_stage: Stage) -> ReferenceValua
                 block_of[i] = g_mask
     block_weight = {m: val.measure(m) for m in set(t.pi) | set(t.gamma)}
     weights = []
-    for point in next_stage.atoms:
-        x = parent.atom_index[point.first]
-        y = parent.atom_index[point.second]
+    for x, y in next_stage.points:
         denom = block_weight[block_of[y]]
         if denom == 0:
             raise ZeroBlockError("a partition block has probability zero")
@@ -86,7 +84,7 @@ def reference_step(val: ReferenceValuation, next_stage: Stage) -> ReferenceValua
 def reference_extension(pi: ClassicalProbability, stage: Stage) -> list[ReferenceValuation]:
     """The valuations of every level of `stage`'s tower, stage 0 first."""
     levels = stage.tower()
-    vals = [ReferenceValuation(levels[0], tuple(pi.table[a.bits] for a in levels[0].atoms))]
+    vals = [ReferenceValuation(levels[0], tuple(pi.table[bits] for bits in levels[0].points))]
     for nxt in levels[1:]:
         vals.append(reference_step(vals[-1], nxt))
     return vals

@@ -4,14 +4,16 @@ import pytest
 
 from dblogic import construction
 from dblogic.construction import (
-    BasePoint, BudgetExceeded, ConstructionError, PairPoint, Stage, advance,
+    BudgetExceeded, ConstructionError, Stage, advance,
     build_faithful, build_for_formulas, canonical_assignment, classify_case,
     dump_stage, load_stage, new_stage0, partition_data,
     select_condition, verify_stage,
 )
 from dblogic.syntax import Language
 
-from stage_reference import reference_apply_f
+from stage_reference import (
+    reference_apply_f, reference_swap, walk_embed_from, walk_rank, walk_unembed_to,
+)
 
 L1 = Language(["a"])
 L2 = Language(["a", "b"])
@@ -34,7 +36,7 @@ HAND_F1 = {
 
 def test_stage0_shapes():
     s0 = new_stage0(["a"])
-    assert [a.bits for a in s0.atoms] == [0, 1]
+    assert s0.points == (0, 1)
     assert 1 << s0.size == 4
     s0b = new_stage0(["a", "b"])
     assert s0b.size == 4 and 1 << s0b.size == 16
@@ -49,8 +51,7 @@ def test_faithful_b0_tiebreak_single_atom():
 
 def test_stage1_f_table_matches_hand_enumeration():
     s1 = stage1_single_atom()
-    assert s1.atoms == (PairPoint(BasePoint(0), BasePoint(1)),
-                        PairPoint(BasePoint(1), BasePoint(0)))
+    assert s1.points == ((0, 1), (1, 0))
     for a in range(4):
         assert [s1.apply_f(b, a) for b in range(4)] == HAND_F1[a]
 
@@ -341,13 +342,46 @@ def test_operator_tables_agree_with_the_walk_on_32_points(towers):
     assert defined > 1000
 
 
+def test_tables_agree_with_the_tower_walk(towers):
+    rng = random.Random(9)
+    checked = unions = 0
+    for tower in towers:
+        top = tower[-1]
+        assert top.tower() == tower and top.levels == tuple(tower)
+        for s in tower:
+            assert [s.stage_at(level) for level in range(s.index + 1)] == tower[:s.index + 1]
+            if s.index:
+                assert s._swap == reference_swap(s)
+                assert s.fibres[s.index - 1] == s.blocks
+            for level in range(s.index + 1):
+                size = tower[level].size
+                assert s.fibres[level] == tuple(walk_embed_from(s, level, 1 << q)
+                                                for q in range(size))
+                masks = [rng.getrandbits(s.size) for _ in range(20)]
+                masks += [s.embed_from(level, rng.getrandbits(size)) for _ in range(20)]
+                for m in masks:
+                    low = s.unembed_to(level, m)
+                    assert low == walk_unembed_to(s, level, m), (s.index, level, m)
+                    assert s.rank(m) == walk_rank(s, m), (s.index, m)
+                    unions += low is not None
+                    checked += 1
+    assert checked == 760 and 380 < unions < 760
+
+
 def test_apply_f_edge_cases():
     s = stage1_single_atom()
     assert [s.apply_f(b, a) for a in (0, s.full) for b in range(4)] == [0, 1, 2, 3] * 2
     assert new_stage0(["a", "b"]).apply_f(3, 1) is None         # no chain
     for bad in (-1, s.full + 1, 1 << 40):
-        with pytest.raises(ValueError, match="not an element of stage 1"):
-            s.apply_f(bad, 1)
+        for a in (1, 0, s.full, 2):            # chain, trivial and unused conditions
+            with pytest.raises(ValueError, match=f"{bad:#x} is not an element of stage 1"):
+                s.apply_f(bad, a)
+        for b in (0, 1, s.full):               # a condition outside the stage
+            with pytest.raises(ValueError, match=f"{bad:#x} is not an element of stage 1"):
+                s.apply_f(b, bad)
+    s0 = new_stage0(["a", "b"])
+    with pytest.raises(ValueError, match="0x10 is not an element of stage 0"):
+        s0.apply_f(1 << 4, 1)
 
 
 def test_corrupted_operator_row_fails_verification(towers, monkeypatch):

@@ -246,7 +246,7 @@ def test_lemma1_rejects_blocks_that_do_not_partition():
                           ([b[0], b[1] | b[0]] + b[2:], "block 1"),
                           (b[:-1] + [b[-1] & (b[-1] - 1)], "partition"),
                           (b[:-1], "partition")):
-        bad = Stage(stage.theta, stage.index, stage.atoms, stage.parent, blocks,
+        bad = Stage(stage.theta, stage.index, stage.points, stage.parent, blocks,
                     stage.transition, stage.chains)
         rep = lemma1_check(v0, RationalValuation(bad, nums=v1.nums, den=v1.den))
         assert len(rep.violations) == 1 and where in rep.violations[0]
