@@ -373,7 +373,7 @@ def test_apply_f_edge_cases():
     assert [s.apply_f(b, a) for a in (0, s.full) for b in range(4)] == [0, 1, 2, 3] * 2
     assert new_stage0(["a", "b"]).apply_f(3, 1) is None         # no chain
     for bad in (-1, s.full + 1, 1 << 40):
-        for a in (1, 0, s.full, 2):            # chain, trivial and unused conditions
+        for a in (1, 2, 0, s.full):            # chain and trivial conditions
             with pytest.raises(ValueError, match=f"{bad:#x} is not an element of stage 1"):
                 s.apply_f(bad, a)
         for b in (0, 1, s.full):               # a condition outside the stage
@@ -381,7 +381,7 @@ def test_apply_f_edge_cases():
                 s.apply_f(b, bad)
     s0 = new_stage0(["a", "b"])
     with pytest.raises(ValueError, match="0x10 is not an element of stage 0"):
-        s0.apply_f(1 << 4, 1)
+        s0.apply_f(1 << 4, 1)                                   # a condition on no chain
 
 
 def test_corrupted_operator_row_fails_verification(towers, monkeypatch):
