@@ -8,11 +8,9 @@ algebra.  Points print as in a stage dump: stage-0 points by their valuation
 bits, later points as x.y, the indices of the pair's two parent points.
 """
 
-from random import Random
-
 from dblogic import (
-    Language, StageModel, advance, build_faithful, build_for_formulas,
-    canonical_assignment, check_beta_axioms, entails, extend_assignment,
+    ConditionalAssignment, Language, StageModel, advance, build_faithful,
+    build_for_formulas, canonical_assignment, check_beta_axioms, entails,
     new_stage0, select_condition, verify_stage,
 )
 
@@ -28,7 +26,7 @@ for a in range(4):
     print(f"  f(., {a}) =", [s1.apply_f(b, a) for b in range(4)])
 print("next selection:", select_condition(s1), "(None means the operator is total)")
 
-rep = verify_stage(s1, rng=Random(0))
+rep = verify_stage(s1)
 print("stage checks:", "ok" if rep.ok() else rep.failures())
 
 m = StageModel(s1)
@@ -40,7 +38,7 @@ print(f"full symmetry (not guaranteed, measured only): "
       f"{p5} pass / {s5} skipped / counterexample: {c5}")
 
 lang = Language(["a"])
-asg = extend_assignment(m, canonical_assignment(s1))
+asg = ConditionalAssignment(m, canonical_assignment(s1))
 for text in ["T", "(a | a)", "(a | !a)"]:
     print(f"value of {text}:", asg.value(lang.parse(text)))
 print("introspection sequent:",
@@ -52,7 +50,7 @@ lang2 = Language(["a", "b"])
 stage, _ = build_for_formulas(["a", "b"], [lang2.parse("(b | a)")])
 print(f"targeted build for (b | a): {stage.size} points after {stage.index} advance")
 h = canonical_assignment(stage)
-asg2 = extend_assignment(StageModel(stage), h)
+asg2 = ConditionalAssignment(StageModel(stage), h)
 v = asg2.value(lang2.parse("(b | a)"))
 print(f"(b | a) denotes {bin(v).count('1')} of {stage.size} points")
 blocked = asg2.value(lang2.parse("(a | b)"))

@@ -29,7 +29,7 @@ from .construction import (
 )
 from .model import (
     ConditionalAssignment, ConditionalModel, StageModel, TableModel,
-    check_beta_axioms, check_soundness, entails, extend_assignment,
+    check_beta_axioms, check_soundness, entails,
 )
 from .ratfunc import EPS, Poly, RatFunc
 from .probability import (

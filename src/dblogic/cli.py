@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from random import Random
 
 from . import construction, library, model, probability, proof
 from .ratfunc import RatFunc
@@ -109,7 +108,8 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
               seed: int, samples: int | None, target: str | None,
               dump_path: str | None, out=None) -> int:
     """Build a model (faithful or targeted), verify every stage, then
-    evaluate formulas and check sequents from the input lines."""
+    evaluate formulas and check sequents from the input lines.  The stage
+    checks are exact; `seed` seeds only the sampled entailment checks."""
     out = sys.stdout if out is None else out
     lang = _language(theta, out)
     if lang is None:
@@ -145,8 +145,8 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
             return 1
         report.append(f"targeted build: stage {stage.index}, {stage.size} points seed={seed}")
 
-    for st in stage.tower()[1:]:
-        rep = construction.verify_stage(st, rng=Random(seed))
+    for st in stage.levels[1:]:
+        rep = construction.verify_stage(st)
         status = "ok" if rep.ok() else "FAIL " + "; ".join(
             f"{k}: {v}" for k, v in list(rep.failures().items())[:3])
         report.append(f"verify stage {st.index}: {status}")
@@ -155,7 +155,7 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
 
     m = model.StageModel(stage)
     h = construction.canonical_assignment(stage)
-    asg = model.extend_assignment(m, h)
+    asg = model.ConditionalAssignment(m, h)
     for f in formulas:
         v = asg.value(f)
         if v is None:

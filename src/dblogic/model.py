@@ -27,7 +27,7 @@ from .syntax import Formula, Sequent, atoms as formula_atoms, evaluate
 
 __all__ = [
     "ConditionalModel", "StageModel", "TableModel", "ConditionalAssignment",
-    "extend_assignment", "check_beta_axioms",
+    "check_beta_axioms",
     "EntailmentResult", "entails", "check_soundness", "SoundnessRow",
 ]
 
@@ -143,10 +143,6 @@ class ConditionalAssignment:
         """The innermost condition element whose f row was missing."""
         self.value(f)
         return self._memo[id(f)][2]
-
-
-def extend_assignment(model: ConditionalModel, atom_map: Mapping[str, int]) -> ConditionalAssignment:
-    return ConditionalAssignment(model, atom_map)
 
 
 # ---------------------------------------------------------------------------

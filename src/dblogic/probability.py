@@ -317,7 +317,7 @@ class Extension:
 
 
 def extend_probability(pi: ClassicalProbability, stage: Stage) -> Extension:
-    levels = stage.tower()
+    levels = list(stage.levels)
     vals = [p0_from_pi(pi, levels[0])]
     for nxt in levels[1:]:
         vals.append(extend_step(vals[-1], nxt))
@@ -378,15 +378,18 @@ def lemma2_check(parent_val: RationalValuation,
     """Block proportionality and multiplicativity of conditioning on the
     processed element, checked as exact identities on numerators:
     (P(Pi)+P(Gamma)) P(b) == P(Pi) and (P(Pi)+P(Gamma)) P(~b) == P(Gamma)
-    for every block, and P(side & A) == P(side) P(f(A, side)) for both
-    sides of the processed element at each child point A.
+    for every block, Nc(full) == Dc, and P(side & A) == P(side) P(f(A, side))
+    for both sides of the processed element at each child point A.
 
     The point checks are exact for every A.  `advance` records the
     condition's chain as processed at the child's own stage, so f(A, side) is
     (A & side) | T(A & side), with T the pair swap: a union of disjoint
     parts, one per point of A, since T maps mu(b) onto ~mu(b).  Both sides
-    of the identity are then sums over A's points.  `checked` counts the
-    blocks and the child points."""
+    of the identity are then sums over A's points.  Only the mu(b) side is
+    checked: at a point x the two sides' differences lhs - rhs, the mu(b)
+    one at x and the ~mu(b) one at T(x), add up to
+    (Nc(x) + Nc(T(x))) (Dc - Nc(full)), which is 0 once Nc(full) == Dc.
+    `checked` counts the blocks and the child points."""
     parent = parent_val.stage
     child = child_val.stage
     t = child.transition
@@ -407,14 +410,16 @@ def lemma2_check(parent_val: RationalValuation,
             rep.violations.append(f"block {i}: P(Pi)+P(Gamma) != P(Gamma)/P(~b)")
             break
         rep.checked += 1
+    if not (child_val.numerator(child.full) == dc):
+        rep.violations.append("full space does not weigh 1")
+        return rep
     mu_b = child.embed(t.b_mask)
-    sides = [(side, child_val.numerator(side)) for side in (mu_b, child.complement(mu_b))]
+    n_mu_b = child_val.numerator(mu_b)
     for a in (1 << x for x in range(child.size)):
-        for side, n_side in sides:
-            fa = child.apply_f(a, side)
-            if not (child_val.numerator(side & a) * dc == n_side * child_val.numerator(fa)):
-                rep.violations.append(f"conditioning not multiplicative at A={a:#x}")
-                return rep
+        fa = child.apply_f(a, mu_b)
+        if not (child_val.numerator(mu_b & a) * dc == n_mu_b * child_val.numerator(fa)):
+            rep.violations.append(f"conditioning not multiplicative at A={a:#x}")
+            break
         rep.checked += 1
     return rep
 

@@ -83,7 +83,7 @@ def reference_step(val: ReferenceValuation, next_stage: Stage) -> ReferenceValua
 
 def reference_extension(pi: ClassicalProbability, stage: Stage) -> list[ReferenceValuation]:
     """The valuations of every level of `stage`'s tower, stage 0 first."""
-    levels = stage.tower()
+    levels = list(stage.levels)
     vals = [ReferenceValuation(levels[0], tuple(pi.table[bits] for bits in levels[0].points))]
     for nxt in levels[1:]:
         vals.append(reference_step(vals[-1], nxt))

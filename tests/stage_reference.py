@@ -7,9 +7,18 @@ replaced: it un-embeds both arguments to the level where the condition's
 chain was last processed, applies f(B, A) = (id u T)(B & A) there and embeds
 the result back up.  `reference_swap` is T built from nested pair objects,
 looked up by value, as the stage's swap table was before points became
-index pairs."""
+index pairs.  `reference_verify_stage` is the element-sampling stage verifier
+that `construction.verify_stage` replaced, with every level of at most 10
+points checked exhaustively."""
 
-from dblogic.construction import Stage
+from random import Random
+
+from dblogic.construction import (
+    CheckReport, ConstructionError, Stage, _bits, _check_partition, check_beta_laws,
+)
+
+_VERIFY_LIMIT = 10
+_VERIFY_SAMPLES = 10_000
 
 
 def walk_embed_from(stage: Stage, level: int, mask: int) -> int:
@@ -74,3 +83,134 @@ def reference_apply_f(stage: Stage, b_mask: int, a_mask: int) -> int | None:
     while low.index > level:
         low = low.parent
     return walk_embed_from(stage, level, inter | low.swap_pairs(inter))
+
+
+def reference_verify_stage(stage: Stage, rng: Random | None = None) -> CheckReport:
+    """The sampling stage verifier the exact one replaced, unchanged but for
+    its limit: every element of a level of at most _VERIFY_LIMIT points,
+    _VERIFY_SAMPLES seeded ones of a larger level (the trivial conditions
+    on 64 seeded elements, and an unchecked tally at stage 0)."""
+    seed = None
+    if rng is None:
+        seed = 0
+        rng = Random(seed)
+    rep = CheckReport(seed=seed)
+
+    if stage.index == 0:
+        rep.record("trivial-conditions", 1 << min(stage.size, _VERIFY_LIMIT))
+        return rep
+
+    parent = stage.parent
+    tdata = stage.transition
+
+    # cardinality and partition identities (exact, always)
+    if stage.size != tdata.next_size:
+        rep.record("cardinality", 0, 0,
+                   f"|atoms|={stage.size} expected {tdata.next_size}")
+    rep.record("cardinality", 1)
+    try:
+        _check_partition(parent, tdata.b_mask, tdata.pi, tdata.gamma)
+        rep.record("partition-identities", 1)
+    except ConstructionError as e:
+        rep.record("partition-identities", 0, 0, str(e))
+
+    mu_b = stage.embed(tdata.b_mask)
+    if mu_b != (1 << (stage.size // 2)) - 1:
+        rep.record("mu-b", 0, 0, "mu(b) is not the positive half")
+    if stage.complement(mu_b) != stage.swap_pairs(mu_b):
+        rep.record("mu-b-swap", 0, 0, "~mu(b) differs from T(mu(b))")
+    rep.record("mu-b-corollaries", 2)
+
+    # alpha1: blocks nonempty, disjoint, covering, and each image the union
+    # of its points' blocks -- together exactly an injective Boolean morphism
+    union = 0
+    ok = True
+    for i, blk in enumerate(stage.blocks):
+        if blk == 0:
+            rep.record("alpha1", 0, 0, f"empty block for parent atom {i}")
+            ok = False
+        if blk & union:
+            rep.record("alpha1", 0, 0, f"block {i} overlaps earlier blocks")
+            ok = False
+        union |= blk
+    if union != stage.full:
+        rep.record("alpha1", 0, 0, "blocks do not cover the new universe")
+        ok = False
+    rep.record("alpha1-block-partition", len(stage.blocks) if ok else 0)
+
+    if parent.size <= _VERIFY_LIMIT:
+        elems = range(1 << parent.size)
+    else:
+        elems = [rng.getrandbits(parent.size) for _ in range(_VERIFY_SAMPLES)]
+    good = 0
+    for a in elems:
+        union = 0
+        for i in _bits(a):
+            union |= stage.blocks[i]
+        if stage.embed(a) != union:
+            rep.record("alpha1", 0, 0, f"image is not the union of its blocks at A={a:#x}")
+            break
+        good += 1
+    rep.record("alpha1-morphism", good)
+
+    # alpha2: f commutes with the embedding on the inherited domain (exact)
+    good = skipped = 0
+    for cond in parent.defined_conditions() + [0, parent.full]:
+        chain_info = parent.chain_for(cond)
+        level = chain_info[0].processed_at if chain_info else parent.index
+        elems = parent.embeddable_elements(level)
+        if elems is None:
+            size = parent.levels[level].size
+            elems = [parent.embed_from(level, rng.getrandbits(size))
+                     for _ in range(_VERIFY_SAMPLES // 10)]
+        for b in elems:
+            fv = parent.apply_f(b, cond)
+            if fv is None:
+                skipped += 1
+                continue
+            lhs = stage.apply_f(stage.embed(b), stage.embed(cond))
+            if lhs != stage.embed(fv):
+                rep.record("alpha2", 0, 0,
+                           f"f does not commute with mu at B={b:#x} A={cond:#x}")
+                break
+            good += 1
+    rep.record("alpha2", good, skipped)
+
+    # beta laws on the defined domain of the new stage
+    def defined_pools(cond: int) -> tuple[list[int], tuple[int, ...]]:
+        level = stage.chain_for(cond)[0].processed_at
+        size = stage.levels[level].size
+        elems = [stage.embed_from(level, m) for m in
+                 (range(1 << size) if size <= _VERIFY_LIMIT
+                  else (rng.getrandbits(size) for _ in range(_VERIFY_SAMPLES)))]
+        return elems, stage.fibres[level]
+
+    check_beta_laws(stage.apply_f, stage.full, stage.defined_conditions(),
+                    defined_pools, rep)
+
+    # trivial conditions
+    probe = [rng.getrandbits(stage.size) for _ in range(64)]
+    for b in probe:
+        if stage.apply_f(b, 0) != b or stage.apply_f(b, stage.full) != b:
+            rep.record("trivial-conditions", 0, 0, f"f(B, empty/full) != B at B={b:#x}")
+            break
+    rep.record("trivial-conditions", len(probe))
+
+    # rank consistency: images keep their rank, genuinely new points get n
+    good = 0
+    for i, blk in enumerate(stage.blocks):
+        if bin(blk).count("1") == 1:
+            if stage.rank(blk) != parent.rank(1 << i):
+                rep.record("ranks", 0, 0, f"embedded singleton changed rank at atom {i}")
+                break
+        good += 1
+    sample_elems = parent.embeddable_elements(parent.index) or [
+        rng.getrandbits(parent.size) for _ in range(256)]
+    for m in sample_elems[: 1 << _VERIFY_LIMIT]:
+        if stage.rank(stage.embed(m)) != parent.rank(m):
+            rep.record("ranks", 0, 0, f"embedding changed rank of {m:#x}")
+            break
+        good += 1
+    rep.record("ranks", good)
+
+    return rep

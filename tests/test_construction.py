@@ -1,4 +1,7 @@
 import random
+from contextlib import contextmanager
+from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
@@ -12,7 +15,8 @@ from dblogic.construction import (
 from dblogic.syntax import Language
 
 from stage_reference import (
-    reference_apply_f, reference_swap, walk_embed_from, walk_rank, walk_unembed_to,
+    reference_apply_f, reference_swap, reference_verify_stage, walk_embed_from,
+    walk_rank, walk_unembed_to,
 )
 
 L1 = Language(["a"])
@@ -169,7 +173,7 @@ def test_targeted_build_one_advance():
 def test_targeted_build_verifies_each_stage_once(monkeypatch):
     calls = []
 
-    def counting_verify(stage, rng=None):
+    def counting_verify(stage):
         calls.append(stage.index)
         return construction.CheckReport()
 
@@ -250,8 +254,8 @@ def test_load_stage_replays_every_level_and_rejects_tampering():
     text = dump_stage(stages[-1])
     back = load_stage(text)
     assert dump_stage(back) == text
-    assert [s.size for s in back.tower()] == [s.size for s in stages]
-    for orig, loaded in zip(stages, back.tower()):
+    assert [s.size for s in back.levels] == [s.size for s in stages]
+    for orig, loaded in zip(stages, back.levels):
         assert verify_stage(loaded).checks == verify_stage(orig).checks
     lines = text.splitlines()
     assert lines[11] == "  blocks: 0x7 0x8 0x10 0x20"
@@ -299,7 +303,7 @@ def towers():
            for theta in (["a"], ["a", "b"])]
     for text in ("(b | a)", "(a | b)"):
         stage, _ = build_for_formulas(["a", "b"], [L2.parse(text)], verify=False)
-        out.append(stage.tower())
+        out.append(list(stage.levels))
     return out
 
 
@@ -331,7 +335,7 @@ def test_operator_tables_agree_with_the_walk_on_32_points(towers):
     assert s.size == 32
     bs = [rng.getrandbits(32) for _ in range(300)]
     for level in range(s.index):     # images of lower-level elements
-        size = s.stage_at(level).size
+        size = s.levels[level].size
         bs += [s.embed_from(level, rng.getrandbits(size)) for _ in range(300)]
     defined = 0
     for a in _conditions(s, rng):
@@ -347,9 +351,9 @@ def test_tables_agree_with_the_tower_walk(towers):
     checked = unions = 0
     for tower in towers:
         top = tower[-1]
-        assert top.tower() == tower and top.levels == tuple(tower)
+        assert top.levels == tuple(tower)
         for s in tower:
-            assert [s.stage_at(level) for level in range(s.index + 1)] == tower[:s.index + 1]
+            assert s.levels == tuple(tower[:s.index + 1])
             if s.index:
                 assert s._swap == reference_swap(s)
                 assert s.fibres[s.index - 1] == s.blocks
@@ -384,24 +388,47 @@ def test_apply_f_edge_cases():
         s0.apply_f(1 << 4, 1)                                   # a condition on no chain
 
 
-def test_corrupted_operator_row_fails_verification(towers, monkeypatch):
+def _row_tampers(s):
+    """Per defined condition A and point p, three changes of the row of
+    f(., A) at p, its fibre half kept: complemented, its own bit flipped,
+    and the next point's row copied in."""
+    n, full = s.size, s.full
+    for a in s.defined_conditions():
+        for p in range(n):
+            yield a, p, "complement", lambda rows, p=p: rows[p] ^ full << n
+            yield a, p, "own bit", lambda rows, p=p: rows[p] ^ 1 << p << n
+            yield a, p, "next row", lambda rows, p=p: rows[(p + 1) % n] >> n << n | rows[p] & full
+
+
+@contextmanager
+def _row_changed(monkeypatch, s, a, p, change):
+    """Stage s with the row of f(., a) at point p set to change(rows)."""
     rows_of = Stage._point_rows
+
+    def tampered(self, level, a_mask):
+        rows = rows_of(self, level, a_mask)
+        if self is s and a_mask == a:
+            rows[p] = change(rows)
+        return rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Stage, "_point_rows", tampered)
+        s._f_tables.clear()
+        try:
+            yield
+        finally:
+            s._f_tables.clear()
+
+
+def test_corrupted_operator_row_fails_verification(towers, monkeypatch):
     caught = cases = 0
     for s in towers[1][1:3]:               # the 6- and 10-point faithful stages
         assert verify_stage(s).ok()
-        for a in s.defined_conditions():
-            for p in range(s.size):
-                def corrupt(self, level, a_mask, s=s, a=a, p=p):
-                    rows = rows_of(self, level, a_mask)
-                    if self is s and a_mask == a:
-                        rows[p] ^= self.full << self.size   # complement the row
-                    return rows
-                monkeypatch.setattr(Stage, "_point_rows", corrupt)
-                s._f_tables.clear()
-                cases += 1
-                caught += not verify_stage(s).ok()
-                monkeypatch.setattr(Stage, "_point_rows", rows_of)
-                s._f_tables.clear()
+        for a, p, how, change in _row_tampers(s):
+            if how == "complement":
+                with _row_changed(monkeypatch, s, a, p, change):
+                    cases += 1
+                    caught += not verify_stage(s).ok()
     assert (caught, cases) == (52, 52)
 
 
@@ -411,4 +438,39 @@ def test_verify_totals_on_the_faithful_two_atom_stages(towers):
         rep = verify_stage(s)
         totals.append((sum(p for p, _ in rep.checks.values()),
                        sum(k for _, k in rep.checks.values())))
-    assert totals == [(1_086, 12), (142_148, 596), (297_226, 566)]
+    assert totals == [(258, 6), (704, 16), (2_644, 48)]
+
+
+def _block_tampers(s):
+    """Per ordered pair of blocks, the stage with the lowest point of the
+    first moved into the second; the chains of the parent are embedded
+    through the changed blocks, as `advance` would have done."""
+    for i, j in permutations(range(len(s.blocks)), 2):
+        blocks = list(s.blocks)
+        low = blocks[i] & -blocks[i]
+        blocks[i] ^= low
+        blocks[j] |= low
+        image = lambda m: sum(blk for x, blk in enumerate(blocks) if m >> x & 1)
+        chains = [c if c.processed_at == s.index else replace(c, mask=image(s.parent.chains[k].mask))
+                  for k, c in enumerate(s.chains)]
+        yield Stage(s.theta, s.index, s.points, s.parent, blocks, s.transition, chains)
+
+
+def test_exact_verifier_agrees_with_the_sampling_reference(towers, monkeypatch):
+    stages = [s for tower in towers for s in tower if s.size <= 10]
+    verdicts = []
+    for s in stages:
+        assert verify_stage(s).ok() and reference_verify_stage(s).ok()
+        if s.index == 0:
+            continue
+        for a, p, how, change in _row_tampers(s):
+            with _row_changed(monkeypatch, s, a, p, change):
+                got, want = verify_stage(s).ok(), reference_verify_stage(s).ok()
+            assert got == want, (how, s.size, a, p)
+            verdicts.append(got)
+        for bad in _block_tampers(s):
+            got, want = verify_stage(bad).ok(), reference_verify_stage(bad).ok()
+            assert got == want, ("blocks", s.size, bad.blocks)
+            verdicts.append(got)
+    assert len(verdicts) == 264 + 68
+    assert 0 < verdicts.count(True) < len(verdicts)

@@ -11,7 +11,7 @@ from dblogic.construction import (
 from dblogic.library import library_language, theorem_library
 from dblogic.model import (
     ConditionalAssignment, StageModel, TableModel, check_beta_axioms,
-    check_soundness, entails, extend_assignment,
+    check_soundness, entails,
 )
 from dblogic.proof import System
 from dblogic.syntax import Atom, Cond, Language, Sequent, iff
@@ -56,7 +56,7 @@ def test_trivial_condition_rows(m1):
 
 def test_evaluate_examples(m1):
     h = canonical_assignment(m1.stage)
-    asg = extend_assignment(m1, h)
+    asg = ConditionalAssignment(m1, h)
     assert asg.value(L1.parse("T")) == m1.full
     assert asg.value(L1.parse("(a | a)")) == m1.full
     assert asg.value(L1.parse("(a | !a)")) == 0
@@ -64,26 +64,26 @@ def test_evaluate_examples(m1):
 
 def test_evaluate_reports_blocking_condition(m2):
     h = canonical_assignment(m2.stage)
-    asg = extend_assignment(m2, h)
+    asg = ConditionalAssignment(m2, h)
     f = L2.parse("(a | b)")  # the b-chain was never processed
     assert asg.value(f) is None
     assert asg.blocking_condition(f) == h["b"]
 
 
 def test_extend_assignment_definitional_cases(m1):
-    asg = extend_assignment(m1, {"a": 0})
+    asg = ConditionalAssignment(m1, {"a": 0})
     assert asg.value(L1.parse("!a")) == m1.full
-    asg2 = extend_assignment(m1, {"a": m1.full})
+    asg2 = ConditionalAssignment(m1, {"a": m1.full})
     assert asg2.value(L1.parse("(a | a)")) == asg2.value(L1.parse("a"))
     with pytest.raises(KeyError):
-        extend_assignment(m1, {"a": 1}).value(L2.parse("b"))
+        ConditionalAssignment(m1, {"a": 1}).value(L2.parse("b"))
 
 
 def test_uniqueness_of_extension(m1):
     rng = random.Random(5)
     atom_map = {"a": 2}
-    a1 = extend_assignment(m1, atom_map)
-    a2 = extend_assignment(m1, atom_map)
+    a1 = ConditionalAssignment(m1, atom_map)
+    a2 = ConditionalAssignment(m1, atom_map)
 
     def rand_formula(d):
         if d == 0 or rng.random() < 0.3:
@@ -333,6 +333,14 @@ def test_changed_non_generator_row_fails_beta2_eq(tables):
     assert "beta2-eq" in brute_pair_failures(t.f, a, _model_pool(t, a))
 
 
+def test_row_that_is_no_union_of_generators_is_skipped():
+    # rows 0, 1, 3 and 6 under the condition 1: the generators are 1 and 6,
+    # and 3 is no union of them, so beta2-eq is skipped there instead of
+    # being read off the generator 6 that only overlaps it
+    rep = check_beta_axioms(TableModel(3, {(b, 1): b for b in (0, 1, 3, 6)}))
+    assert rep.checks["beta2-eq"] == (3, 1) and "beta2-eq" not in rep.failures()
+
+
 def test_value_and_entails_hash_no_formula():
     # a <-> (a <-> ... b) shares each level's subformula, so a structural
     # hash walks 2**24 paths; the memo and entails go by node id instead
@@ -342,7 +350,7 @@ def test_value_and_entails_hash_no_formula():
     m = StageModel(new_stage0(["a", "b"]))
     t0 = time.perf_counter()
     h = canonical_assignment(m.stage)
-    value = extend_assignment(m, h).value(f)
+    value = ConditionalAssignment(m, h).value(f)
     r = entails(m, Sequent((), (f,)))
     elapsed = time.perf_counter() - t0
     # no assert names f: printing it would walk the same 2**24 paths

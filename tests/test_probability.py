@@ -236,6 +236,20 @@ def test_lemma1_rejects_a_doubled_denominator():
         assert "pushforward differs at 0x1" in rep.violations
 
 
+def test_lemma2_rejects_a_doubled_denominator():
+    # lemma 2 checks one side of the processed element at each point, which
+    # is exact only when the child weighs 1, so it checks that first itself
+    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    zero_cell = ClassicalProbability(["a", "b"], cells_ab(F(0), F(1, 2), F(1, 4), F(1, 4)))
+    for pi, extend in ((PI_DOC, extend_probability), (zero_cell, epsilon_extension)):
+        v0, v1 = extend(pi, stage).valuations
+        assert lemma2_check(v0, v1).ok()
+        bad = RationalValuation(v1.stage, nums=v1.nums, den=v1.den + v1.den)
+        rep = lemma2_check(v0, bad)
+        assert rep.violations == ["full space does not weigh 1"]
+        assert rep.checked == len(stage.transition.pi)
+
+
 def test_lemma1_rejects_blocks_that_do_not_partition():
     # the point check is exact only over a partition, so lemma 1 confirms
     # one before checking points
