@@ -9,9 +9,8 @@ bits, later points as x.y, the indices of the pair's two parent points.
 """
 
 from dblogic import (
-    ConditionalAssignment, Language, StageModel, advance, build_faithful,
-    build_for_formulas, canonical_assignment, check_beta_axioms, entails,
-    new_stage0, select_condition, verify_stage,
+    ConditionalAssignment, Language, advance, build_faithful, build_for_formulas,
+    canonical_assignment, entails, new_stage0, select_condition, verify_stage,
 )
 
 print("== one atom ==")
@@ -28,21 +27,17 @@ print("next selection:", select_condition(s1), "(None means the operator is tota
 
 rep = verify_stage(s1)
 print("stage checks:", "ok" if rep.ok() else rep.failures())
-
-m = StageModel(s1)
-beta = check_beta_axioms(m)
-print("conditional-model laws:", "all pass" if beta.ok() else beta.failures())
-p5, s5 = beta.checks["beta5"]
-c5 = beta.counterexamples.get("beta5")
+p5, s5 = rep.checks["beta5"]
+c5 = rep.counterexamples.get("beta5")
 print(f"full symmetry (not guaranteed, measured only): "
       f"{p5} pass / {s5} skipped / counterexample: {c5}")
 
 lang = Language(["a"])
-asg = ConditionalAssignment(m, canonical_assignment(s1))
+asg = ConditionalAssignment(s1, canonical_assignment(s1))
 for text in ["T", "(a | a)", "(a | !a)"]:
     print(f"value of {text}:", asg.value(lang.parse(text)))
 print("introspection sequent:",
-      entails(m, lang.parse_sequent("|- !a, (a | a)")).verdict)
+      entails(s1, lang.parse_sequent("|- !a, (a | a)")).verdict)
 
 print()
 print("== two atoms ==")
@@ -50,7 +45,7 @@ lang2 = Language(["a", "b"])
 stage, _ = build_for_formulas(["a", "b"], [lang2.parse("(b | a)")])
 print(f"targeted build for (b | a): {stage.size} points after {stage.index} advance")
 h = canonical_assignment(stage)
-asg2 = ConditionalAssignment(StageModel(stage), h)
+asg2 = ConditionalAssignment(stage, h)
 v = asg2.value(lang2.parse("(b | a)"))
 print(f"(b | a) denotes {bin(v).count('1')} of {stage.size} points")
 blocked = asg2.value(lang2.parse("(a | b)"))

@@ -4,12 +4,12 @@ The pieces fit together as follows: `syntax` declares the language and
 sequents and holds the one formula evaluator; `proof` checks derivations in
 the classical, full and weakened systems and `library` ships machine-checked
 derivations for the standard theorems; `construction` builds the free
-partial models stage by stage and states the beta laws once; `model`
-evaluates formulas and sequents semantically on any conditional model;
-`probability` extends exact classical probabilities over the whole language
-(directly, or through an infinitesimal perturbation when zero cells are
-present) and demonstrates how the Bayesian identity survives while the
-classical triviality argument fails.
+partial models stage by stage, states the beta laws once and verifies each
+stage against them; `model` evaluates formulas and sequents semantically on
+a stage, the one model; `probability` extends exact classical probabilities
+over the whole language (directly, or through an infinitesimal perturbation
+when zero cells are present) and demonstrates how the Bayesian identity
+survives while the classical triviality argument fails.
 """
 
 from .syntax import (
@@ -27,10 +27,7 @@ from .construction import (
     build_for_formulas, canonical_assignment, classify_case, dump_stage,
     load_stage, new_stage0, partition_data, select_condition, verify_stage,
 )
-from .model import (
-    ConditionalAssignment, ConditionalModel, StageModel, TableModel,
-    check_beta_axioms, check_soundness, entails,
-)
+from .model import ConditionalAssignment, entails
 from .ratfunc import EPS, Poly, RatFunc
 from .probability import (
     ClassicalProbability, Extension, RationalValuation, ZeroBlockError,

@@ -153,9 +153,8 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
         if not rep.ok():
             failures += 1
 
-    m = model.StageModel(stage)
     h = construction.canonical_assignment(stage)
-    asg = model.ConditionalAssignment(m, h)
+    asg = model.ConditionalAssignment(stage, h)
     for f in formulas:
         v = asg.value(f)
         if v is None:
@@ -163,10 +162,10 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
             report.append(f"eval {lang.format(f, 'sugared')}: undefined"
                           f" (blocking condition {blk:#x})")
         else:
-            kind = "full" if v == m.full else ("empty" if v == 0 else f"{v:#x}")
+            kind = "full" if v == stage.full else ("empty" if v == 0 else f"{v:#x}")
             report.append(f"eval {lang.format(f, 'sugared')}: {kind}")
     for s_ in sequents:
-        r = model.entails(m, s_, samples=samples, seed=seed)
+        r = model.entails(stage, s_, samples=samples, seed=seed)
         report.append(f"entails {lang.format_sequent(s_, 'sugared')}: {r.verdict}"
                       + (f" witness={sorted(r.witness.items())}" if r.witness else "")
                       + f" checked={r.checked} skipped={r.skipped}")

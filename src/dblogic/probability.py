@@ -34,7 +34,7 @@ from math import lcm
 from typing import Sequence
 
 from .construction import Stage, canonical_assignment
-from .model import ConditionalAssignment, StageModel
+from .model import ConditionalAssignment
 from .ratfunc import EPS, Poly, RatFunc
 from .syntax import (
     Atom, Cond, Formula, Implies, Language, Not, conj, evaluate, is_classical,
@@ -321,7 +321,7 @@ def extend_probability(pi: ClassicalProbability, stage: Stage) -> Extension:
     vals = [p0_from_pi(pi, levels[0])]
     for nxt in levels[1:]:
         vals.append(extend_step(vals[-1], nxt))
-    asg = ConditionalAssignment(StageModel(stage), canonical_assignment(stage))
+    asg = ConditionalAssignment(stage, canonical_assignment(stage))
     return Extension(pi, levels, vals, asg)
 
 

@@ -19,6 +19,7 @@ from dblogic.construction import (
 
 _VERIFY_LIMIT = 10
 _VERIFY_SAMPLES = 10_000
+_ENUM_LIMIT = 12
 
 
 def walk_embed_from(stage: Stage, level: int, mask: int) -> int:
@@ -51,6 +52,15 @@ def walk_rank(stage: Stage, mask: int) -> int:
             return stage.index
         mask, stage = prev, stage.parent
     return 0
+
+
+def level_images(stage: Stage, level: int) -> list[int] | None:
+    """Every current-stage image of a level-`level` element, or None when
+    that level has more than _ENUM_LIMIT points."""
+    size = stage.levels[level].size
+    if size > _ENUM_LIMIT:
+        return None
+    return [stage.embed_from(level, m) for m in range(1 << size)]
 
 
 def reference_swap(stage: Stage) -> tuple[int, ...]:
@@ -158,7 +168,7 @@ def reference_verify_stage(stage: Stage, rng: Random | None = None) -> CheckRepo
     for cond in parent.defined_conditions() + [0, parent.full]:
         chain_info = parent.chain_for(cond)
         level = chain_info[0].processed_at if chain_info else parent.index
-        elems = parent.embeddable_elements(level)
+        elems = level_images(parent, level)
         if elems is None:
             size = parent.levels[level].size
             elems = [parent.embed_from(level, rng.getrandbits(size))
@@ -204,7 +214,7 @@ def reference_verify_stage(stage: Stage, rng: Random | None = None) -> CheckRepo
                 rep.record("ranks", 0, 0, f"embedded singleton changed rank at atom {i}")
                 break
         good += 1
-    sample_elems = parent.embeddable_elements(parent.index) or [
+    sample_elems = level_images(parent, parent.index) or [
         rng.getrandbits(parent.size) for _ in range(256)]
     for m in sample_elems[: 1 << _VERIFY_LIMIT]:
         if stage.rank(stage.embed(m)) != parent.rank(m):

@@ -441,6 +441,41 @@ def test_verify_totals_on_the_faithful_two_atom_stages(towers):
     assert totals == [(258, 6), (704, 16), (2_644, 48)]
 
 
+def test_failed_stage_identities_count_no_pass(towers):
+    s = towers[1][1]                       # the 6-point faithful stage, b = 0x1
+    # b = 0x3 asks for 8 points, not 6; b = 0xe gives mu(b) the other half
+    for b, failed, passed in ((0b0011, {"cardinality", "mu-b", "mu-b-swap"}, 0),
+                              (0b1110, {"mu-b"}, 1)):
+        t = replace(s.transition, b_mask=b, pi=(b,), gamma=(s.parent.full ^ b,))
+        rep = verify_stage(Stage(s.theta, s.index, s.points, s.parent, s.blocks, t, s.chains))
+        assert set(rep.failures()) == failed
+        assert rep.checks["cardinality"] == (passed, 0)
+        assert rep.checks["mu-b-corollaries"] == (passed, 0)
+
+
+def test_chain_that_is_no_union_of_its_fibres_has_no_rows(towers):
+    # the lowest point of a block inside an inherited chain moves into a block
+    # outside it, and the chains are kept: f(., A) has no rows, and the
+    # verifier reports that instead of raising
+    s = towers[1][2]                       # the 10-point faithful stage
+    cases = 0
+    for c in s.chains:
+        if c.processed_at == s.index:
+            continue
+        for i, j in permutations(range(len(s.blocks)), 2):
+            if not s.blocks[i] & c.mask or s.blocks[j] & c.mask:
+                continue
+            blocks = list(s.blocks)
+            low = blocks[i] & -blocks[i]
+            blocks[i] ^= low
+            blocks[j] |= low
+            bad = Stage(s.theta, s.index, s.points, s.parent, blocks, s.transition, s.chains)
+            assert bad.apply_f(0, c.mask) is None and bad.apply_f(bad.full, c.mask) is None
+            assert "chains" in verify_stage(bad).failures()
+            cases += 1
+    assert cases == 9
+
+
 def _block_tampers(s):
     """Per ordered pair of blocks, the stage with the lowest point of the
     first moved into the second; the chains of the parent are embedded

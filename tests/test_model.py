@@ -5,16 +5,15 @@ import time
 import pytest
 
 from dblogic.construction import (
-    advance, build_faithful, build_for_formulas, canonical_assignment, new_stage0,
-    verify_stage,
+    CheckReport, advance, build_faithful, build_for_formulas, canonical_assignment,
+    check_beta_laws, new_stage0, verify_stage,
 )
 from dblogic.library import library_language, theorem_library
-from dblogic.model import (
-    ConditionalAssignment, StageModel, TableModel, check_beta_axioms,
-    check_soundness, entails,
-)
+from dblogic.model import ConditionalAssignment, entails
 from dblogic.proof import System
 from dblogic.syntax import Atom, Cond, Language, Sequent, iff
+
+from stage_reference import level_images
 
 L1 = Language(["a"])
 L2 = Language(["a", "b"])
@@ -24,17 +23,17 @@ LIB_LANG = library_language()
 @pytest.fixture(scope="module")
 def m1():
     s0 = new_stage0(["a"])
-    return StageModel(advance(s0, 1))
+    return advance(s0, 1)
 
 
 @pytest.fixture(scope="module")
 def m2():
     s0 = new_stage0(["a", "b"])
-    return StageModel(advance(s0, 0b1010))  # condition = "a holds"
+    return advance(s0, 0b1010)  # condition = "a holds"
 
 
 def test_beta_axioms_pass_on_total_single_atom_model(m1):
-    rep = check_beta_axioms(m1)
+    rep = stage_rows_report(m1)
     assert rep.ok(include_extra=True)
     for name in ("beta1", "beta2", "beta3", "beta4", "beta5w"):
         passed, skipped = rep.checks[name]
@@ -43,19 +42,19 @@ def test_beta_axioms_pass_on_total_single_atom_model(m1):
 
 
 def test_beta1_counterexample_on_tampered_model(m1):
-    tampered = TableModel.from_model(m1).override(1, 1, 0)
-    rep = check_beta_axioms(tampered)
+    tampered = Table.of_stage(m1).override(1, 1, 0)
+    rep = tampered.report()
     assert "beta1" in rep.failures()
 
 
 def test_trivial_condition_rows(m1):
     for b in range(4):
-        assert m1.f(b, 0) == b
-        assert m1.f(b, m1.full) == b
+        assert m1.apply_f(b, 0) == b
+        assert m1.apply_f(b, m1.full) == b
 
 
 def test_evaluate_examples(m1):
-    h = canonical_assignment(m1.stage)
+    h = canonical_assignment(m1)
     asg = ConditionalAssignment(m1, h)
     assert asg.value(L1.parse("T")) == m1.full
     assert asg.value(L1.parse("(a | a)")) == m1.full
@@ -63,7 +62,7 @@ def test_evaluate_examples(m1):
 
 
 def test_evaluate_reports_blocking_condition(m2):
-    h = canonical_assignment(m2.stage)
+    h = canonical_assignment(m2)
     asg = ConditionalAssignment(m2, h)
     f = L2.parse("(a | b)")  # the b-chain was never processed
     assert asg.value(f) is None
@@ -114,7 +113,7 @@ def test_entails_b1_two_variable_instance(m1):
 
 
 def test_non_theorems_fail_with_witness():
-    m0 = StageModel(new_stage0(["a", "b"]))
+    m0 = new_stage0(["a", "b"])
     r1 = entails(m0, L2.parse_sequent("|- a, !a"))
     assert r1.verdict == "fails"
     assert 0 < r1.witness["a"] < m0.full
@@ -126,31 +125,31 @@ def test_non_theorems_fail_with_witness():
 
 
 def test_trivial_sequents():
-    m0 = StageModel(new_stage0(["a", "b"]))
+    m0 = new_stage0(["a", "b"])
     assert entails(m0, L2.parse_sequent("T |- T")).verdict == "holds"
 
 
 def test_soundness_sweep_library_on_total_model(m1):
     rows = [(e.tid, e.statement) for e in theorem_library(LIB_LANG)
             if e.derivation.system is System.DBL_STAR]
-    out = check_soundness(m1, rows)
-    for row in out:
-        assert row.result.verdict == "holds", (row.label, row.result)
+    for label, seq in rows:
+        r = entails(m1, seq)
+        assert r.verdict == "holds", (label, r)
 
 
 def test_soundness_sweep_sampled_on_two_atom_stage(m2):
     rows = [(e.tid, e.statement) for e in theorem_library(LIB_LANG)
             if e.derivation.system is System.DBL_STAR]
-    out = check_soundness(m2, rows, samples=300, seed=11)
-    for row in out:
-        assert row.result.is_sound(), (row.label, row.result)
+    for label, seq in rows:
+        r = entails(m2, seq, samples=300, seed=11)
+        assert r.verdict != "fails", (label, r)
 
 
 def test_star_conclusion_fails_semantically(m2):
     # the quarantined collapse consequence has a counter-assignment
     star = next(e for e in theorem_library(LIB_LANG) if e.tid == "3.1.17.star")
-    h = canonical_assignment(m2.stage)
-    amap = {"x": m2.stage.embed_from(0, 0b1100), "y": h["a"]}
+    h = canonical_assignment(m2)
+    amap = {"x": m2.embed_from(0, 0b1100), "y": h["a"]}
     asg = ConditionalAssignment(m2, amap)
     vals = [asg.value(f) for f in star.statement.succedent]
     assert all(v is not None and v != m2.full for v in vals)
@@ -192,17 +191,15 @@ def test_stage_verifier_and_model_checker_share_the_law_table():
         stage_rep = verify_stage(s)
         assert laws <= set(stage_rep.checks)
         assert stage_rep.ok(), (s.index, stage_rep.failures())
-        if s.size > 12:  # the model checker enumerates every row or refuses
-            with pytest.raises(ValueError):
-                check_beta_axioms(StageModel(s))
+        if s.size > 12:  # the reference enumerates every row
             continue
-        model_rep = check_beta_axioms(StageModel(s))
-        assert set(model_rep.checks) == laws
-        assert model_rep.ok(), (s.index, model_rep.failures())
+        rows_rep = stage_rows_report(s)
+        assert set(rows_rep.checks) == laws
+        assert rows_rep.ok(), (s.index, rows_rep.failures())
 
 
 def test_beta6_identity_from_beta2_beta4(m2):
-    rep = check_beta_axioms(m2)
+    rep = stage_rows_report(m2)
     passed, skipped = rep.checks["beta6"]
     assert "beta6" not in rep.failures() and passed > 0
 
@@ -239,13 +236,66 @@ def brute_pair_failures(f, cond, pool):
     return failed
 
 
+def all_rows_report(f, full, conditions, rows_of):
+    """`check_beta_laws` on every row: for each condition A (the given ones,
+    0 and full) the pool is every B with f(B, A) possibly defined,
+    `rows_of(A)`, and the generators are its minimal nonzero members."""
+    def pools(cond):
+        rows = rows_of(cond)
+        gens = []
+        for x in sorted(rows, key=int.bit_count):
+            if x and all(g & ~x for g in gens):
+                gens.append(x)
+        return rows, gens
+
+    rep = CheckReport()
+    check_beta_laws(f, full, [*conditions, 0, full], pools, rep)
+    return rep
+
+
+def stage_rows(s, cond):
+    """The rows of f(., cond) on a stage: every image of an element of the
+    level where cond's chain was last processed (none for 0 and full)."""
+    found = s.chain_for(cond)
+    return [] if found is None else level_images(s, found[0].processed_at)
+
+
+def stage_rows_report(s):
+    return all_rows_report(s.apply_f, s.full, s.defined_conditions(),
+                           lambda cond: stage_rows(s, cond))
+
+
+class Table:
+    """An explicit, possibly tampered operator table on a small algebra:
+    f(B, A) is defined exactly at the keys (B, A) of `rows`."""
+
+    def __init__(self, size, rows):
+        self.size, self.full, self.rows = size, (1 << size) - 1, rows
+
+    @classmethod
+    def of_stage(cls, s):
+        n = 1 << s.size
+        return cls(s.size, {(b, a): v for a in range(n) for b in range(n)
+                            if (v := s.apply_f(b, a)) is not None})
+
+    def f(self, b, a):
+        return self.rows.get((b, a))
+
+    def override(self, b, a, value):
+        return Table(self.size, {**self.rows, (b, a): value})
+
+    def conditions(self):
+        return sorted({a for _, a in self.rows if a not in (0, self.full)})
+
+    def rows_of(self, cond):
+        return sorted({b for b, a in self.rows if a == cond})
+
+    def report(self):
+        return all_rows_report(self.f, self.full, self.conditions(), self.rows_of)
+
+
 def _where(counterexample):
     return int(re.search(r"A=(0x[0-9a-f]+)", counterexample).group(1), 16)
-
-
-def _model_pool(m, cond):
-    rows = m.defined_rows(cond)
-    return list(range(1 << m.size) if rows is None else rows)
 
 
 def _small_stages():
@@ -265,19 +315,19 @@ def test_generator_checks_agree_with_all_pairs_on_stages():
     stages = _small_stages()
     assert [s.size for s in stages] == [2, 6, 10, 8, 8]
     for s in stages:
-        m = StageModel(s)
-        conds = list(m.known_conditions()) + [0, m.full]
-        brute = set().union(*(brute_pair_failures(m.f, a, _model_pool(m, a)) for a in conds))
-        stage_rep, model_rep = verify_stage(s), check_beta_axioms(m)
+        conds = s.defined_conditions() + [0, s.full]
+        brute = set().union(*(brute_pair_failures(s.apply_f, a, stage_rows(s, a))
+                              for a in conds))
+        stage_rep, rows_rep = verify_stage(s), stage_rows_report(s)
         assert not brute
-        assert stage_rep.ok() and model_rep.ok()
-        for rep in (stage_rep, model_rep):
+        assert stage_rep.ok() and rows_rep.ok()
+        for rep in (stage_rep, rows_rep):
             assert rep.checks["beta2-eq"][0] > 0 and rep.checks["beta6"][0] > 0
 
 
 @pytest.fixture(scope="module")
 def tables():
-    return [TableModel.from_model(StageModel(s)) for s in _small_stages() if s.size <= 8]
+    return [Table.of_stage(s) for s in _small_stages() if s.size <= 8]
 
 
 def test_generator_checks_agree_with_all_pairs_on_tampered_tables(tables):
@@ -285,11 +335,11 @@ def test_generator_checks_agree_with_all_pairs_on_tampered_tables(tables):
     seen = set()
     for _ in range(240):
         base = rng.choice(tables)
-        b, a = rng.choice(sorted(base.table))
-        value = rng.choice([v for v in range(base.full + 1) if v != base.table[(b, a)]])
+        b, a = rng.choice(sorted(base.rows))
+        value = rng.choice([v for v in range(base.full + 1) if v != base.rows[(b, a)]])
         t = base.override(b, a, value)
-        rep = check_beta_axioms(t)
-        brute = brute_pair_failures(t.f, a, _model_pool(t, a))
+        rep = t.report()
+        brute = brute_pair_failures(t.f, a, t.rows_of(a))
         failed = set(rep.failures())
         assert rep.ok() == (not (failed - PAIR_LAWS) and not brute)
         for law in failed & PAIR_LAWS:       # every reported failure is real
@@ -306,7 +356,7 @@ def test_generator_checks_agree_with_all_pairs_on_tampered_tables(tables):
 
 def test_overlapping_generator_images_fail_only_beta6(tables):
     t = tables[-1]                              # the targeted (a|b) stage
-    a = t.known_conditions()[0]
+    a = t.conditions()[0]
     gens = [1 << i for i in range(t.size)]      # the chain was processed here
     x, y = [g for g in gens if t.f(g, a)][:2]
     image = {g: t.f(g, a) for g in gens}
@@ -317,27 +367,27 @@ def test_overlapping_generator_images_fail_only_beta6(tables):
             if g & b:
                 joined |= image[g]
         t = t.override(b, a, joined)
-    rep = check_beta_axioms(t)
+    rep = t.report()
     assert "beta6" in rep.failures()
     assert not {"beta2", "beta2-eq"} & set(rep.failures())
-    assert brute_pair_failures(t.f, a, _model_pool(t, a)) == {"beta6"}
+    assert brute_pair_failures(t.f, a, t.rows_of(a)) == {"beta6"}
 
 
 def test_changed_non_generator_row_fails_beta2_eq(tables):
     t = tables[-1]
-    a = t.known_conditions()[0]
+    a = t.conditions()[0]
     b = 0b11                                    # the union of two generators
     t = t.override(b, a, t.f(b, a) ^ 1)
-    rep = check_beta_axioms(t)
+    rep = t.report()
     assert rep.failures()["beta2-eq"].endswith(f"at A={a:#x} B={b:#x}")
-    assert "beta2-eq" in brute_pair_failures(t.f, a, _model_pool(t, a))
+    assert "beta2-eq" in brute_pair_failures(t.f, a, t.rows_of(a))
 
 
 def test_row_that_is_no_union_of_generators_is_skipped():
     # rows 0, 1, 3 and 6 under the condition 1: the generators are 1 and 6,
     # and 3 is no union of them, so beta2-eq is skipped there instead of
     # being read off the generator 6 that only overlaps it
-    rep = check_beta_axioms(TableModel(3, {(b, 1): b for b in (0, 1, 3, 6)}))
+    rep = Table(3, {(b, 1): b for b in (0, 1, 3, 6)}).report()
     assert rep.checks["beta2-eq"] == (3, 1) and "beta2-eq" not in rep.failures()
 
 
@@ -347,9 +397,9 @@ def test_value_and_entails_hash_no_formula():
     a, f = Atom("a"), Atom("b")
     for _ in range(24):
         f = iff(a, f)
-    m = StageModel(new_stage0(["a", "b"]))
+    m = new_stage0(["a", "b"])
     t0 = time.perf_counter()
-    h = canonical_assignment(m.stage)
+    h = canonical_assignment(m)
     value = ConditionalAssignment(m, h).value(f)
     r = entails(m, Sequent((), (f,)))
     elapsed = time.perf_counter() - t0

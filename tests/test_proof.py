@@ -176,14 +176,14 @@ def test_one_evaluator_agrees_with_row_reference():
     # the shared evaluator behind taut leaves, classical probabilities and
     # stage-0 assignments gives each formula its set of true rows
     from dblogic.construction import canonical_assignment, new_stage0
-    from dblogic.model import ConditionalAssignment, StageModel
+    from dblogic.model import ConditionalAssignment
     from dblogic.probability import ClassicalProbability
     from dblogic.proof import is_tautology
     rng = random.Random(29)
     names = ["a", "b", "c"]
     uniform = ClassicalProbability.uniform(names)
     s0 = new_stage0(names)
-    asg = ConditionalAssignment(StageModel(s0), canonical_assignment(s0))
+    asg = ConditionalAssignment(s0, canonical_assignment(s0))
     for _ in range(200):
         f = _random_classical(rng, names, 5)
         rows = sum(1 << r for r in range(8)
