@@ -63,6 +63,13 @@ def _fmt_weight(w) -> str:
 def cmd_check(paths: list[str], system: str | None, out=None) -> int:
     """Check derivation files (or directories of them)."""
     out = sys.stdout if out is None else out
+    override = None
+    if system is not None:
+        try:
+            override = proof.parse_system(system)
+        except ValueError as e:
+            print(f"ERROR: --system: {e}", file=out)
+            return 1
     files: list[str] = []
     for p in paths:
         if os.path.isdir(p):
@@ -82,9 +89,8 @@ def cmd_check(paths: list[str], system: str | None, out=None) -> int:
             failures += 1
             continue
         for label, d in sorted(ders.items()):
-            if system is not None:
-                sysname, star = proof.parse_system(system)
-                d = proof.Derivation(d.root, sysname, star)
+            if override is not None:
+                d = proof.Derivation(d.root, *override)
             try:
                 res = proof.check_derivation(d, lang)
             except proof.DerivationError as e:

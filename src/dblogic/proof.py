@@ -207,14 +207,21 @@ def _abstract(f: Formula, table: dict[Formula, int], names: set[str],
 
 
 def is_tautology(f: Formula) -> bool:
-    """Truth-table tautology after abstracting maximal conditionals."""
+    """Truth-table tautology after abstracting maximal conditionals.
+
+    `_abstract` and `evaluate` recurse, so a formula nested past the
+    recursion limit is a `DerivationError`, not a crash."""
     names: set[str] = set()
-    g = _abstract(f, {}, names, {})
-    vars_ = sorted(names)
-    if len(vars_) > _MAX_TABLE_VARS:
-        raise DerivationError("taut", f"too many variables for a truth table ({len(vars_)})")
-    full = (1 << (1 << len(vars_))) - 1
-    return evaluate(g, truth_columns(vars_), full)[0] == full
+    try:
+        g = _abstract(f, {}, names, {})
+        vars_ = sorted(names)
+        if len(vars_) > _MAX_TABLE_VARS:
+            raise DerivationError("taut", f"too many variables for a truth table ({len(vars_)})")
+        full = (1 << (1 << len(vars_))) - 1
+        return evaluate(g, truth_columns(vars_), full)[0] == full
+    except RecursionError:
+        raise DerivationError(
+            "taut", "formula nested too deeply for the classical leaf check") from None
 
 
 def _conj_all(fs: Sequence[Formula]) -> Formula:

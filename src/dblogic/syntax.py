@@ -256,6 +256,13 @@ class Sequent:
 # the node table of its `Language`, keyed by constructor and child ids, so a
 # subformula that repeats within the language's texts is one object.  Deep
 # input cannot hit the recursion limit here.
+#
+# Above the loop sits the text memo of the `Language`: formula text ->
+# formula, for every text that parsed, alone or as a stripped formula of a
+# sequent split at ``|-`` and ``,`` (`Language.parse_sequent` says why that
+# split is exact).  A repeated text costs one dict lookup and returns the
+# same node-table object the loop would build; a text that fails is not
+# stored, so it fails again with the same error.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\|-|<->|->|/\\|\\/|><|[!()|,]|[A-Za-z_][A-Za-z0-9_]*")
@@ -287,8 +294,14 @@ def _found(tok: str | None) -> str:
 
 
 class Language:
-    """A declared, ordered atom set plus its parser, its node table and its
-    printers."""
+    """A declared, ordered atom set plus its parser, its node table, its text
+    memo and its printers.
+
+    The node table maps (constructor, child ids) to the one node built for
+    them; the text memo maps each formula text that parsed, alone or as a
+    formula of a sequent, to its formula.  Both live as long as the
+    `Language`, so two languages share no node and no entry.
+    """
 
     def __init__(self, theta: Sequence[str]):
         names = tuple(theta)
@@ -301,6 +314,7 @@ class Language:
                 raise ValueError(f"invalid atom name {name!r}")
         self.theta: tuple[str, ...] = names
         self._nodes: dict[tuple, Formula] = {}
+        self._texts: dict[str, Formula] = {}
         self._leaves: dict[str, Formula] = {n: Atom(n) for n in names}
         first = self._leaves[names[0]]
         self.top: Formula = self._node(Implies, first, first)
@@ -310,10 +324,45 @@ class Language:
     # -- parsing ------------------------------------------------------------
 
     def parse(self, text: str) -> Formula:
-        return self._read(text, False)
+        f = self._texts.get(text)
+        if f is None:
+            f = self._texts[text] = self._read(text, False)
+        return f
 
     def parse_sequent(self, text: str) -> Sequent:
+        """`text` as a sequent, each formula looked up in the text memo.
+
+        The split at ``|-`` and ``,`` is exact: ``,`` is a token of its own
+        and no other token contains it, and every ``|-`` substring is read
+        as a ``|-`` token, since no token holds ``|`` after its first
+        character.  No formula holds either token, and outside brackets
+        `_read` ends a formula at ``,`` or ``|-`` just as at the end of
+        input, so the formulas of a sequent with one ``|-`` are the pieces
+        between them, each read alone; a blank side is empty.  Any other
+        text -- no ``|-`` or several, a blank piece, a piece that is no
+        formula -- goes to `_read` whole, which gives the result or the
+        `ParseError` it always gave; an error is never memoized.
+        """
+        sides = text.split("|-")
+        if len(sides) == 2:
+            try:
+                return Sequent(self._side(sides[0]), self._side(sides[1]))
+            except ParseError:
+                pass
         return self._read(text, True)
+
+    def _side(self, text: str) -> tuple[Formula, ...]:
+        """The formulas of one side of a sequent, through the text memo."""
+        if not text or text.isspace():
+            return ()
+        texts, out = self._texts, []
+        for piece in text.split(","):
+            piece = piece.strip()
+            f = texts.get(piece)
+            if f is None:
+                f = texts[piece] = self._read(piece, False)
+            out.append(f)
+        return tuple(out)
 
     def _node(self, cls: type, a: Formula, b: Formula | None = None) -> Formula:
         key = (cls, id(a), id(b))

@@ -232,3 +232,22 @@ def test_prob_lewis_collapse_demo_not_applicable():
 def test_main_entry(tmp_path, capsys):
     assert main(["check", proofs_dir()]) == 0
     capsys.readouterr()
+
+
+def test_check_unknown_system_is_error():
+    out = io.StringIO()
+    path = os.path.join(proofs_dir(), "3_1_2_a.dseq")
+    assert cmd_check([path], "bogus", out=out) == 1
+    assert out.getvalue() == "ERROR: --system: unknown system 'bogus'\n"
+
+
+def test_check_deep_leaf_is_failure(tmp_path):
+    bangs = "!" * 1200
+    path = tmp_path / "f.dseq"
+    path.write_text(f"theta: x\nsystem: dbl*\nn1: taut[|- {bangs}x -> {bangs}x]\nqed: n1 deep\n")
+    out = io.StringIO()
+    assert cmd_check([str(path)], None, out=out) == 1
+    assert out.getvalue().splitlines() == [
+        "FAIL deep [f.dseq]: root: formula nested too deeply for the classical leaf check",
+        "checked 0 derivations, 1 failures",
+    ]

@@ -256,6 +256,52 @@ def test_tokenizer_agrees_with_reference(text):
     assert _outcome(_tokenize, text) == _outcome(ref.tokenize, text)
 
 
+# -- the text memo ---------------------------------------------------------------
+
+def test_text_memo_returns_the_parsed_objects():
+    lang = Language(["a", "b"])
+    f = lang.parse("(a | b) -> !a")
+    assert lang.parse("(a | b) -> !a") is f
+    s = lang.parse_sequent("(a | b) -> !a, b |- a \\/ b")
+    assert s.antecedent[0] is f
+    assert s.antecedent[1] is lang.parse("b")
+    assert s.succedent[0] is lang.parse("a \\/ b")
+    assert lang.parse_sequent(" a\t,b|-  ") == Sequent((lang.parse("a"), lang.parse("b")), ())
+
+
+@pytest.mark.parametrize("text", ["a -> ", "a -> c", "a & b", "(a | b"])
+def test_failed_texts_fail_again_with_the_same_error(text):
+    lang = Language(["a", "b"])
+    for parse in (lang.parse, lambda t: lang.parse_sequent("b |- " + t)):
+        with pytest.raises(ParseError) as first:
+            parse(text)
+        with pytest.raises(ParseError) as second:
+            parse(text)
+        assert str(first.value) == str(second.value)
+
+
+@pytest.mark.parametrize("text", [
+    "|-", "a |-", "|- a", "a,,b |- c", "a, |- b", "a |- b |- c",
+    "(a , b) |- c", "(a |- b)", "a |-> b", ", |- a", "a |- ,", "  |-  ",
+])
+def test_sequent_split_edge_cases_agree_with_reference(text):
+    lang = Language(["a", "b", "c"])
+    for _ in range(2):
+        _agree(lang, text)
+
+
+MEMO = Language(["a", "b"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=12), st.sampled_from([" ", ""]))
+def test_memo_hits_agree_with_reference(tokens, sep):
+    # MEMO lives across examples, and the second round reads the memo
+    text = sep.join(tokens)
+    for _ in range(2):
+        _agree(MEMO, text)
+
+
 # -- stack safety and sharing ---------------------------------------------------
 
 def _nodes(f):
