@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Mapping, Sequence
 
 from .syntax import (
@@ -159,10 +160,12 @@ def apply_cut(left: Sequent, right: Sequent, cut: Formula) -> Sequent:
 
 def apply_struct(premise: Sequent, target: Sequent, lang: Language) -> Sequent:
     """Weakening + contraction + permutation, with {T} removable on the left
-    and {F} on the right (comparing core trees)."""
-    if not premise.antecedent_set() <= (target.antecedent_set() | {lang.top}):
+    and {F} on the right.  Inclusion is membership by ``==`` on core trees,
+    which stops at shared children; nothing is hashed."""
+    ant, suc = target.antecedent, target.succedent
+    if not all(f in ant or f == lang.top for f in premise.antecedent):
         raise DerivationError("struct", "antecedent inclusion violated")
-    if not premise.succedent_set() <= (target.succedent_set() | {lang.bot}):
+    if not all(f in suc or f == lang.bot for f in premise.succedent):
         raise DerivationError("struct", "succedent inclusion violated")
     return target
 
@@ -174,14 +177,21 @@ def apply_struct(premise: Sequent, target: Sequent, lang: Language) -> Sequent:
 _MAX_TABLE_VARS = 18
 
 
-def _abstract(f: Formula, table: dict[Formula, int], names: set[str],
+def _too_wide(width: int) -> DerivationError:
+    return DerivationError("taut", f"too many variables for a truth table ({width})")
+
+
+def _abstract(f: Formula, conds: list[Formula], names: set[str],
               memo: dict[int, tuple[Formula, Formula]]) -> Formula:
     """Replace every maximal conditional subformula by a fresh placeholder
     atom; structurally identical conditionals share one placeholder.  The
     names of the atoms of the result go into `names`.  A subterm without
     conditionals is returned as it is, and `memo` maps id(node) to (node,
     abstraction), so a subterm the parser shares is abstracted once and
-    stays shared."""
+    stays shared.  Nothing is hashed: a new conditional is compared by ``==``
+    (which stops at shared children) with each of the distinct ones in
+    `conds`, and the leaf is rejected as soon as atoms plus placeholders
+    pass `_MAX_TABLE_VARS`, so a scan makes at most that many comparisons."""
     if isinstance(f, Atom):
         names.add(f.name)
         return f
@@ -191,14 +201,19 @@ def _abstract(f: Formula, table: dict[Formula, int], names: set[str],
     if isinstance(f, Meta):
         raise DerivationError("taut", "metavariable in a concrete leaf")
     if isinstance(f, Cond):
-        out: Formula = Atom(f"\x00c{table.setdefault(f, len(table))}")
+        i = next((j for j, c in enumerate(conds) if c == f), len(conds))
+        if i == len(conds):
+            conds.append(f)
+        out: Formula = Atom(f"\x00c{i}")
         names.add(out.name)
+        if len(names) > _MAX_TABLE_VARS:
+            raise _too_wide(len(names))
     elif isinstance(f, Not):
-        body = _abstract(f.body, table, names, memo)
+        body = _abstract(f.body, conds, names, memo)
         out = f if body is f.body else Not(body)
     elif isinstance(f, Implies):
-        left = _abstract(f.left, table, names, memo)
-        right = _abstract(f.right, table, names, memo)
+        left = _abstract(f.left, conds, names, memo)
+        right = _abstract(f.right, conds, names, memo)
         out = f if left is f.left and right is f.right else Implies(left, right)
     else:
         raise TypeError(f)
@@ -213,22 +228,15 @@ def is_tautology(f: Formula) -> bool:
     recursion limit is a `DerivationError`, not a crash."""
     names: set[str] = set()
     try:
-        g = _abstract(f, {}, names, {})
+        g = _abstract(f, [], names, {})
         vars_ = sorted(names)
         if len(vars_) > _MAX_TABLE_VARS:
-            raise DerivationError("taut", f"too many variables for a truth table ({len(vars_)})")
+            raise _too_wide(len(vars_))
         full = (1 << (1 << len(vars_))) - 1
         return evaluate(g, truth_columns(vars_), full)[0] == full
     except RecursionError:
         raise DerivationError(
             "taut", "formula nested too deeply for the classical leaf check") from None
-
-
-def _conj_all(fs: Sequence[Formula]) -> Formula:
-    out = fs[0]
-    for f in fs[1:]:
-        out = conj(out, f)
-    return out
 
 
 def classical_leaf_check(target: Sequent) -> bool:
@@ -242,11 +250,11 @@ def classical_leaf_check(target: Sequent) -> bool:
     if len(target.succedent) > 1:
         raise DerivationError("taut", "classical leaf requires at most one succedent formula")
     if target.antecedent and target.succedent:
-        f = Implies(_conj_all(target.antecedent), target.succedent[0])
+        f = Implies(reduce(conj, target.antecedent), target.succedent[0])
     elif target.succedent:
         f = target.succedent[0]
     elif target.antecedent:
-        f = Not(_conj_all(target.antecedent))
+        f = Not(reduce(conj, target.antecedent))
     else:
         return False
     return is_tautology(f)
@@ -565,25 +573,22 @@ def _parse_node(body: str, nodes: Mapping[str, Node], lang: Language) -> Node:
     op, bracket, rest = _split_op(body)
     refs = [_ref(nodes, r) for r in rest.split()]
     if op == "ax":
-        parts = [p.strip() for p in bracket.split(";")]
-        sid = parts[0]
-        binding: dict[str, Formula] = {}
-        for p in parts[1:]:
-            k, _, v = p.partition("=")
-            binding[k.strip()] = lang.parse(v)
-        return AxiomNode(sid, tuple(sorted(binding.items())))
+        sid, *parts = bracket.split(";")
+        binding = {k.strip(): lang.parse(v.strip())
+                   for k, _, v in (p.partition("=") for p in parts)}
+        return AxiomNode(sid.strip(), tuple(sorted(binding.items())))
     if op == "taut":
         return TautNode(lang.parse_sequent(bracket))
     if op == "cut":
         if len(refs) != 2:
             raise ValueError("cut expects two premise references")
-        return CutNode(refs[0], refs[1], lang.parse(bracket))
+        return CutNode(refs[0], refs[1], lang.parse(bracket.strip()))
     if op == "struct":
         if len(refs) != 1:
             raise ValueError("struct expects one premise reference")
         return StructNode(refs[0], lang.parse_sequent(bracket))
     if op in DERIVED_RULES or op in REJECTED_RULES:
-        args = tuple(lang.parse(a) for a in bracket.split(";")) if bracket else ()
+        args = tuple(lang.parse(a.strip()) for a in bracket.split(";")) if bracket else ()
         return RuleNode(op, args, tuple(refs))
     raise ValueError(f"unknown node operator {op!r}")
 

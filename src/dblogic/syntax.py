@@ -238,12 +238,6 @@ class Sequent:
     antecedent: tuple[Formula, ...]
     succedent: tuple[Formula, ...]
 
-    def antecedent_set(self) -> frozenset[Formula]:
-        return frozenset(self.antecedent)
-
-    def succedent_set(self) -> frozenset[Formula]:
-        return frozenset(self.succedent)
-
 
 # ---------------------------------------------------------------------------
 # Lexer / parser

@@ -251,3 +251,20 @@ def test_check_deep_leaf_is_failure(tmp_path):
         "FAIL deep [f.dseq]: root: formula nested too deeply for the classical leaf check",
         "checked 0 derivations, 1 failures",
     ]
+
+
+def test_check_deep_iff_under_a_conditional_is_fast(tmp_path):
+    # depth-24 nested `<->` under a conditional, on both sides of `->`:
+    # the parser shares the two sides of each `<->`, and the leaf check
+    # and the printer visit each shared node once
+    text = "b"
+    for _ in range(24):
+        text = f"a <-> ({text})"
+    cond = f"(({text}) | b)"
+    path = tmp_path / "deep.dseq"
+    path.write_text(f"theta: a, b\nsystem: dbl*\nn1: taut[|- {cond} -> {cond}]\nqed: n1 deep\n")
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    assert cmd_check([str(path)], None, out=out) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert out.getvalue().startswith("OK   deep: |- (a <-> (a <-> ")

@@ -3,14 +3,18 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dblogic import proof
+from dblogic.library import Prover, library_language, theorem_library
 from dblogic.proof import (
     AxiomNode, CutNode, Derivation, DerivationError, RuleNode, StructNode,
     System, TautNode, apply_cut, apply_derived_rule, apply_struct,
     check_derivation, classical_leaf_check, format_derivation,
     instantiate_axiom, is_tautology, parse_derivation_file,
 )
-from dblogic.syntax import Atom, Implies, Language, Not, Sequent, indep
+from dblogic.syntax import Atom, Cond, Implies, Language, Not, Sequent, disj, indep
 
 L = Language(["a", "b", "c"])
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -93,6 +97,42 @@ def test_struct_cannot_drop_plain_antecedent():
         apply_struct(seq("a |- b"), seq("|- b"), L)
 
 
+def _rebuilt(f):
+    """An equal copy of `f` that shares no node with it."""
+    if isinstance(f, Atom):
+        return Atom(f.name)
+    if isinstance(f, Not):
+        return Not(_rebuilt(f.body))
+    if isinstance(f, Implies):
+        return Implies(_rebuilt(f.left), _rebuilt(f.right))
+    return Cond(_rebuilt(f.then), _rebuilt(f.given))
+
+
+def _struct_reference(premise, target):
+    """Set inclusion as frozensets, {T} removable on the left, {F} on the right."""
+    return (frozenset(premise.antecedent) <= frozenset(target.antecedent) | {L.top}
+            and frozenset(premise.succedent) <= frozenset(target.succedent) | {L.bot})
+
+
+_STRUCT_POOL = [A, B, Not(A), L.top, L.bot, L.parse("(b | a)"), L.parse("(a | b)"),
+                L.parse("a -> b"), L.parse("!(b | a)")]
+_side = st.lists(st.tuples(st.sampled_from(_STRUCT_POOL), st.booleans())
+                 .map(lambda t: _rebuilt(t[0]) if t[1] else t[0]), max_size=4).map(tuple)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_side, _side, _side, _side)
+def test_struct_agrees_with_frozenset_reference(pa, ps, ta, ts):
+    # `apply_struct` tests membership by `==`; equal formulas rebuilt with
+    # fresh constructors must count as members, and T/F stay removable
+    premise, target = Sequent(pa, ps), Sequent(ta, ts)
+    try:
+        accepted = apply_struct(premise, target, L) is target
+    except DerivationError:
+        accepted = False
+    assert accepted == _struct_reference(premise, target)
+
+
 # -- classical leaf -------------------------------------------------------------
 
 
@@ -133,6 +173,59 @@ def test_tautology_keeps_iff_sharing():
     t0 = time.perf_counter()
     assert not is_tautology(nested(24))
     assert is_tautology(nested(23))
+    assert time.perf_counter() - t0 < 0.5
+
+
+def _distinct_conditionals(n, depth=60):
+    """n pairwise distinct conditionals, built without sharing, that agree
+    on a chain of `depth` negations and differ only below it, so each
+    comparison of two of them walks the chain."""
+    out = []
+    for k in range(n):
+        code = A
+        for bit in range(8):
+            code = Implies(B if (k >> bit) & 1 else A, code)
+        for _ in range(depth):
+            code = Not(code)
+        out.append(Cond(code, C))
+    return out
+
+
+def _any_of(fs):
+    out = fs[-1]
+    for f in reversed(fs[:-1]):
+        out = disj(f, out)
+    return out
+
+
+def test_truth_table_limit_counts_atoms_and_conditionals():
+    # the atoms inside a conditional are hidden by its placeholder
+    conds = _distinct_conditionals(16)
+    wide = _any_of([A, B, C] + conds[:15])  # 18 variables are decided
+    assert classical_leaf_check(Sequent((), (Implies(wide, wide),)))
+    assert not classical_leaf_check(Sequent((wide,), (conds[0],)))
+    with pytest.raises(DerivationError, match=r"too many variables for a truth table \(19\)"):
+        classical_leaf_check(Sequent((), (_any_of([A, B, C] + conds),)))
+
+
+def test_wide_leaf_is_rejected_after_a_bounded_scan():
+    # placeholders are found by comparing with `==`; the scan stops once the
+    # table is too wide, so 200 conditionals cost no more than 19
+    f = _any_of(_distinct_conditionals(200))
+    t0 = time.perf_counter()
+    with pytest.raises(DerivationError, match="too many variables"):
+        check_derivation(Derivation(TautNode(Sequent((), (f,))), System.DBL), L)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_deep_iff_under_a_conditional_is_fast():
+    # one placeholder for the whole conditional: nothing walks its 2**24 paths
+    text = "b"
+    for _ in range(24):
+        text = f"a <-> ({text})"
+    f = L.parse(f"(({text}) | b) -> b")
+    t0 = time.perf_counter()
+    assert not is_tautology(f)
     assert time.perf_counter() - t0 < 0.5
 
 
@@ -311,3 +404,52 @@ def test_file_round_trip():
 def test_file_rejects_unknown_node():
     with pytest.raises(ValueError):
         parse_derivation_file("theta: a\nn1: frobnicate[x]\nqed: n1\n")
+
+
+def _taut_nodes_reached(root, expansions):
+    """The distinct `TautNode`s reachable from `root` and from the macro
+    expansions the checker made."""
+    seen, leaves, stack = set(), 0, [root, *expansions]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, TautNode):
+            leaves += 1
+        elif isinstance(node, CutNode):
+            stack += [node.left, node.right]
+        elif isinstance(node, StructNode):
+            stack.append(node.premise)
+        elif isinstance(node, RuleNode):
+            stack += node.premises
+    return leaves
+
+
+def test_each_library_leaf_is_checked_once(monkeypatch):
+    calls, tables, expansions = [], [], []
+    leaf_check, taut, expand = proof.classical_leaf_check, proof.is_tautology, proof._expand_rule
+    monkeypatch.setattr(proof, "classical_leaf_check",
+                        lambda t: calls.append(t) or leaf_check(t))
+    # every truth table goes through `is_tautology`, whatever name a caller
+    # imported the leaf check under
+    monkeypatch.setattr(proof, "is_tautology", lambda f: tables.append(f) or taut(f))
+    monkeypatch.setattr(proof, "_expand_rule",
+                        lambda n, pcs: expansions.append(expand(n, pcs)) or expansions[-1])
+    lang = library_language()
+    entries = theorem_library(lang)
+    assert calls == [] and tables == []  # building records leaves, checking decides them
+    for e in entries:
+        calls.clear()
+        expansions.clear()
+        check_derivation(e.derivation, lang)
+        assert len(calls) == _taut_nodes_reached(e.derivation.root, expansions), e.tid
+
+
+def test_prover_leaf_that_is_no_tautology_fails_at_its_path():
+    pr = Prover(L, System.DBL_STAR)
+    node = pr.cut(pr.taut(seq("|- a -> a")), pr.taut(seq("a -> a |- b")), L.parse("a -> a"))
+    with pytest.raises(DerivationError) as e:
+        check_derivation(Derivation(node, pr.system), L)
+    assert e.value.path == "root.right"
+    assert e.value.message == "not a classical tautology under abstraction"
