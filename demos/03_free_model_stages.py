@@ -42,7 +42,8 @@ print("introspection sequent:",
 print()
 print("== two atoms ==")
 lang2 = Language(["a", "b"])
-stage, _ = build_for_formulas(["a", "b"], [lang2.parse("(b | a)")])
+stage = build_for_formulas(["a", "b"], [lang2.parse("(b | a)")])
+assert verify_stage(stage).ok()
 print(f"targeted build for (b | a): {stage.size} points after {stage.index} advance")
 h = canonical_assignment(stage)
 asg2 = ConditionalAssignment(stage, h)
@@ -52,6 +53,6 @@ blocked = asg2.value(lang2.parse("(a | b)"))
 print("(a | b) is", "defined" if blocked is not None else
       f"undefined (blocking condition {asg2.blocking_condition(lang2.parse('(a | b)')):#x})")
 
-stages, halted = build_faithful(["a", "b"], max_atoms=32, verify=False)
+top, halted = build_faithful(["a", "b"], max_atoms=32)
 print("faithful growth under a 32-point budget:",
-      [s.size for s in stages], "halted:", halted)
+      [s.size for s in top.levels], "halted:", halted)

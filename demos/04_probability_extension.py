@@ -12,13 +12,14 @@ from dblogic import (
     ClassicalProbability, Language, advance, bayes_identity,
     check_multiplicativity, epsilon_extension, extend_probability,
     extend_step, lemma1_check, lemma2_check, limit_at_zero, new_stage0,
-    p0_from_pi, build_for_formulas,
+    p0_from_pi, build_for_formulas, verify_stage,
 )
 
 print("== one atom, pi(a) = 1/3 ==")
 pi = ClassicalProbability.from_atom_weights(["a"], [F(2, 3), F(1, 3)])
 s0 = new_stage0(["a"])
 s1 = advance(s0, 1)
+assert verify_stage(s1).ok()
 v0 = p0_from_pi(pi, s0)
 v1 = extend_step(v0, s1)
 print("stage-0 weights:", v0.weights)
@@ -29,7 +30,7 @@ print("lemma checks:", lemma1_check(v0, v1).ok(), lemma2_check(v0, v1).ok())
 print()
 print("== two atoms, uniform ==")
 lang = Language(["a", "b"])
-stage, _ = build_for_formulas(["a", "b"], [lang.parse("(b | a)")], verify=False)
+stage = build_for_formulas(["a", "b"], [lang.parse("(b | a)")])
 uni = ClassicalProbability.uniform(["a", "b"])
 ext = extend_probability(uni, stage)
 print("P((b|a)) =", ext.prob(lang.parse("(b | a)")), " (direct quotient:",

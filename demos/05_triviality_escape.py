@@ -21,8 +21,7 @@ pi = ClassicalProbability(["a", "b"], [F(1, 8), F(1, 4), F(1, 8), F(1, 2)])
 phi = lang.parse("b")
 
 deltas = default_lewis_deltas(lang)
-stage, _ = build_for_formulas(["a", "b"], deltas, max_atoms=32,
-                              verify=False, skip_unaffordable=True)
+stage = build_for_formulas(["a", "b"], deltas, max_atoms=32, skip_unaffordable=True)
 print(f"model: {stage.size} points after {stage.index} advances")
 
 report = lewis_separation(stage, pi, phi, deltas=deltas, lang=lang)

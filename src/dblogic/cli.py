@@ -10,19 +10,15 @@ it is called when `out` is None.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 from . import construction, library, model, probability, proof
 from .ratfunc import RatFunc
-from .syntax import Language, ParseError, Sequent
+from .syntax import Atom, Language, ParseError, Sequent
 
 __all__ = ["main", "cmd_check", "cmd_model", "cmd_prob"]
-
-
-def _emit(lines: list[str], out) -> None:
-    for line in lines:
-        print(line, file=out)
 
 
 def _parse_lines(lines: list[str], parse) -> list:
@@ -48,6 +44,20 @@ def _language(theta: list[str], out) -> Language | None:
     except ValueError as e:
         print(f"ERROR: --theta: {e}", file=out)
         return None
+
+
+def _depth_checked(cmd):
+    """`cmd` with the RecursionError of a formula nested too deeply turned
+    into one ERROR line and exit 1; the report, printed last, is not."""
+    @functools.wraps(cmd)
+    def run(*args, out=None, **kwargs):
+        out = sys.stdout if out is None else out
+        try:
+            return cmd(*args, out=out, **kwargs)
+        except RecursionError:
+            print("ERROR: formula nested too deeply to evaluate", file=out)
+            return 1
+    return run
 
 
 def _fmt_weight(w) -> str:
@@ -77,6 +87,9 @@ def cmd_check(paths: list[str], system: str | None, out=None) -> int:
                          if n.endswith(".dseq"))
         else:
             files.append(p)
+    if not files:
+        print("ERROR: no .dseq files in " + (", ".join(paths) or "no paths"), file=out)
+        return 1
     lines: list[str] = []
     failures = 0
     checked = 0
@@ -102,7 +115,7 @@ def cmd_check(paths: list[str], system: str | None, out=None) -> int:
             lines.append(f"OK   {label}: {lang.format_sequent(res.conclusion, 'sugared')}"
                          f"  [flags {flags}]")
     lines.append(f"checked {checked} derivations, {failures} failures")
-    _emit(lines, out)
+    print("\n".join(lines), file=out)
     return 0 if failures == 0 else 1
 
 
@@ -110,13 +123,19 @@ def cmd_check(paths: list[str], system: str | None, out=None) -> int:
 # model
 # ---------------------------------------------------------------------------
 
+@_depth_checked
 def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
               seed: int, samples: int | None, target: str | None,
               dump_path: str | None, out=None) -> int:
-    """Build a model (faithful or targeted), verify every stage, then
+    """Build a model (faithful or targeted), verify each level once, then
     evaluate formulas and check sequents from the input lines.  The stage
     checks are exact; `seed` seeds only the sampled entailment checks."""
-    out = sys.stdout if out is None else out
+    if samples is not None and samples < 1:
+        print(f"ERROR: --samples: must be at least 1, got {samples}", file=out)
+        return 1
+    if mode == "faithful" and target is not None:
+        print("ERROR: --target: only the targeted mode takes a target", file=out)
+        return 1
     lang = _language(theta, out)
     if lang is None:
         return 1
@@ -132,10 +151,8 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
     report: list[str] = []
     failures = 0
     if mode == "faithful":
-        stages, halted = construction.build_faithful(theta, max_atoms=max_atoms,
-                                                     verify=False)
-        stage = stages[-1]
-        report.append(f"faithful build: sizes {[s.size for s in stages]}"
+        stage, halted = construction.build_faithful(theta, max_atoms=max_atoms)
+        report.append(f"faithful build: sizes {[s.size for s in stage.levels]}"
                       f" halted={halted} seed={seed}")
     else:
         try:
@@ -144,8 +161,7 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
             print(f"ERROR: --target: {e}", file=out)
             return 1
         try:
-            stage, _ = construction.build_for_formulas(
-                theta, targets, max_atoms=max_atoms, verify=False)
+            stage = construction.build_for_formulas(theta, targets, max_atoms=max_atoms)
         except construction.BudgetExceeded as e:
             print(f"ERROR: {e}", file=out)
             return 1
@@ -185,7 +201,7 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
             print(f"ERROR: {dump_path}: {e.strerror or e}", file=out)
             return 1
         report.append(f"dump written to {dump_path}")
-    _emit(report, out)
+    print("\n".join(report), file=out)
     return 0 if failures == 0 else 1
 
 
@@ -193,13 +209,13 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
 # prob
 # ---------------------------------------------------------------------------
 
+@_depth_checked
 def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
              max_atoms: int, seed: int, strict_positive: bool,
              lewis: str | None, out=None) -> int:
     """Probability extension over a targeted build: per-formula values,
     pushforward/multiplicativity checks, Bayes defaults and optionally the
     separation demonstration."""
-    out = sys.stdout if out is None else out
     lang = _language(theta, out)
     if lang is None:
         return 1
@@ -224,8 +240,8 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
     targets = list(formulas)
     if lewis_phi is not None:
         targets += probability.default_lewis_deltas(lang)
-    stage, _ = construction.build_for_formulas(
-        theta, targets, max_atoms=max_atoms, verify=False, skip_unaffordable=True)
+    stage = construction.build_for_formulas(theta, targets, max_atoms=max_atoms,
+                                            skip_unaffordable=True)
     report.append(f"build: stage {stage.index}, {stage.size} points seed={seed}")
 
     if pi.strictly_positive:
@@ -251,7 +267,6 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
             report.append(f"prob {lang.format(f, 'sugared')}: {_fmt_weight(w)}")
 
     # Bayes defaults over the declared atoms where evaluable
-    from .syntax import Atom
     for phi in (Atom(n) for n in lang.theta):
         for psi in (Atom(n) for n in lang.theta):
             try:
@@ -288,7 +303,7 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
                           f"collapses={d.collapses}")
         if not wit:
             report.append("  no witness found in the delta family (reported, not asserted)")
-    _emit(report, out)
+    print("\n".join(report), file=out)
     return 0 if failures == 0 else 1
 
 

@@ -32,10 +32,12 @@ Targeted mode processes a caller-supplied condition, which is sound because
 every stage property holds for an arbitrary admissible choice; only the
 totality-in-the-limit argument needs the faithful ranking.  The targeted
 build finds its conditions with the shared evaluator, `syntax.evaluate`.
+The drivers `build_for_formulas` and `build_faithful` only build: each
+returns its top stage, whose `levels` are the tower.
 
 The laws of f are stated once, in `BETA_LAWS`: the axioms b1-b4 and b5w,
 the derived identities, and the extra full symmetry b5.  `check_beta_laws`
-runs that table, and `verify_stage` applies it to each new stage next to the
+runs that table; the one verifier, `verify_stage`, applies it next to the
 embedding checks and fills a `CheckReport`.  Laws over pairs of elements are
 checked exactly on generators: f(., A) with f(0, A) = 0 preserves joins iff
 each f(B, A) is the join of f(x, A) over the generators x <= B, and then
@@ -371,11 +373,10 @@ def _next_points(stage: Stage, tdata: Transition) -> tuple[list[tuple[int, int]]
     return points, blocks
 
 
-def advance(stage: Stage, b_mask: int, verify: bool = True,
-            tdata: Transition | None = None) -> Stage:
+def advance(stage: Stage, b_mask: int, tdata: Transition | None = None) -> Stage:
     """One construction step on the (already coherence-normalized) condition.
     `tdata` is `partition_data(stage, b_mask)` when the caller already has
-    it."""
+    it.  It checks the cardinality formula and mu(b), no stage law."""
     if tdata is None:
         tdata = partition_data(stage, b_mask)
     elif tdata.b_mask != b_mask:
@@ -403,18 +404,7 @@ def advance(stage: Stage, b_mask: int, verify: bool = True,
     nxt = Stage(stage.theta, stage.index + 1, points, stage, blocks, tdata, new_chains)
     if nxt.embed(b_mask) != mu_b:
         raise ConstructionError("mu(b) is not the positive pair half")
-    if verify:
-        _verified(nxt)
     return nxt
-
-
-def _verified(stage: Stage) -> CheckReport:
-    """`verify_stage`, raising ConstructionError on any fatal violation."""
-    report = verify_stage(stage)
-    if not report.ok():
-        raise ConstructionError("stage verification failed: " + "; ".join(
-            f"{k}: {v}" for k, v in list(report.failures().items())[:5]))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -775,57 +765,46 @@ def canonical_assignment(stage: Stage) -> dict[str, int]:
 
 
 def build_for_formulas(theta: Sequence[str], formulas: Sequence[Formula],
-                       max_atoms: int = 32, verify: bool = True,
-                       skip_unaffordable: bool = False,
-                       ) -> tuple[Stage, list[CheckReport]]:
+                       max_atoms: int = 32, skip_unaffordable: bool = False) -> Stage:
     """Targeted driver: advance on the innermost blocking condition of each
-    formula until everything evaluates or the budget is hit.  With
-    `skip_unaffordable` the formulas whose conditions would blow the budget
-    are left undefined instead of aborting the build.  With `verify` every
-    new stage is verified once and its report returned."""
+    formula until everything evaluates or the budget is hit, and return the
+    top stage; its `levels` are the tower.  With `skip_unaffordable` the
+    formulas whose conditions would blow the budget are left undefined
+    instead of aborting the build."""
     stage = new_stage0(theta)
-    reports: list[CheckReport] = []
     pending = list(formulas)
     while True:
         h = canonical_assignment(stage)
-        blocking = None
-        blocked_formula = None
         for f in pending:
-            _, blocking = evaluate(f, h, stage.full, stage.apply_f)
+            blocking = evaluate(f, h, stage.full, stage.apply_f)[1]
             if blocking is not None:
-                blocked_formula = f
                 break
-        if blocking is None:
-            return stage, reports
+        else:
+            return stage
         b = select_condition(stage, target=blocking)
         tdata = partition_data(stage, b)
         if tdata.next_size > max_atoms:
             if skip_unaffordable:
-                pending.remove(blocked_formula)
+                pending.remove(f)
                 continue
             raise BudgetExceeded(f"element {b:#x} at stage {stage.index}",
                                  stage.size, tdata.next_size)
-        stage = advance(stage, b, verify=False, tdata=tdata)
-        if verify:
-            reports.append(_verified(stage))
+        stage = advance(stage, b, tdata=tdata)
 
 
-def build_faithful(theta: Sequence[str], max_atoms: int = 32,
-                   verify: bool = True) -> tuple[list[Stage], bool]:
+def build_faithful(theta: Sequence[str], max_atoms: int = 32) -> tuple[Stage, bool]:
     """Faithful driver: ranked selection until the operator is total or the
-    next stage would exceed the budget.  Returns all stages plus a halt flag
-    (True when f became total)."""
+    next stage would exceed the budget.  Returns the top stage, whose
+    `levels` are the tower, plus a halt flag (True when f became total)."""
     stage = new_stage0(theta)
-    stages = [stage]
     while True:
         b = select_condition(stage)
         if b is None:
-            return stages, True
+            return stage, True
         tdata = partition_data(stage, b)
         if tdata.next_size > max_atoms:
-            return stages, False
-        stage = advance(stage, b, verify=verify, tdata=tdata)
-        stages.append(stage)
+            return stage, False
+        stage = advance(stage, b, tdata=tdata)
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +863,7 @@ def load_stage(text: str) -> Stage:
                 if f"atoms {tdata.next_size}" != declared:
                     raise ValueError(f"condition {b:#x} gives atoms {tdata.next_size}, "
                                      f"the stage declares {declared}")
-                stage = advance(stage, b, verify=False, tdata=tdata)
+                stage = advance(stage, b, tdata=tdata)
         except (ValueError, ConstructionError) as e:
             raise ValueError(f"line {n}: {e}") from None
     if stage is None:

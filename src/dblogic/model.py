@@ -70,8 +70,10 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
             seed: int = 0) -> EntailmentResult:
     """Truth of a sequent on the stage: whenever every antecedent formula
     denotes the full element, some succedent formula must.  Exhaustive over
-    all atom assignments when feasible, else seeded sampling; assignments
-    whose evaluation is undefined count as skips."""
+    all atom assignments when feasible, else seeded sampling of `samples`
+    (at least 1) assignments; undefined assignments count as skips."""
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     names = sorted(set().union(*map(formula_atoms, s.antecedent + s.succedent)))
     exhaustive = samples is None and len(names) * stage.size <= 18
     if exhaustive:  # every assignment, the first name varying fastest

@@ -11,7 +11,8 @@ an exact rational computation that pushes forward along the embedding
 element multiplicative.  A probability with zero cells is first nudged onto
 the interior of the simplex with an infinitesimal parameter; weights then
 live in the field of rational functions and the extension value is the limit
-at 0+.
+at 0+.  An extension runs over a tower as the builders return it, checked
+by the exact lemma checks below, not by `verify_stage`.
 
 A stage's weights are stored as numerators over one common denominator:
 ints in the direct mode, integer-coefficient polynomials in the perturbed
@@ -303,7 +304,6 @@ class Extension:
     with the canonical assignment for formula probabilities."""
 
     pi: ClassicalProbability
-    stages: list[Stage]
     valuations: list[RationalValuation]
     assignment: ConditionalAssignment
 
@@ -317,12 +317,12 @@ class Extension:
 
 
 def extend_probability(pi: ClassicalProbability, stage: Stage) -> Extension:
-    levels = list(stage.levels)
-    vals = [p0_from_pi(pi, levels[0])]
-    for nxt in levels[1:]:
+    """Extend `pi` up the tower of `stage`, one `extend_step` per level."""
+    vals = [p0_from_pi(pi, stage.levels[0])]
+    for nxt in stage.levels[1:]:
         vals.append(extend_step(vals[-1], nxt))
     asg = ConditionalAssignment(stage, canonical_assignment(stage))
-    return Extension(pi, levels, vals, asg)
+    return Extension(pi, vals, asg)
 
 
 # ---------------------------------------------------------------------------

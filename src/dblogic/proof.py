@@ -535,7 +535,7 @@ def parse_derivation_file(text: str) -> tuple[Language, dict[str, Derivation]]:
     """Parse a derivation file; returns its language and the named roots.
 
     Every ``qed`` line publishes the most recent node as a named derivation;
-    a file may contain several, e.g. one per theorem.
+    a file may contain several, e.g. one per theorem, and must contain one.
     """
     lang: Language | None = None
     system = System.DBL_STAR
@@ -566,6 +566,8 @@ def parse_derivation_file(text: str) -> tuple[Language, dict[str, Derivation]]:
             raise type(e)(f"line {n}: {e}") from None
     if lang is None:
         raise ValueError("derivation file declares no theta")
+    if not results:
+        raise ValueError("derivation file publishes no derivation (no qed line)")
     return lang, results
 
 

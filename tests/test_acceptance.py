@@ -99,7 +99,7 @@ def test_acceptance_02_stage_verification():
     t0 = time.time()
     total = 0
     for theta in (["a"], ["a", "b"]):
-        stages, _ = build_faithful(theta, max_atoms=32, verify=False)
+        stages = build_faithful(theta, max_atoms=32)[0].levels
         assert all(s.size <= 32 for s in stages)
         for s in stages[1:]:
             rep = verify_stage(s)
@@ -110,7 +110,7 @@ def test_acceptance_02_stage_verification():
                 assert rep.checks[axiom][0] > 0, (theta, s.index, axiom)
             total += 1
     # targeted one-advance build for the pair conditional, same guarantees
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     rep = verify_stage(stage)
     assert rep.ok()
     total += 1
@@ -125,11 +125,11 @@ def test_acceptance_03_soundness_sweep():
     rows = [(e.tid, e.statement) for e in theorem_library(LIB_LANG)
             if e.derivation.system is System.DBL_STAR]
     assert len(rows) >= 25
-    s1 = advance(new_stage0(["a"]), 1, verify=False)
+    s1 = advance(new_stage0(["a"]), 1)
     for label, seq in rows:  # exhaustive over the 4-element algebra
         r = entails(s1, seq)
         assert r.verdict == "holds", (label, r)
-    s2 = advance(new_stage0(["a", "b"]), 0b1010, verify=False)
+    s2 = advance(new_stage0(["a", "b"]), 0b1010)
     skips = 0
     for label, seq in rows:
         r = entails(s2, seq, samples=1000, seed=0)
@@ -177,8 +177,7 @@ def test_acceptance_05_stage0_classical_completeness():
 
 def test_acceptance_06_probability_exactness():
     deltas = default_lewis_deltas(L2)
-    stage, _ = build_for_formulas(["a", "b"], deltas, max_atoms=32,
-                                  verify=False, skip_unaffordable=True)
+    stage = build_for_formulas(["a", "b"], deltas, max_atoms=32, skip_unaffordable=True)
     pis = [ClassicalProbability.uniform(["a", "b"]),
            ClassicalProbability(["a", "b"], [F(1, 8), F(1, 4), F(1, 8), F(1, 2)])]
     transitions = 0
@@ -222,14 +221,14 @@ def test_acceptance_07_bayes_identity():
     pairs = 0
     for phi in reps.values():
         for psi in reps.values():
-            stage, _ = build_for_formulas(["a", "b"], [Cond(psi, phi)], verify=False)
+            stage = build_for_formulas(["a", "b"], [Cond(psi, phi)])
             for pi in pis:
                 ext = extend_probability(pi, stage)
                 lhs, rhs, eq = bayes_identity(ext, phi, psi)
                 assert eq, (phi, psi, lhs, rhs)
             pairs += 1
     # the worked value, checked against the direct cell-sum oracle
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     uni = pis[0]
     ext = extend_probability(uni, stage)
     oracle = uni.of(conj(Atom("a"), Atom("b"))) / uni.of(Atom("a"))
@@ -249,7 +248,7 @@ def test_acceptance_08_non_distortion():
         raw = [rng.randint(1, 12) for _ in range(4)]
         s = sum(raw)
         pis.append(ClassicalProbability(["a", "b"], [F(r, s) for r in raw]))
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     candidates, rows = _classical_layers(["a", "b"], 3)
     checked = 0
     for pi in pis:
@@ -269,8 +268,7 @@ def test_acceptance_09_lewis_separation():
     assert pi.of(L2.parse("a /\\ b")) == F(1, 2)
     assert pi.of(L2.parse("a /\\ !b")) == F(1, 4)
     deltas = default_lewis_deltas(L2)
-    stage, _ = build_for_formulas(["a", "b"], deltas, max_atoms=32,
-                                  verify=False, skip_unaffordable=True)
+    stage = build_for_formulas(["a", "b"], deltas, max_atoms=32, skip_unaffordable=True)
     rep = lewis_separation(stage, pi, L2.parse("b"), deltas=deltas, lang=L2)
     by_delta = {e.delta: e for e in rep.entries}
     e = by_delta[L2.parse("(b | a)")]
@@ -296,8 +294,7 @@ def test_acceptance_10_epsilon_mode():
     pi = ClassicalProbability(["a", "b"], [F(0), F(1, 3), F(1, 3), F(1, 3)])
     assert sum(1 for w in pi.table if w == 0) == 1
     deltas = [L2.parse("(b | a)"), L2.parse("(a | b)"), L2.parse("(!b | a)")]
-    stage, _ = build_for_formulas(["a", "b"], deltas, max_atoms=32,
-                                  verify=False, skip_unaffordable=True)
+    stage = build_for_formulas(["a", "b"], deltas, max_atoms=32, skip_unaffordable=True)
     ext = epsilon_extension(pi, stage)
     candidates, _ = _classical_layers(["a", "b"], 3)
     for f in candidates[:200]:

@@ -4,6 +4,7 @@ import io
 import os
 import time
 
+from dblogic import construction
 from dblogic.cli import cmd_check, cmd_model, cmd_prob, main
 from dblogic.library import proofs_dir
 
@@ -29,10 +30,23 @@ def test_check_b5_under_weak_system_fails():
     assert "FAIL" in out.getvalue()
 
 
-def test_check_empty_input_is_green(tmp_path):
+def test_check_empty_input_is_error(tmp_path):
+    (tmp_path / "notes.txt").write_text("no derivations here\n")
+    for paths, named in (([str(tmp_path)], str(tmp_path)), ([], "no paths")):
+        out = io.StringIO()
+        assert cmd_check(paths, None, out=out) == 1
+        assert out.getvalue() == f"ERROR: no .dseq files in {named}\n"
+
+
+def test_check_file_without_qed_is_error(tmp_path):
+    path = tmp_path / "open.dseq"
+    path.write_text("theta: x\nsystem: dbl*\nn1: I[x]\n")
     out = io.StringIO()
-    assert cmd_check([str(tmp_path)], None, out=out) == 0
-    assert "checked 0" in out.getvalue()
+    assert cmd_check([str(path)], None, out=out) == 1
+    assert out.getvalue().splitlines() == [
+        f"ERROR {path}: derivation file publishes no derivation (no qed line)",
+        "checked 0 derivations, 1 failures",
+    ]
 
 
 DSEQ_HEAD = "theta: x, y\nsystem: dbl*\nn1: I[x]\n"
@@ -103,6 +117,62 @@ def test_model_targeted_build_and_entailment():
     text = out.getvalue()
     assert "stage 1, 8 points" in text
     assert "entails" in text and "fails" not in text
+
+
+def test_model_verifies_each_level_once_and_prob_verifies_none(monkeypatch):
+    calls = []
+    original = construction.verify_stage
+
+    def counting_verify(stage):
+        calls.append(stage.index)
+        return original(stage)
+
+    monkeypatch.setattr(construction, "verify_stage", counting_verify)
+    for mode, lines, levels in (("targeted", ["(b | a)", "(a | b)"], [1, 2]),
+                                ("faithful", [], [1, 2, 3])):
+        out = io.StringIO()
+        assert cmd_model(["a", "b"], lines, mode, 32, 0, None, None, None, out=out) == 0
+        assert calls == levels, mode
+        assert [ln for ln in out.getvalue().splitlines() if ln.startswith("verify")] \
+            == [f"verify stage {i}: ok" for i in levels]
+        calls.clear()
+    out = io.StringIO()
+    assert cmd_prob(["a", "b"], PI_TEXT, ["(b | a)", "(a | b)"], 32, 0, False, None,
+                    out=out) == 0
+    assert out.getvalue().startswith("build: stage 2, 32 points") and calls == []
+
+
+def test_model_samples_below_one_is_error(tmp_path, capsys):
+    # checked before the build: no report line, whatever the input
+    for samples in (0, -3):
+        out = io.StringIO()
+        assert cmd_model(["a", "b"], ["|- a, !a"], "targeted", 32, 0, samples, None, None,
+                         out=out) == 1
+        assert out.getvalue() == f"ERROR: --samples: must be at least 1, got {samples}\n"
+        assert main(["model", "--theta", "a", "--samples", str(samples)]) == 1
+        assert capsys.readouterr().out == \
+            f"ERROR: --samples: must be at least 1, got {samples}\n"
+
+
+def test_model_faithful_with_target_is_error():
+    out = io.StringIO()
+    assert cmd_model(["a", "b"], [], "faithful", 32, 0, None, "(b | a)", None, out=out) == 1
+    assert out.getvalue() == "ERROR: --target: only the targeted mode takes a target\n"
+
+
+def test_deep_formula_is_error_without_a_partial_report(tmp_path, capsys):
+    deep = "!" * 1000 + "a"
+    table = tmp_path / "pi.txt"
+    table.write_text(PI_TEXT)
+    lines = tmp_path / "in.txt"
+    lines.write_text(f"(b | a)\n{deep}\n")
+    dump = tmp_path / "stage.txt"
+    for argv in (["model", "--theta", "a,b", "--input", str(lines), "--dump", str(dump)],
+                 ["model", "--theta", "a,b", "--target", deep],
+                 ["prob", "--theta", "a,b", "--prob", str(table), "--input", str(lines)]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().out == "ERROR: formula nested too deeply to evaluate\n"
+    assert not dump.exists()
 
 
 def test_model_bad_formula_is_parse_error():

@@ -23,9 +23,17 @@ L1 = Language(["a"])
 L2 = Language(["a", "b"])
 
 
+def verified(stage):
+    """`stage`, after asserting that every level of its tower above stage 0
+    passes `verify_stage`."""
+    for level in stage.levels[1:]:
+        assert verify_stage(level).ok(), (level.index, verify_stage(level).failures())
+    return stage
+
+
 def stage1_single_atom():
     s0 = new_stage0(["a"])
-    return advance(s0, select_condition(s0))
+    return verified(advance(s0, select_condition(s0)))
 
 
 # frozen by hand from the pair construction: points u=(0), v=(1); b0={u};
@@ -63,14 +71,14 @@ def test_stage1_f_table_matches_hand_enumeration():
 def test_single_atom_halts_after_one_stage():
     s1 = stage1_single_atom()
     assert select_condition(s1) is None
-    stages, halted = build_faithful(["a"])
-    assert halted and [s.size for s in stages] == [2, 2]
+    top, halted = build_faithful(["a"])
+    assert halted and [s.size for s in verified(top).levels] == [2, 2]
 
 
 def test_case_classification():
     s0 = new_stage0(["a"])
     assert classify_case(s0, 1) == (1, None)
-    s1 = advance(s0, 1)
+    s1 = verified(advance(s0, 1))
     mu_b = s1.embed(1)
     assert classify_case(s1, mu_b) == (0, 0)
     assert classify_case(s1, s1.complement(mu_b)) == (0, 0)
@@ -89,18 +97,18 @@ def test_partition_cardinality_two_atoms():
     total = 2 * sum(bin(p).count("1") * bin(g).count("1")
                     for p, g in zip(t.pi, t.gamma))
     assert total == 8
-    s1 = advance(s0, xi_a)
+    s1 = verified(advance(s0, xi_a))
     assert s1.size == 8
 
 
 def test_mu_is_boolean_morphism_single_atom():
     s0 = new_stage0(["a"])
-    mu = advance(s0, 1, verify=False).embed
+    mu = advance(s0, 1).embed
     assert mu(1) == 0b01   # mu({u}) = {(u,v)}
     assert mu(2) == 0b10   # mu({v}) = {(v,u)}
     assert mu(0) == 0
     assert mu(3) == 0b11
-    s1 = advance(s0, 1)
+    s1 = verified(advance(s0, 1))
     for a in range(4):
         for b in range(4):
             assert s1.embed(a & b) == s1.embed(a) & s1.embed(b)
@@ -109,7 +117,7 @@ def test_mu_is_boolean_morphism_single_atom():
 
 def test_mu_b_corollaries():
     s0 = new_stage0(["a", "b"])
-    s1 = advance(s0, 0b1010)
+    s1 = verified(advance(s0, 0b1010))
     mu_b = s1.embed(0b1010)
     assert mu_b == (1 << (s1.size // 2)) - 1
     assert s1.complement(mu_b) == s1.swap_pairs(mu_b)
@@ -144,11 +152,11 @@ def test_verify_stage_clean_and_fault_injection():
 
 def test_ranks():
     s0 = new_stage0(["a"])
-    s1 = advance(s0, 1)
+    s1 = verified(advance(s0, 1))
     assert s1.rank(s1.embed(1)) == 0
     assert s1.rank(s1.embed(2)) == 0
     s0b = new_stage0(["a", "b"])
-    s1b = advance(s0b, 0b1010)
+    s1b = verified(advance(s0b, 0b1010))
     # a genuinely new element (half of one block) first occurs at stage 1
     blk = s1b.blocks[1]
     low = blk & -blk
@@ -159,28 +167,15 @@ def test_ranks():
 def test_canonical_assignment():
     s0 = new_stage0(["a"])
     assert canonical_assignment(s0) == {"a": 2}
-    s1 = advance(s0, 1)
+    s1 = verified(advance(s0, 1))
     assert canonical_assignment(s1) == {"a": 2}  # image of {v} is {(v,u)}
 
 
 def test_targeted_build_one_advance():
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
+    stage = verified(build_for_formulas(["a", "b"], [L2.parse("(b | a)")]))
     assert stage.index == 1 and stage.size == 8
     h = canonical_assignment(stage)
     assert stage.apply_f(h["b"], h["a"]) is not None
-
-
-def test_targeted_build_verifies_each_stage_once(monkeypatch):
-    calls = []
-
-    def counting_verify(stage):
-        calls.append(stage.index)
-        return construction.CheckReport()
-
-    monkeypatch.setattr(construction, "verify_stage", counting_verify)
-    stage, reports = build_for_formulas(["a", "b"], [L2.parse("(b | a)"), L2.parse("(a | b)")])
-    assert stage.index == 2
-    assert calls == [1, 2] and len(reports) == 2
 
 
 def test_builds_compute_each_partition_once(monkeypatch):
@@ -192,23 +187,22 @@ def test_builds_compute_each_partition_once(monkeypatch):
         return original(stage, b_mask)
 
     monkeypatch.setattr(construction, "partition_data", counting_partition)
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)"), L2.parse("(a | b)")],
-                                  verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)"), L2.parse("(a | b)")])
     assert stage.index == 2 and calls == [0, 1]
     calls.clear()
-    stages, halted = build_faithful(["a", "b"], max_atoms=32, verify=False)
+    top, halted = build_faithful(["a", "b"], max_atoms=32)
     # one partition per advance, plus the one over budget that ended the build
-    assert not halted and calls == [s.index for s in stages]
+    assert not halted and calls == [s.index for s in top.levels]
 
 
 def test_advance_rejects_partition_of_another_condition():
     s0 = new_stage0(["a", "b"])
     with pytest.raises(ValueError):
-        advance(s0, 0b1010, verify=False, tdata=partition_data(s0, 0b0110))
+        advance(s0, 0b1010, tdata=partition_data(s0, 0b0110))
 
 
 def test_targeted_build_zero_advances_for_top():
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("T")])
+    stage = build_for_formulas(["a", "b"], [L2.parse("T")])
     assert stage.index == 0
 
 
@@ -220,14 +214,14 @@ def test_budget_exceeded_reports_blocker():
 
 def test_coherence_rule_reuses_chain_orientation():
     s0 = new_stage0(["a", "b"])
-    s1 = advance(s0, 0b1010)
+    s1 = verified(advance(s0, 0b1010))
     mu_b = s1.embed(0b1010)
     # asking for the complement is normalized back to the chain's side
     assert select_condition(s1, target=s1.complement(mu_b)) == mu_b
 
 
 def test_faithful_two_atoms_within_budget():
-    stages, halted = build_faithful(["a", "b"], max_atoms=32, verify=False)
+    stages = build_faithful(["a", "b"], max_atoms=32)[0].levels
     sizes = [s.size for s in stages]
     assert sizes[0] == 4 and all(x <= 32 for x in sizes)
     assert len(sizes) >= 3
@@ -236,7 +230,7 @@ def test_faithful_two_atoms_within_budget():
 
 
 def test_dump_load_round_trip():
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)"), L2.parse("(a | b)")])
+    stage = verified(build_for_formulas(["a", "b"], [L2.parse("(b | a)"), L2.parse("(a | b)")]))
     text = dump_stage(stage)
     back = load_stage(text)
     assert back.size == stage.size
@@ -250,7 +244,7 @@ def test_dump_load_round_trip():
 
 
 def test_load_stage_replays_every_level_and_rejects_tampering():
-    stages, _ = build_faithful(["a", "b"], max_atoms=32, verify=False)
+    stages = build_faithful(["a", "b"], max_atoms=32)[0].levels
     text = dump_stage(stages[-1])
     back = load_stage(text)
     assert dump_stage(back) == text
@@ -299,10 +293,10 @@ def test_generating_partition_bound_single_atom():
 @pytest.fixture(scope="module")
 def towers():
     """Faithful {a} and {a,b} towers and the targeted (b|a), (a|b) towers."""
-    out = [build_faithful(theta, max_atoms=32, verify=False)[0]
+    out = [list(build_faithful(theta, max_atoms=32)[0].levels)
            for theta in (["a"], ["a", "b"])]
     for text in ("(b | a)", "(a | b)"):
-        stage, _ = build_for_formulas(["a", "b"], [L2.parse(text)], verify=False)
+        stage = build_for_formulas(["a", "b"], [L2.parse(text)])
         out.append(list(stage.levels))
     return out
 

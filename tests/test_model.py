@@ -23,13 +23,17 @@ LIB_LANG = library_language()
 @pytest.fixture(scope="module")
 def m1():
     s0 = new_stage0(["a"])
-    return advance(s0, 1)
+    s1 = advance(s0, 1)
+    assert verify_stage(s1).ok()
+    return s1
 
 
 @pytest.fixture(scope="module")
 def m2():
     s0 = new_stage0(["a", "b"])
-    return advance(s0, 0b1010)  # condition = "a holds"
+    s1 = advance(s0, 0b1010)  # condition = "a holds"
+    assert verify_stage(s1).ok()
+    return s1
 
 
 def test_beta_axioms_pass_on_total_single_atom_model(m1):
@@ -124,6 +128,15 @@ def test_non_theorems_fail_with_witness():
     assert (av | bv) == m0.full and av != m0.full and bv != m0.full
 
 
+def test_entails_rejects_fewer_than_one_sample():
+    m0 = new_stage0(["a", "b"])
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match=f"^samples must be at least 1, got {samples}$"):
+            entails(m0, L2.parse_sequent("|- a, !a"), samples=samples)
+    r = entails(m0, L2.parse_sequent("a |- a"), samples=1)
+    assert (r.verdict, r.checked, r.skipped) == ("holds", 1, 0)
+
+
 def test_trivial_sequents():
     m0 = new_stage0(["a", "b"])
     assert entails(m0, L2.parse_sequent("T |- T")).verdict == "holds"
@@ -186,8 +199,8 @@ def test_equivalence_theorems_respected_by_evaluation(m1):
 def test_stage_verifier_and_model_checker_share_the_law_table():
     from dblogic.construction import BETA_LAWS
     laws = {name for name, _, _ in BETA_LAWS}
-    stages, _ = build_faithful(["a", "b"], max_atoms=32, verify=False)
-    for s in stages[1:]:
+    top, _ = build_faithful(["a", "b"], max_atoms=32)
+    for s in top.levels[1:]:
         stage_rep = verify_stage(s)
         assert laws <= set(stage_rep.checks)
         assert stage_rep.ok(), (s.index, stage_rep.failures())
@@ -303,10 +316,10 @@ def _small_stages():
     stages whose rows can be enumerated."""
     out = []
     for theta in (["a"], ["a", "b"]):
-        stages, _ = build_faithful(theta, max_atoms=32, verify=False)
-        out += stages[1:]
+        top, _ = build_faithful(theta, max_atoms=32)
+        out += top.levels[1:]
     for text in ("(b | a)", "(a | b)"):
-        stage, _ = build_for_formulas(["a", "b"], [L2.parse(text)], verify=False)
+        stage = build_for_formulas(["a", "b"], [L2.parse(text)])
         out.append(stage)
     return [s for s in out if s.size <= 12]
 

@@ -58,7 +58,7 @@ def test_extend_step_hand_values():
     # P1((u,v)) = (2/3 * 1/3) / (1/3) = 2/3 ; P1((v,u)) = (2/9) / (2/3) = 1/3
     pi = ClassicalProbability.from_atom_weights(["a"], [F(2, 3), F(1, 3)])
     s0 = new_stage0(["a"])
-    s1 = advance(s0, 1, verify=False)
+    s1 = advance(s0, 1)
     v1 = extend_step(p0_from_pi(pi, s0), s1)
     assert v1.weights == (F(2, 3), F(1, 3))
     assert v1.measure(s1.full) == 1
@@ -93,7 +93,7 @@ def _assert_measure_matches_bitwise(val, masks):
 
 
 def test_measure_tables_join_chunks_of_fraction_weights():
-    stage = advance(new_stage0(["a", "b", "c"]), 0b10101010, verify=False)
+    stage = advance(new_stage0(["a", "b", "c"]), 0b10101010)
     assert stage.size == 32  # four 8-point tables are joined
     rng = Random(5)
     val = RationalValuation(stage, tuple(F(rng.randint(0, 9), rng.randint(1, 9))
@@ -105,8 +105,7 @@ def test_measure_tables_join_chunks_of_fraction_weights():
 
 def test_measure_tables_on_rational_function_weights():
     pi = ClassicalProbability(["a", "b"], cells_ab(F(0), F(1, 2), F(1, 4), F(1, 4)))
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)"), L2.parse("(a | b)")],
-                                  verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)"), L2.parse("(a | b)")])
     ext = epsilon_extension(pi, stage)
     top = ext.top
     assert top.stage.size > 8 and all(isinstance(w, RatFunc) for w in top.weights)
@@ -121,7 +120,7 @@ def test_lemmas_reject_swapped_child_weights():
     # such swap breaks lemma 1 or lemma 2, and some break only the
     # cross-multiplied product identity of lemma 2.
     pi = ClassicalProbability(["a", "b"], cells_ab(F(0), F(1, 2), F(1, 4), F(1, 4)))
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     v0, v1 = epsilon_extension(pi, stage).valuations
     assert lemma1_check(v0, v1).ok() and lemma2_check(v0, v1).ok()
     only_lemma2 = 0
@@ -142,10 +141,9 @@ def test_lemmas_reject_swapped_child_weights():
 def _towers():
     """Targeted (b|a), (a|b) and both, and the faithful {a,b} tower up to
     32 points: stages of 8, 8, 32 and 6, 10, 32 points."""
-    tops = [build_for_formulas(["a", "b"], [L2.parse(t) for t in ts], verify=False)[0]
+    tops = [build_for_formulas(["a", "b"], [L2.parse(t) for t in ts])
             for ts in (["(b | a)"], ["(a | b)"], ["(b | a)", "(a | b)"])]
-    stages, _ = build_faithful(["a", "b"], max_atoms=32, verify=False)
-    return tops + [stages[-1]]
+    return tops + [build_faithful(["a", "b"], max_atoms=32)[0]]
 
 
 def _differential_tables():
@@ -225,7 +223,7 @@ def test_lemma_point_checks_agree_with_element_loops():
 
 
 def test_lemma1_rejects_a_doubled_denominator():
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     zero_cell = ClassicalProbability(["a", "b"], cells_ab(F(0), F(1, 2), F(1, 4), F(1, 4)))
     for pi, extend in ((PI_DOC, extend_probability), (zero_cell, epsilon_extension)):
         v0, v1 = extend(pi, stage).valuations
@@ -239,7 +237,7 @@ def test_lemma1_rejects_a_doubled_denominator():
 def test_lemma2_rejects_a_doubled_denominator():
     # lemma 2 checks one side of the processed element at each point, which
     # is exact only when the child weighs 1, so it checks that first itself
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     zero_cell = ClassicalProbability(["a", "b"], cells_ab(F(0), F(1, 2), F(1, 4), F(1, 4)))
     for pi, extend in ((PI_DOC, extend_probability), (zero_cell, epsilon_extension)):
         v0, v1 = extend(pi, stage).valuations
@@ -253,7 +251,7 @@ def test_lemma2_rejects_a_doubled_denominator():
 def test_lemma1_rejects_blocks_that_do_not_partition():
     # the point check is exact only over a partition, so lemma 1 confirms
     # one before checking points
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     v0, v1 = extend_probability(PI_DOC, stage).valuations
     b = list(stage.blocks)
     for blocks, where in (([0, b[0] | b[1]] + b[2:], "block 0"),
@@ -269,7 +267,7 @@ def test_lemma1_rejects_blocks_that_do_not_partition():
 
 def test_uniform_pair_weights_symmetric():
     s0 = new_stage0(["a"])
-    s1 = advance(s0, 1, verify=False)
+    s1 = advance(s0, 1)
     v1 = extend_step(p0_from_pi(ClassicalProbability.uniform(["a"]), s0), s1)
     assert v1.weights == (F(1, 2), F(1, 2))
 
@@ -277,13 +275,13 @@ def test_uniform_pair_weights_symmetric():
 def test_zero_denominator_advises_epsilon_mode():
     pi = ClassicalProbability.from_atom_weights(["a"], [F(1), F(0)])
     s0 = new_stage0(["a"])
-    s1 = advance(s0, 2, verify=False)  # condition {v} with weight 0
+    s1 = advance(s0, 2)  # condition {v} with weight 0
     with pytest.raises(ZeroBlockError):
         extend_step(p0_from_pi(pi, s0), s1)
 
 
 def test_lemma_checks_exhaustive():
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     for pi in (ClassicalProbability.uniform(["a", "b"]), PI_DOC):
         ext = extend_probability(pi, stage)
         for v0, v1 in zip(ext.valuations, ext.valuations[1:]):
@@ -295,7 +293,7 @@ def test_lemma_checks_exhaustive():
 def test_prob_of_formula_worked_value():
     # uniform pi over two atoms: the one-advance build gives P((b|a)) = 1/2,
     # independently P(a /\ b)/P(a) on the cells = (1/4)/(1/2) = 1/2
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     uni = ClassicalProbability.uniform(["a", "b"])
     ext = extend_probability(uni, stage)
     assert ext.prob(L2.parse("(b | a)")) == F(1, 2)
@@ -308,7 +306,7 @@ def test_classical_formulas_not_distorted():
     # direct cell sum, for uniform and seeded strictly positive tables
     import random
     rng = random.Random(42)
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     pis = [ClassicalProbability.uniform(["a", "b"]), PI_DOC]
     for _ in range(3):
         raw = [rng.randint(1, 9) for _ in range(4)]
@@ -341,7 +339,7 @@ def test_bayes_identity_all_depth2_classical_pairs():
         pis.append(ClassicalProbability(["a", "b"], [F(r, s) for r in raw]))
     for phi in depth1:
         for psi in depth1:
-            stage, _ = build_for_formulas(["a", "b"], [Cond(psi, phi)], verify=False)
+            stage = build_for_formulas(["a", "b"], [Cond(psi, phi)])
             for pi in pis:
                 ext = extend_probability(pi, stage)
                 lhs, rhs, eq = bayes_identity(ext, phi, psi)
@@ -349,14 +347,14 @@ def test_bayes_identity_all_depth2_classical_pairs():
 
 
 def test_bayes_uniform_quarter():
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     ext = extend_probability(ClassicalProbability.uniform(["a", "b"]), stage)
     lhs, rhs, eq = bayes_identity(ext, Atom("a"), Atom("b"))
     assert (lhs, rhs, eq) == (F(1, 4), F(1, 4), True)
 
 
 def test_multiplicativity_certified_pairs():
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     ext = extend_probability(ClassicalProbability.uniform(["a", "b"]), stage)
     pairs = [
         (L2.parse("(b | a)"), L2.parse("a")),      # inter-independence
@@ -367,7 +365,7 @@ def test_multiplicativity_certified_pairs():
 
 
 def test_additivity_of_extension():
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     ext = extend_probability(PI_DOC, stage)
     import random
     rng = random.Random(3)
@@ -386,7 +384,7 @@ def test_epsilon_mode_single_zero_cell():
     # limits reproduce the table exactly and stay within [0, 1]
     pi = ClassicalProbability(["a", "b"], cells_ab(F(0), F(1, 3), F(1, 3), F(1, 3)))
     assert not pi.strictly_positive
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     ext = epsilon_extension(pi, stage)
     assert isinstance(ext.prob(L2.parse("a")), RatFunc)
     # perturbed cell: P_e(a /\ b) = e/4
@@ -405,7 +403,7 @@ def test_epsilon_mode_single_zero_cell():
 
 
 def test_epsilon_mode_strictly_positive_agrees_with_direct():
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     direct = extend_probability(PI_DOC, stage)
     eps = epsilon_extension(PI_DOC, stage)
     for t in ["a", "b", "a /\\ b", "(b | a)", "(a | b) -> a" if False else "b -> a"]:
@@ -415,7 +413,7 @@ def test_epsilon_mode_strictly_positive_agrees_with_direct():
 
 def test_lemma_checks_hold_in_epsilon_mode():
     pi = ClassicalProbability(["a", "b"], cells_ab(F(0), F(1, 3), F(1, 3), F(1, 3)))
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     ext = epsilon_extension(pi, stage)
     for v0, v1 in zip(ext.valuations, ext.valuations[1:]):
         assert lemma1_check(v0, v1).ok()
@@ -424,8 +422,7 @@ def test_lemma_checks_hold_in_epsilon_mode():
 
 def test_lewis_separation_documented_instance():
     deltas = default_lewis_deltas(L2)
-    stage, _ = build_for_formulas(["a", "b"], deltas, max_atoms=32,
-                                  verify=False, skip_unaffordable=True)
+    stage = build_for_formulas(["a", "b"], deltas, max_atoms=32, skip_unaffordable=True)
     rep = lewis_separation(stage, PI_DOC, L2.parse("b"), deltas=deltas, lang=L2)
     by_delta = {e.delta: e for e in rep.entries}
     # frozen by hand: extending pi_b sees (b|a) as certain (the Bayes quotient
@@ -446,7 +443,7 @@ def test_lewis_separation_documented_instance():
 
 
 def test_lewis_classical_deltas_do_not_separate():
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     classicals = [Cond(x, L2.parse("T")) for x in
                   (Atom("a"), Atom("b"), Not(Atom("a")), conj(Atom("a"), Atom("b")))]
     rep = lewis_separation(stage, PI_DOC, L2.parse("b"), deltas=classicals, lang=L2)
@@ -455,7 +452,7 @@ def test_lewis_classical_deltas_do_not_separate():
 
 
 def test_lewis_conditioning_on_top_is_identity():
-    stage, _ = build_for_formulas(["a", "b"], [L2.parse("(b | a)")], verify=False)
+    stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     phi = L2.parse("a \\/ !a")
     with pytest.raises(ValueError):
         lewis_separation(stage, PI_DOC, phi, lang=L2)  # P(phi)=1 is excluded
