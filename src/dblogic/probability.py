@@ -16,9 +16,9 @@ by the exact lemma checks below, not by `verify_stage`.
 
 A stage's weights are stored as numerators over one common denominator:
 ints in the direct mode, integer-coefficient polynomials in the perturbed
-mode.  Advances, subset sums and the lemma identities work on numerators
-without dividing, so they take no gcd; values are normalized to a Fraction
-or a RatFunc only where they leave a valuation.
+mode.  Each advance divides them by their common gcd once; subset sums
+and the lemma identities work on numerators and take no gcd.  Values are
+normalized to a Fraction or a RatFunc only where they leave a valuation.
 
 The separation demonstration at the end contrasts extending a conditioned
 probability with conditioning the extension: the two disagree on genuine
@@ -31,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .construction import Stage, canonical_assignment
 from .model import ConditionalAssignment
-from .ratfunc import EPS, Poly, RatFunc
+from .ratfunc import Poly, RatFunc, cancel
 from .syntax import (
     Atom, Cond, Formula, Implies, Language, Not, conj, evaluate, is_classical,
     truth_columns,
@@ -72,9 +72,7 @@ class ClassicalProbability:
         if len(table) != 1 << len(self.theta):
             raise ValueError("table must cover every complete conjunction")
         self.table = tuple(table)
-        total = self.table[0]
-        for w in self.table[1:]:
-            total = total + w
+        total = sum(self.table[1:], self.table[0])
         if not (total == 1):
             raise ValueError(f"probabilities must sum to 1 exactly (got {total})")
         self.exact_rational = all(isinstance(w, Fraction) for w in self.table)
@@ -117,9 +115,13 @@ class ClassicalProbability:
         return ClassicalProbability(self.theta, table)
 
     def epsilon_perturbed(self) -> "ClassicalProbability":
-        """Interior perturbation: cell |-> e/#cells + (1-e) * cell."""
+        """Interior perturbation of an exact-rational table (ValueError
+        otherwise), in normal form: w |-> e/n + (1-e) w = w + (1/n - w) e."""
+        if not self.exact_rational:
+            raise ValueError("perturb an exact-rational distribution")
         n = len(self.table)
-        table = [EPS / n + (1 - EPS) * w for w in self.table]
+        table = [RatFunc(Poly.make([w, Fraction(1, n) - w]), Poly.const(1))
+                 for w in self.table]
         return ClassicalProbability(self.theta, table)
 
 
@@ -186,11 +188,8 @@ def _common_denominator(weights: Sequence[Weight]) -> tuple[tuple[Num, ...], Num
     rs = [RatFunc.of(w) for w in weights]
     dens = list(dict.fromkeys(r.den for r in rs))
     other = dict(zip(dens, _others(dens, Poly.const(1))))
-    den = other[dens[0]] * dens[0]
-    nums = [r.num * other[r.den] for r in rs]
-    scale = lcm(*(Fraction(c).denominator for p in nums + [den] for c in p.coeffs))
-    return (tuple(Poly.make([(c * scale).numerator for c in p.coeffs]) for p in nums),
-            Poly.make([(c * scale).numerator for c in den.coeffs]))
+    den, *nums = cancel([other[dens[0]] * dens[0], *(r.num * other[r.den] for r in rs)])
+    return tuple(nums), den
 
 
 class RationalValuation:
@@ -274,7 +273,7 @@ def extend_step(val: RationalValuation, next_stage: Stage) -> RationalValuation:
     With P(x) = n_x/D and N_B the numerator of block B, that is
     n_x n_y / (D N_B(y)), kept as the numerator n_x n_y prod_{B != B(y)} N_B
     over the denominator D prod_B N_B, the products taken over the blocks
-    that hold some y; nothing is divided."""
+    that hold some y, all divided by their common gcd."""
     parent = next_stage.parent
     if val.stage is not parent and val.stage.index != next_stage.index - 1:
         raise ValueError("valuation stage mismatch")
@@ -295,6 +294,11 @@ def extend_step(val: RationalValuation, next_stage: Stage) -> RationalValuation:
     other = dict(zip(blocks, _others(block_num, one)))
     den = val.den * block_num[0] * other[blocks[0]]
     nums = [val.nums[x] * val.nums[y] * other[block_of[y]] for x, y in next_stage.points]
+    if isinstance(den, Poly):
+        den, *nums = cancel([den, *nums])
+    else:
+        g = gcd(den, *nums)
+        den, nums = den // g, [n // g for n in nums]
     return RationalValuation(next_stage, nums=nums, den=den)
 
 
@@ -459,8 +463,6 @@ def check_multiplicativity(ext: Extension,
 def epsilon_extension(pi: ClassicalProbability, stage: Stage) -> Extension:
     """Run the pipeline with perturbed weights (rational functions); formula
     probabilities are recovered as limits at 0+."""
-    if not pi.exact_rational:
-        raise ValueError("perturb an exact-rational distribution")
     return extend_probability(pi.epsilon_perturbed(), stage)
 
 

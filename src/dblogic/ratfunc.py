@@ -1,24 +1,75 @@
 """Univariate polynomial fractions over exact rationals.
 
 Probability weights become fractions of polynomials in a perturbation
-parameter when a distribution with zero cells is nudged onto the interior of
-the simplex.  Fractions are kept in normal form (polynomial gcd cancelled,
-monic denominator), so equality is structural and the one-sided limit at 0+
-is a coefficient lookup.
+parameter e when a distribution with zero cells is nudged onto the interior
+of the simplex.  They are kept in normal form: no common factor of positive
+degree, a monic denominator, zero as 0/1.  The form is unique, so equality
+is structural and the one-sided limit at 0+ is a coefficient lookup.
 
-A polynomial's coefficients are Python ints or Fractions, never floats: the
-staged extension keeps its numerators as integer-coefficient polynomials
-(see probability.RationalValuation), so ints are not wrapped, and every
-division goes through Fraction (``int / int`` would be a float).
+It is computed over Z.  `Poly.gcd` runs a pseudo-remainder sequence on
+primitive parts (integer coefficients with no common factor) and keeps each
+remainder primitive; the last nonzero one is the primitive gcd g.  By
+Gauss's lemma a product of primitive polynomials is primitive, so a p in
+Z[e] that g divides over Q is g times a polynomial in Z[e]: `cancel` divides
+by g with exact integer long division, and `RatFunc.make` divides by the
+denominator's leading coefficient once, at the end.
+
+Coefficients are Python ints or Fractions, never floats: the staged
+extension's numerators are integer polynomials (probability.RationalValuation),
+so ints are not wrapped, and every division goes through Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
-__all__ = ["Poly", "RatFunc", "EPS"]
+__all__ = ["Poly", "RatFunc", "EPS", "cancel"]
+
+
+def _primitive(coeffs: Iterable[int | Fraction]) -> list[int]:
+    """Coprime integers in the ratios of the coefficients, same signs."""
+    cs = list(coeffs)
+    m = lcm(*(c.denominator for c in cs))
+    cs = [c.numerator * (m // c.denominator) for c in cs]
+    d = gcd(*cs)
+    return [x // d for x in cs] if d > 1 else cs
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """An integer multiple of the remainder of a by b; a when b is longer."""
+    r = a
+    while len(r) >= len(b):
+        g = gcd(r[-1], b[-1])
+        s, m, k = r[-1] // g, b[-1] // g, len(r) - len(b)
+        r = [x * m - (s * b[i - k] if i >= k else 0) for i, x in enumerate(r)]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer coefficient lists, b dividing a in Z[e]."""
+    r, q = list(a), [0] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = c = r[k + len(b) - 1] // b[-1]
+        for i, bc in enumerate(b):
+            r[k + i] -= c * bc
+    return q
+
+
+def cancel(polys: list["Poly"]) -> list["Poly"]:
+    """The polynomials, the first nonzero, as coprime integers in the same
+    ratios (`_primitive`), each divided by their common primitive gcd."""
+    g = polys[0]
+    for p in polys[1:]:
+        if g.degree == 0:
+            break
+        g = g.gcd(p)
+    it, gi = iter(_primitive(c for p in polys for c in p.coeffs)), _primitive(g.coeffs)
+    return [Poly(tuple(_quotient([next(it) for _ in p.coeffs], gi))) for p in polys]
 
 
 @dataclass(frozen=True)
@@ -75,34 +126,12 @@ class Poly:
                 out[i + j] += a * b
         return Poly.make(out)
 
-    def scale(self, c: int | Fraction) -> "Poly":
-        return Poly.make(x * c for x in self.coeffs)
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [0] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        d = other.coeffs
-        while len(r) >= len(d) and any(c != 0 for c in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(d):
-                break
-            k = len(r) - len(d)
-            c = Fraction(r[-1], d[-1])
-            q[k] = c
-            for i, dc in enumerate(d):
-                r[i + k] -= c * dc
-        return Poly.make(q), Poly.make(r)
-
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a.scale(Fraction(1, a.coeffs[-1]))  # monic
+        """Monic gcd over Q (0 when both are 0), computed over Z."""
+        a, b = _primitive(self.coeffs), _primitive(other.coeffs)
+        while b:
+            a, b = b, _primitive(_prem(a, b))
+        return Poly(tuple(Fraction(c, a[-1]) for c in a))
 
     def eval(self, x: int | Fraction) -> Fraction:
         out = Fraction(0)
@@ -144,18 +173,15 @@ class RatFunc:
     def make(num: Poly, den: Poly) -> "RatFunc":
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            return RatFunc(Poly(()), Poly.const(1))
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        inv = Fraction(1, den.coeffs[-1])
-        return RatFunc(num.scale(inv), den.scale(inv))
+        if den.degree > 0:
+            den, num = cancel([den, num])
+        lead = den.coeffs[-1]
+        return RatFunc(Poly(tuple(Fraction(c, lead) for c in num.coeffs)),
+                       Poly(tuple(Fraction(c, lead) for c in den.coeffs)))
 
     @staticmethod
     def const(c: Fraction | int) -> "RatFunc":
-        return RatFunc.make(Poly.const(c), Poly.const(1))
+        return RatFunc(Poly.const(c), Poly.const(1))
 
     @staticmethod
     def of(value: "RatFunc | Fraction | int") -> "RatFunc":
@@ -197,14 +223,11 @@ class RatFunc:
         return RatFunc.of(other) / self
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, RatFunc):
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        # normal form makes structural comparison sound; cross-multiply as a
-        # belt-and-braces fallback
-        return (self.num == other.num and self.den == other.den) or \
-            (self.num * other.den == other.num * self.den)
+            return self.den.coeffs == (1,) and self.num == Poly.const(other)
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -231,4 +254,4 @@ class RatFunc:
         return f"({self.num}) / ({self.den})"
 
 
-EPS = RatFunc.make(Poly.x(), Poly.const(1))
+EPS = RatFunc(Poly.x(), Poly.const(1))

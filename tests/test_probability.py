@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 from random import Random
 
 import pytest
@@ -13,7 +14,7 @@ from dblogic.probability import (
     lewis_collapse_demo, lewis_separation, limit_at_zero, p0_from_pi,
     parse_probability_file,
 )
-from dblogic.ratfunc import RatFunc
+from dblogic.ratfunc import EPS, Poly, RatFunc
 from dblogic.syntax import Atom, Cond, Implies, Language, Not, conj
 
 from probability_reference import reference_extension, reference_lemma1, reference_lemma2
@@ -409,6 +410,50 @@ def test_epsilon_mode_strictly_positive_agrees_with_direct():
     for t in ["a", "b", "a /\\ b", "(b | a)", "(a | b) -> a" if False else "b -> a"]:
         f = L2.parse(t)
         assert limit_at_zero(eps.prob(f)) == direct.prob(f)
+
+
+def test_epsilon_table_is_the_ratfunc_arithmetic_in_normal_form():
+    # each cell, built as w + (1/n - w) e, is e/n + (1 - e) w computed in
+    # RatFunc arithmetic, cells 0 and 1 included, with the same limit w
+    tables = [cells_ab(F(0), F(1, 2), F(1, 4), F(1, 4)), cells_ab(F(1), F(0), F(0), F(0)),
+              list(PI_DOC.table), [F(1, 4)] * 4, [F(0), F(1)], [F(1, 2), F(1, 2)]]
+    for cells in tables:
+        pi = ClassicalProbability(["a", "b"][:len(cells) // 2], cells)
+        n = len(cells)
+        for w, got in zip(cells, pi.epsilon_perturbed().table):
+            want = EPS / n + (1 - EPS) * w
+            assert (got.num, got.den) == (want.num, want.den) and got == want
+            assert str(got) == str(want)
+            assert got.limit0() == want.limit0() == w
+
+
+def test_epsilon_perturbed_rejects_a_perturbed_table():
+    pe = ClassicalProbability(["a"], [F(1, 3), F(2, 3)]).epsilon_perturbed()
+    with pytest.raises(ValueError, match="exact-rational"):
+        pe.epsilon_perturbed()
+    with pytest.raises(ValueError, match="exact-rational"):
+        epsilon_extension(pe, new_stage0(["a"]))
+
+
+def test_extend_step_reduces_the_common_denominator():
+    # the perturbed faithful {a,b} tower to 32 points: multiplied by every
+    # block numerator and never reduced, the stage denominators had degrees
+    # 0, 2, 8 and 24; reduced once per advance they have 0, 1, 2 and 2
+    top = build_faithful(["a", "b"], max_atoms=32)[0]
+    ext = epsilon_extension(ClassicalProbability(["a", "b"], [F(0), F(1, 2), F(1, 4), F(1, 4)]), top)
+    assert [v.stage.size for v in ext.valuations] == [4, 6, 10, 32]
+    assert ext.valuations[3].den.degree <= 2
+    direct = extend_probability(PI_DOC, top)
+    for e0, e1, d0, d1 in zip(ext.valuations, ext.valuations[1:],
+                              direct.valuations, direct.valuations[1:]):
+        assert all(r.ok() for r in (lemma1_check(e0, e1), lemma2_check(e0, e1),
+                                    lemma1_check(d0, d1), lemma2_check(d0, d1)))
+        g = e1.den
+        for n in e1.nums:
+            g = g.gcd(n)
+        assert g == Poly.const(1)
+        assert gcd(*(c for p in (e1.den, *e1.nums) for c in p.coeffs)) == 1
+        assert gcd(d1.den, *d1.nums) == 1
 
 
 def test_lemma_checks_hold_in_epsilon_mode():

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dblogic.ratfunc import EPS, Poly, RatFunc
+import ratfunc_reference as ref
+from dblogic.ratfunc import EPS, Poly, RatFunc, cancel
 
 F = Fraction
 
@@ -20,7 +21,7 @@ def test_poly_arithmetic():
 def test_poly_divmod_and_gcd():
     p = Poly.make([-1, 0, 1])   # e^2 - 1
     d = Poly.make([1, 1])       # e + 1
-    q, r = p.divmod(d)
+    q, r = ref.poly_divmod(p, d)
     assert r.is_zero() and q.coeffs == (F(-1), F(1))
     g = p.gcd(d)
     assert g.coeffs == (F(1), F(1))  # monic e + 1
@@ -100,9 +101,10 @@ def test_no_float_anywhere(a, b, x, k):
     assert _exact(p.eval(x)) and _exact(p.eval(k))
     if q.is_zero():
         return
-    quo, rem = p.divmod(q)
+    quo, rem = ref.poly_divmod(p, q)
     assert _exact_poly(quo) and _exact_poly(rem)
     assert quo * q + rem == p
+    assert all(type(c) is int for r in cancel([q, p]) for c in r.coeffs)
     f = RatFunc.make(p, q)
     assert _exact_poly(f.num) and _exact_poly(f.den)
     if f.den.eval(x) != 0:
@@ -112,3 +114,62 @@ def test_no_float_anywhere(a, b, x, k):
     except ValueError:
         return
     assert _exact(lim)
+
+
+# polynomials up to degree 8 (products p*r of the strategies below) with
+# int and Fraction coefficients, large ones included, so leading
+# coefficients are negative, large or fractional
+_WIDE = st.one_of(_COEFFS, st.integers(-10**30, 10**30))
+
+
+def _polys(max_size: int):
+    return st.lists(_WIDE, max_size=max_size).map(Poly.make)
+
+
+def _same_poly(got: Poly, want: Poly) -> None:
+    assert got.coeffs == want.coeffs and str(got) == str(want)
+    assert _exact_poly(got)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_polys(6), _polys(6), _polys(4))
+@example(Poly(()), Poly(()), Poly.const(1))
+@example(Poly.const(F(-7, 3)), Poly.make([5, -10**30]), Poly.make([1, 2]))
+@example(Poly.make([0, 0, 3]), Poly.make([0, -6]), Poly.x())
+def test_gcd_and_make_agree_with_the_euclid_reference(p, q, r):
+    # p*r and q*r share the factor r: the integer gcd must find what the
+    # Euclid loop over Q finds, and make must print the same normal form
+    a, b = p * r, q * r
+    for x, y in ((a, b), (b, a), (a, a), (p, q), (a, Poly(())), (r, a)):
+        _same_poly(x.gcd(y), ref.gcd(x, y))
+        if y:
+            got, want = RatFunc.make(x, y), ref.make(x, y)
+            _same_poly(got.num, want.num)
+            _same_poly(got.den, want.den)
+            assert str(got) == str(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys(5), _polys(5), _polys(4), _polys(5))
+def test_make_cancels_a_common_factor(p, q, r, s):
+    assume(q and r and s)
+    a, b = RatFunc.make(p, q), RatFunc.make(p * r, q * r)
+    assert (a.num, a.den) == (b.num, b.den)
+    assert a == b and hash(a) == hash(b)
+    c = RatFunc.make(s, q)
+    assert (a == c) == (p == s)
+    if a == c:
+        assert hash(a) == hash(c)
+
+
+def test_comparing_with_a_number_builds_no_ratfunc(monkeypatch):
+    third, two, zero = RatFunc.const(F(1, 3)), RatFunc.const(2), RatFunc.const(0)
+
+    def no_make(num, den):
+        raise AssertionError("make called")
+
+    monkeypatch.setattr(RatFunc, "make", staticmethod(no_make))
+    assert third == F(1, 3) and two == 2 and zero == 0 and zero == F(0)
+    assert third != F(1, 2) and two != 1 and zero != 1
+    assert EPS != 0 and EPS != 1 and third != EPS
+    assert (third == "1/3") is False
