@@ -239,6 +239,11 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
         return 1
     targets = list(formulas)
     if lewis_phi is not None:
+        try:
+            probability.lewis_preconditions(pi, lewis_phi)
+        except ValueError as e:
+            print(f"ERROR: {e}", file=out)
+            return 1
         targets += probability.default_lewis_deltas(lang)
     stage = construction.build_for_formulas(theta, targets, max_atoms=max_atoms,
                                             skip_unaffordable=True)

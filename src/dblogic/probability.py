@@ -47,7 +47,7 @@ __all__ = [
     "p0_from_pi", "extend_step", "extend_probability", "Extension",
     "lemma1_check", "lemma2_check", "LemmaReport",
     "bayes_identity", "check_multiplicativity",
-    "epsilon_extension", "lewis_separation", "lewis_collapse_demo",
+    "epsilon_extension", "lewis_preconditions", "lewis_separation", "lewis_collapse_demo",
     "LewisReport", "LewisEntry", "CollapseDemo", "default_lewis_deltas",
     "parse_probability_file",
 ]
@@ -526,12 +526,10 @@ def lewis_collapse_demo(pi: ClassicalProbability, phi: Formula,
     return CollapseDemo(phi, psi, p_in, p_out, forced, bayes, forced != bayes)
 
 
-def lewis_separation(stage: Stage, pi: ClassicalProbability, phi: Formula,
-                     deltas: Sequence[Formula] | None = None,
-                     lang: Language | None = None) -> LewisReport:
-    """Compare, over a family of conditionals, the extension of the
-    conditioned probability with the conditioning of the extension."""
-    lang = lang or Language(stage.theta)
+def lewis_preconditions(pi: ClassicalProbability, phi: Formula) -> Fraction:
+    """P(phi), once the separation demonstration's preconditions hold: `pi`
+    strictly positive, `phi` classical and 0 < P(phi) < 1.  A ValueError
+    names the first that fails; `cmd_prob` calls this before it builds."""
     if not pi.strictly_positive:
         raise ValueError("the base distribution must be strictly positive")
     if not is_classical(phi):
@@ -539,6 +537,16 @@ def lewis_separation(stage: Stage, pi: ClassicalProbability, phi: Formula,
     p_phi = pi.of(phi)
     if not (0 < p_phi < 1):
         raise ValueError("need 0 < P(phi) < 1")
+    return p_phi
+
+
+def lewis_separation(stage: Stage, pi: ClassicalProbability, phi: Formula,
+                     deltas: Sequence[Formula] | None = None,
+                     lang: Language | None = None) -> LewisReport:
+    """Compare, over a family of conditionals, the extension of the
+    conditioned probability with the conditioning of the extension."""
+    lang = lang or Language(stage.theta)
+    p_phi = lewis_preconditions(pi, phi)
     if deltas is None:
         deltas = default_lewis_deltas(lang)
     main = extend_probability(pi, stage)

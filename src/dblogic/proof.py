@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 from typing import Mapping, Sequence
 
 from .syntax import (
@@ -171,7 +170,7 @@ def apply_struct(premise: Sequent, target: Sequent, lang: Language) -> Sequent:
 
 
 # ---------------------------------------------------------------------------
-# Classical leaf: truth-table check under conditional abstraction
+# Classical leaf: one truth table, each maximal conditional one variable
 # ---------------------------------------------------------------------------
 
 _MAX_TABLE_VARS = 18
@@ -181,83 +180,77 @@ def _too_wide(width: int) -> DerivationError:
     return DerivationError("taut", f"too many variables for a truth table ({width})")
 
 
-def _abstract(f: Formula, conds: list[Formula], names: set[str],
-              memo: dict[int, tuple[Formula, Formula]]) -> Formula:
-    """Replace every maximal conditional subformula by a fresh placeholder
-    atom; structurally identical conditionals share one placeholder.  The
-    names of the atoms of the result go into `names`.  A subterm without
-    conditionals is returned as it is, and `memo` maps id(node) to (node,
-    abstraction), so a subterm the parser shares is abstracted once and
-    stays shared.  Nothing is hashed: a new conditional is compared by ``==``
-    (which stops at shared children) with each of the distinct ones in
-    `conds`, and the leaf is rejected as soon as atoms plus placeholders
-    pass `_MAX_TABLE_VARS`, so a scan makes at most that many comparisons."""
-    if isinstance(f, Atom):
-        names.add(f.name)
-        return f
-    hit = memo.get(id(f))
-    if hit is not None:
-        return hit[1]
-    if isinstance(f, Meta):
-        raise DerivationError("taut", "metavariable in a concrete leaf")
-    if isinstance(f, Cond):
-        i = next((j for j, c in enumerate(conds) if c == f), len(conds))
-        if i == len(conds):
-            conds.append(f)
-        out: Formula = Atom(f"\x00c{i}")
-        names.add(out.name)
-        if len(names) > _MAX_TABLE_VARS:
-            raise _too_wide(len(names))
-    elif isinstance(f, Not):
-        body = _abstract(f.body, conds, names, memo)
-        out = f if body is f.body else Not(body)
-    elif isinstance(f, Implies):
-        left = _abstract(f.left, conds, names, memo)
-        right = _abstract(f.right, conds, names, memo)
-        out = f if left is f.left and right is f.right else Implies(left, right)
-    else:
-        raise TypeError(f)
-    memo[id(f)] = (f, out)
-    return out
-
-
-def is_tautology(f: Formula) -> bool:
-    """Truth-table tautology after abstracting maximal conditionals.
-
-    `_abstract` and `evaluate` recurse, so a formula nested past the
-    recursion limit is a `DerivationError`, not a crash."""
-    names: set[str] = set()
-    try:
-        g = _abstract(f, [], names, {})
-        vars_ = sorted(names)
-        if len(vars_) > _MAX_TABLE_VARS:
-            raise _too_wide(len(vars_))
-        full = (1 << (1 << len(vars_))) - 1
-        return evaluate(g, truth_columns(vars_), full)[0] == full
-    except RecursionError:
-        raise DerivationError(
-            "taut", "formula nested too deeply for the classical leaf check") from None
+def _leaf_variables(formulas: Sequence[Formula]
+                    ) -> tuple[dict[str, int], list[Formula], dict[int, int]]:
+    """One iterative left-before-right scan of a leaf's formulas, visiting
+    each shared node once.  Returns the atom names (name -> index), one
+    representative per class of equal maximal conditionals, and the class
+    of each maximal conditional node by id.  A new conditional node is
+    compared by ``==`` (nothing is hashed) with each representative; a
+    conditional that finds atoms plus classes past `_MAX_TABLE_VARS` stops
+    the scan, so it makes at most that many comparisons per node."""
+    names: dict[str, int] = {}
+    classes: list[Formula] = []
+    conds: dict[int, int] = {}
+    seen: set[int] = set()
+    stack = list(reversed(formulas))
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        if isinstance(g, Atom):
+            names.setdefault(g.name, len(names))
+        elif isinstance(g, Not):
+            stack.append(g.body)
+        elif isinstance(g, Implies):
+            stack += (g.right, g.left)
+        elif isinstance(g, Cond):
+            j = next((j for j, c in enumerate(classes) if c == g), len(classes))
+            if j == len(classes):
+                classes.append(g)
+            conds[id(g)] = j
+            if len(names) + len(classes) > _MAX_TABLE_VARS:
+                raise _too_wide(len(names) + len(classes))
+        elif isinstance(g, Meta):
+            raise DerivationError("taut", "metavariable in a concrete leaf")
+    if len(names) + len(classes) > _MAX_TABLE_VARS:
+        raise _too_wide(len(names) + len(classes))
+    return names, classes, conds
 
 
 def classical_leaf_check(target: Sequent) -> bool:
-    """Accept single-succedent sequents whose material reading is a classical
-    tautology under conditional abstraction.
+    """Accept a single-succedent sequent that is a classical tautology with
+    each maximal conditional read as one variable (its column seeds
+    `evaluate`'s memo): no truth-table row satisfies every antecedent formula
+    and falsifies the succedent, so ``|-`` is rejected, ``a, !a |-`` not.
 
     Multi-succedent targets are an error, never silently accepted: sequents
     like ``|- a, !a`` are not derivable, so admitting them here would make the
-    checker unsound.
+    checker unsound.  ``==`` and `evaluate` recurse, so a formula nested past
+    the recursion limit is a `DerivationError`, not a crash.
     """
     if len(target.succedent) > 1:
         raise DerivationError("taut", "classical leaf requires at most one succedent formula")
-    if target.antecedent and target.succedent:
-        f = Implies(reduce(conj, target.antecedent), target.succedent[0])
-    elif target.succedent:
-        f = target.succedent[0]
-    elif target.antecedent:
-        f = Not(reduce(conj, target.antecedent))
-    else:
-        return False
-    return is_tautology(f)
+    try:
+        names, classes, conds = _leaf_variables(target.antecedent + target.succedent)
+        columns = truth_columns(range(len(names) + len(classes)))
+        atom_map = {name: columns[i] for name, i in names.items()}
+        memo: dict[int, int | None] = {k: columns[len(names) + j] for k, j in conds.items()}
+        rows = full = (1 << (1 << len(columns))) - 1
+        for f in target.antecedent:
+            rows &= evaluate(f, atom_map, full, memo=memo)[0]
+        for f in target.succedent:
+            rows &= ~evaluate(f, atom_map, full, memo=memo)[0]
+    except RecursionError:
+        raise DerivationError(
+            "taut", "formula nested too deeply for the classical leaf check") from None
+    return rows == 0
+
+
+def is_tautology(f: Formula) -> bool:
+    """The classical leaf ``|- f``."""
+    return classical_leaf_check(Sequent((), (f,)))
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +529,8 @@ def parse_derivation_file(text: str) -> tuple[Language, dict[str, Derivation]]:
 
     Every ``qed`` line publishes the most recent node as a named derivation;
     a file may contain several, e.g. one per theorem, and must contain one.
+    Nothing may be defined twice: a node name, the ``theta`` line, a
+    published label or a metavariable within one ``ax[...]``.
     """
     lang: Language | None = None
     system = System.DBL_STAR
@@ -550,6 +545,8 @@ def parse_derivation_file(text: str) -> tuple[Language, dict[str, Derivation]]:
         try:
             name, body = _split_head(line)
             if name == "theta":
+                if lang is not None:
+                    raise ValueError("theta declared twice")
                 lang = Language([t.strip() for t in body.split(",")])
             elif name == "system":
                 system, allow_star = parse_system(body)
@@ -558,8 +555,12 @@ def parse_derivation_file(text: str) -> tuple[Language, dict[str, Derivation]]:
             elif name == "qed":
                 node_name, _, label = body.partition(" ")
                 qed_count += 1
-                results[label.strip() or f"derivation{qed_count}"] = \
-                    Derivation(_ref(nodes, node_name), system, allow_star)
+                label = label.strip() or f"derivation{qed_count}"
+                if label in results:
+                    raise ValueError(f"derivation {label!r} published twice")
+                results[label] = Derivation(_ref(nodes, node_name), system, allow_star)
+            elif name in nodes:
+                raise ValueError(f"node {name!r} defined twice")
             else:
                 nodes[name] = _parse_node(body, nodes, lang)
         except ValueError as e:
@@ -576,8 +577,12 @@ def _parse_node(body: str, nodes: Mapping[str, Node], lang: Language) -> Node:
     refs = [_ref(nodes, r) for r in rest.split()]
     if op == "ax":
         sid, *parts = bracket.split(";")
-        binding = {k.strip(): lang.parse(v.strip())
-                   for k, _, v in (p.partition("=") for p in parts)}
+        binding: dict[str, Formula] = {}
+        for key, _, value in (p.partition("=") for p in parts):
+            key = key.strip()
+            if key in binding:
+                raise ValueError(f"metavariable {key!r} bound twice")
+            binding[key] = lang.parse(value.strip())
         return AxiomNode(sid.strip(), tuple(sorted(binding.items())))
     if op == "taut":
         return TautNode(lang.parse_sequent(bracket))

@@ -161,6 +161,7 @@ def truth_columns(names: Sequence[str]) -> dict[str, int]:
 
 def evaluate(f: Formula, atom_map: Mapping[str, int], full: int,
              cond: Callable[[int, int], int | None] | None = None,
+             *, memo: dict[int, int | None] | None = None,
              ) -> tuple[int | None, int | None]:
     """Bit-parallel value of `f` in the powerset algebra with top `full`.
 
@@ -171,8 +172,11 @@ def evaluate(f: Formula, atom_map: Mapping[str, int], full: int,
     left-before-right order.  Without `cond` the formula must be classical,
     and with truth-table columns for `atom_map` the value is its set of
     satisfying rows.
+
+    `memo` seeds the id-keyed memo, where a node takes its value unopened;
+    the walk fills it, so one dict can serve several formulas.
     """
-    memo: dict[int, int | None] = {}
+    memo = {} if memo is None else memo
     blocking: int | None = None
 
     def ev(g: Formula) -> int | None:

@@ -4,6 +4,8 @@ import io
 import os
 import time
 
+import pytest
+
 from dblogic import construction
 from dblogic.cli import cmd_check, cmd_model, cmd_prob, main
 from dblogic.library import proofs_dir
@@ -206,6 +208,20 @@ def test_prob_bad_lewis_formula_is_error():
     assert out.getvalue().startswith("ERROR: --lewis: ")
 
 
+@pytest.mark.parametrize("table, phi, error", [
+    ("a /\\ b : 1/2\na /\\ !b : 1/2\n", "b", "the base distribution must be strictly positive"),
+    (PI_TEXT, "(b | a)", "the conditioning proposition must be classical"),
+    (PI_TEXT, "a -> a", "need 0 < P(phi) < 1"),
+], ids=["zero-cell", "conditional", "certain"])
+def test_prob_lewis_preconditions_fail_before_the_build(monkeypatch, table, phi, error):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a stage for a failing --lewis")
+    monkeypatch.setattr(construction, "build_for_formulas", no_build)
+    out = io.StringIO()
+    assert cmd_prob(["a", "b"], table, ["(b | a)"], 32, 0, False, phi, out=out) == 1
+    assert out.getvalue() == f"ERROR: {error}\n"
+
+
 def test_theta_over_the_stage_budget_is_error():
     theta = ["a", "b", "c", "d"]
     for run in (lambda out: cmd_model(theta, [], "targeted", 32, 0, None, None, None, out=out),
@@ -319,6 +335,42 @@ def test_check_deep_leaf_is_failure(tmp_path):
     assert cmd_check([str(path)], None, out=out) == 1
     assert out.getvalue().splitlines() == [
         "FAIL deep [f.dseq]: root: formula nested too deeply for the classical leaf check",
+        "checked 0 derivations, 1 failures",
+    ]
+
+
+def test_check_deep_conditionals_compared_in_a_leaf_are_failure(tmp_path):
+    # two distinct conditionals 1 200 `!` deep: the `==` that tells them
+    # apart recurses past the limit, and the leaf check reports it
+    bangs = "!" * 1200
+    path = tmp_path / "f.dseq"
+    path.write_text(f"theta: x, y\nsystem: dbl*\n"
+                    f"n1: taut[|- ({bangs}x | x) -> ({bangs}y | x)]\nqed: n1 deepcond\n")
+    out = io.StringIO()
+    assert cmd_check([str(path)], None, out=out) == 1
+    assert out.getvalue().splitlines() == [
+        "FAIL deepcond [f.dseq]: root: formula nested too deeply for the classical leaf check",
+        "checked 0 derivations, 1 failures",
+    ]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("theta: a, b\nn1: taut[|- a -> a]\nn1: taut[|- b -> b]\nqed: n1\n",
+     "line 3: node 'n1' defined twice"),
+    ("theta: a\ntheta: b\nn1: taut[|- b -> b]\nqed: n1\n",
+     "line 2: theta declared twice"),
+    ("theta: a\nn1: taut[|- a -> a]\nqed: n1 t\nqed: n1 t\n",
+     "line 4: derivation 't' published twice"),
+    ("theta: a, b\nn1: ax[b3; phi = a; psi = b; phi = b]\nqed: n1\n",
+     "line 2: metavariable 'phi' bound twice"),
+], ids=["node", "theta", "qed", "binding"])
+def test_check_redefinition_is_error(tmp_path, text, error):
+    path = tmp_path / "f.dseq"
+    path.write_text(text)
+    out = io.StringIO()
+    assert cmd_check([str(path)], None, out=out) == 1
+    assert out.getvalue().splitlines() == [
+        f"ERROR {path}: {error}",
         "checked 0 derivations, 1 failures",
     ]
 

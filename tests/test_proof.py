@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -14,7 +15,9 @@ from dblogic.proof import (
     check_derivation, classical_leaf_check, format_derivation,
     instantiate_axiom, is_tautology, parse_derivation_file,
 )
-from dblogic.syntax import Atom, Cond, Implies, Language, Not, Sequent, disj, indep
+from dblogic.syntax import Atom, Cond, Implies, Language, Meta, Not, Sequent, disj, indep
+
+import leaf_reference as ref
 
 L = Language(["a", "b", "c"])
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -158,6 +161,61 @@ def test_leaf_rejects_multi_succedent():
 def test_leaf_empty_succedent():
     assert classical_leaf_check(seq("a, !a |-"))
     assert not classical_leaf_check(seq("a |-"))
+
+
+_LEAF_NAMES = [f"p{i}" for i in range(22)]
+
+
+@st.composite
+def _leaf_sequents(draw):
+    """A sequent over a random formula DAG: each new node takes earlier
+    nodes as children, so subterms are shared and conditionals nest and
+    repeat; a copy is equal to an earlier node but a distinct object, and
+    a fold over every earlier node makes tables of any width."""
+    pool = [Atom(_LEAF_NAMES[0])]
+
+    def pick():
+        return pool[-1 - draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.sampled_from([0, 4, 16, 64]))):
+        kind = draw(st.sampled_from("aaaaaannniiiicccccccrrMmf"))
+        if kind == "a":
+            pool.append(Atom(_LEAF_NAMES[len(pool) % len(_LEAF_NAMES)]))
+        elif kind == "M":
+            pool.append(Cond(Meta("phi"), pick()))
+        elif kind == "m":
+            pool.append(Meta("phi"))
+        elif kind == "n":
+            pool.append(Not(pick()))
+        elif kind == "i":
+            pool.append(Implies(pick(), pick()))
+        elif kind == "c":
+            pool.append(Cond(pick(), pick()))
+        elif kind == "r":
+            pool.append(dataclasses.replace(pick()))
+        else:
+            pool.append(_any_of(pool))
+    ant = tuple(pick() for _ in range(draw(st.integers(0, 3))))
+    if draw(st.integers(0, 3)) == 0:
+        ant += (_any_of(pool),)
+    suc = tuple(pick() for _ in range(draw(st.integers(0, 2))))
+    if ant and draw(st.booleans()):
+        suc = (dataclasses.replace(draw(st.sampled_from(ant))),) + suc[1:]
+    return Sequent(ant, suc)
+
+
+def _leaf_outcome(check, target):
+    try:
+        return check(target)
+    except DerivationError as e:
+        return str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_leaf_sequents())
+def test_leaf_check_matches_reference(target):
+    assert _leaf_outcome(classical_leaf_check, target) == \
+        _leaf_outcome(ref.classical_leaf_check, target)
 
 
 def test_tautology_keeps_iff_sharing():
@@ -428,12 +486,13 @@ def _taut_nodes_reached(root, expansions):
 
 def test_each_library_leaf_is_checked_once(monkeypatch):
     calls, tables, expansions = [], [], []
-    leaf_check, taut, expand = proof.classical_leaf_check, proof.is_tautology, proof._expand_rule
+    leaf_check, evaluate, expand = proof.classical_leaf_check, proof.evaluate, proof._expand_rule
     monkeypatch.setattr(proof, "classical_leaf_check",
                         lambda t: calls.append(t) or leaf_check(t))
-    # every truth table goes through `is_tautology`, whatever name a caller
-    # imported the leaf check under
-    monkeypatch.setattr(proof, "is_tautology", lambda f: tables.append(f) or taut(f))
+    # every truth table is evaluated through `proof.evaluate`, whatever name
+    # a caller imported the leaf check under
+    monkeypatch.setattr(proof, "evaluate",
+                        lambda *a, **k: tables.append(a[0]) or evaluate(*a, **k))
     monkeypatch.setattr(proof, "_expand_rule",
                         lambda n, pcs: expansions.append(expand(n, pcs)) or expansions[-1])
     lang = library_language()
@@ -444,6 +503,7 @@ def test_each_library_leaf_is_checked_once(monkeypatch):
         expansions.clear()
         check_derivation(e.derivation, lang)
         assert len(calls) == _taut_nodes_reached(e.derivation.root, expansions), e.tid
+    assert tables  # the watcher sees the checker's truth tables
 
 
 def test_prover_leaf_that_is_no_tautology_fails_at_its_path():
