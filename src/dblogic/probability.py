@@ -550,10 +550,8 @@ def lewis_separation(stage: Stage, pi: ClassicalProbability, phi: Formula,
     if deltas is None:
         deltas = default_lewis_deltas(lang)
     main = extend_probability(pi, stage)
-    conditioned = pi.conditioned(phi)
-    side_a_ext = (extend_probability(conditioned, stage)
-                  if conditioned.strictly_positive
-                  else epsilon_extension(conditioned, stage))
+    # P(phi) < 1 on a strictly positive pi, so conditioning zeroes a cell
+    side_a_ext = epsilon_extension(pi.conditioned(phi), stage)
     entries: list[LewisEntry] = []
     for d in deltas:
         a_raw = side_a_ext.prob(d)

@@ -19,6 +19,15 @@ the left premise and may be any antecedent element of the right premise; a
 STRUCT node reorders as needed.  Formula identity is structural equality of
 core trees throughout.
 
+Each admissible LK rule (``I``, ``andL``, ``orR``, ``andR``, ``impL``,
+``negL``) is defined once, in `_derive_rule`: a table gives its premise roles
+and argument count, the shape is checked first, and the conclusion comes with
+the rule's expansion into CUT/STRUCT/leaf nodes.  The checker walks that
+expansion in place of the macro, so accepting a macro never goes beyond the
+base system; ``orL``, ``impR`` and ``negR`` are rejected.  Bad input is a
+`DerivationError`, never a crash: a malformed rule node, an ``ax`` binding
+for a name its schema lacks, a derivation nested past the recursion limit.
+
 Derivation file format (line oriented, ``#`` comments):
 
     theta: x, y, z
@@ -39,11 +48,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .syntax import (
     Atom, Cond, Formula, Implies, Language, Meta, Not, Sequent,
-    SubstitutionError, conj, disj, evaluate, indep, iff, substitute,
+    SubstitutionError, conj, disj, evaluate, indep, iff, metas, substitute,
     truth_columns,
 )
 
@@ -89,6 +99,10 @@ class AxiomSchema:
     systems: frozenset[System]
     family: str | None = None  # reporting family for b5-style side conditions
 
+    @cached_property
+    def metavariables(self) -> frozenset[str]:
+        return frozenset().union(*map(metas, self.antecedent + self.succedent))
+
 
 AXIOM_SCHEMAS: dict[str, AxiomSchema] = {
     s.sid: s for s in [
@@ -125,7 +139,8 @@ AXIOM_SCHEMAS: dict[str, AxiomSchema] = {
 
 def instantiate_axiom(schema_id: str, binding: Mapping[str, Formula],
                       system: System, allow_star: bool = False) -> Sequent:
-    """Instantiate an axiom schema, enforcing system admissibility."""
+    """Instantiate an axiom schema, enforcing system admissibility.  Every
+    metavariable of the schema must be bound, and nothing else."""
     try:
         schema = AXIOM_SCHEMAS[schema_id]
     except KeyError:
@@ -138,6 +153,9 @@ def instantiate_axiom(schema_id: str, binding: Mapping[str, Formula],
         suc = tuple(substitute(f, binding) for f in schema.succedent)
     except SubstitutionError as e:
         raise DerivationError("axiom", f"schema {schema_id!r}: {e}") from None
+    stray = binding.keys() - schema.metavariables
+    if stray:
+        raise DerivationError("axiom", f"schema {schema_id!r} has no metavariable {min(stray)!r}")
     return Sequent(ant, suc)
 
 
@@ -254,74 +272,6 @@ def is_tautology(f: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Derived-rule macros (the LK rules that stay admissible)
-# ---------------------------------------------------------------------------
-
-REJECTED_RULES = ("orL", "impR", "negR")
-
-
-def _need(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DerivationError("rule", msg)
-
-
-def apply_derived_rule(name: str, premises: Sequence[Sequent],
-                       args: Sequence[Formula] = ()) -> Sequent:
-    """Conclusion of a derived-rule macro.
-
-    Conventions: the principal formula of a premise is its first succedent
-    element (``orR``, ``andR``, ``impL``, ``negL``) or its last antecedent
-    element (``andL``, ``impL`` right premise).  ``I`` takes the formula as
-    its argument; ``andL``/``orR`` take the added conjunct/disjunct.
-    """
-    if name in REJECTED_RULES:
-        raise DerivationError("rule", f"rule {name!r} is not derivable here (rejected by construction)")
-    if name == "I":
-        _need(len(premises) == 0 and len(args) == 1, "I expects no premises and one formula argument")
-        (phi,) = args
-        return Sequent((phi,), (phi,))
-    if name == "andL":
-        _need(len(premises) == 1 and len(args) == 1, "andL expects one premise and one formula argument")
-        (p,) = premises
-        (psi,) = args
-        _need(bool(p.antecedent), "andL premise needs a principal antecedent formula")
-        phi = p.antecedent[-1]
-        return Sequent(p.antecedent[:-1] + (conj(phi, psi),), p.succedent)
-    if name == "orR":
-        _need(len(premises) == 1 and len(args) == 1, "orR expects one premise and one formula argument")
-        (p,) = premises
-        (psi,) = args
-        _need(bool(p.succedent), "orR premise needs a principal succedent formula")
-        phi = p.succedent[0]
-        return Sequent(p.antecedent, (disj(phi, psi),) + p.succedent[1:])
-    if name == "andR":
-        _need(len(premises) == 2 and len(args) == 0, "andR expects two premises")
-        p1, p2 = premises
-        _need(bool(p1.succedent) and bool(p2.succedent), "andR premises need principal succedent formulas")
-        phi, psi = p1.succedent[0], p2.succedent[0]
-        return Sequent(p1.antecedent + p2.antecedent,
-                       (conj(phi, psi),) + p1.succedent[1:] + p2.succedent[1:])
-    if name == "impL":
-        _need(len(premises) == 2 and len(args) == 0, "impL expects two premises")
-        p1, p2 = premises
-        _need(bool(p1.succedent), "impL left premise needs a principal succedent formula")
-        _need(bool(p2.antecedent), "impL right premise needs a principal antecedent formula")
-        phi, psi = p1.succedent[0], p2.antecedent[-1]
-        return Sequent(p1.antecedent + p2.antecedent[:-1] + (Implies(phi, psi),),
-                       p1.succedent[1:] + p2.succedent)
-    if name == "negL":
-        _need(len(premises) == 1 and len(args) == 0, "negL expects one premise")
-        (p,) = premises
-        _need(bool(p.succedent), "negL premise needs a principal succedent formula")
-        phi = p.succedent[0]
-        return Sequent(p.antecedent + (Not(phi),), p.succedent[1:])
-    raise DerivationError("rule", f"unknown derived rule {name!r}")
-
-
-DERIVED_RULES = ("I", "andL", "orR", "andR", "impL", "negL")
-
-
-# ---------------------------------------------------------------------------
 # Derivation nodes
 # ---------------------------------------------------------------------------
 
@@ -380,67 +330,109 @@ class CheckResult:
     nodes: int
 
 
-def _expand_rule(node: RuleNode, premise_concls: Sequence[Sequent]) -> Node:
-    """Expansion of a derived-rule macro into CUT/STRUCT/leaf nodes, so that
-    accepting the macro never exceeds the base system."""
-    name, args, ps = node.name, node.args, node.premises
+# ---------------------------------------------------------------------------
+# Derived-rule macros (the LK rules that stay admissible)
+# ---------------------------------------------------------------------------
 
-    def to_succ_last(p_node: Node, concl: Sequent, f: Formula) -> tuple[Node, Sequent]:
-        rest = tuple(x for x in concl.succedent if x != f)
-        tgt = Sequent(concl.antecedent, rest + (f,))
-        return StructNode(p_node, tgt), tgt
+REJECTED_RULES = ("orL", "impR", "negR")
+
+# rule -> (premise roles, formula argument count).  A premise's role is the
+# side that holds its principal formula: the first succedent element or the
+# last antecedent element.
+_RULE_SHAPES: dict[str, tuple[tuple[str, ...], int]] = {
+    "I": ((), 1),
+    "andL": (("antecedent",), 1),
+    "orR": (("succedent",), 1),
+    "andR": (("succedent", "succedent"), 0),
+    "impL": (("succedent", "antecedent"), 0),
+    "negL": (("succedent",), 0),
+}
+DERIVED_RULES = tuple(_RULE_SHAPES)
+_COUNT = ("no", "one", "two")
+
+
+def _derive_rule(name: str, nodes: Sequence[Node], premises: Sequence[Sequent],
+                 args: Sequence[Formula]) -> tuple[Sequent, Node]:
+    """Conclusion of a derived-rule macro and its expansion into CUT/STRUCT/
+    leaf nodes over the premise `nodes`, whose conclusions are `premises`.
+
+    The shape is checked first, so a malformed application is a
+    `DerivationError`.  The expansion is the ``I`` leaf itself or ends in a
+    STRUCT onto the conclusion, so checking it never exceeds the base system.
+    The principal formula of a premise is its first succedent element
+    (``orR``, ``andR``, ``impL``, ``negL``) or its last antecedent element
+    (``andL``, ``impL`` right premise).  ``I`` takes the formula as its
+    argument; ``andL``/``orR`` take the added conjunct/disjunct.
+    """
+    if name in REJECTED_RULES:
+        raise DerivationError("rule", f"rule {name!r} is rejected by construction")
+    if name not in _RULE_SHAPES:
+        raise DerivationError("rule", f"unknown derived rule {name!r}")
+    roles, arity = _RULE_SHAPES[name]
+    if len(premises) != len(roles) or len(args) != arity:
+        plural = "" if len(roles) == 1 else "s"
+        takes = f" and {_COUNT[arity]} formula argument" if arity else ""
+        raise DerivationError(
+            "rule", f"{name} expects {_COUNT[len(roles)]} premise{plural}{takes}")
+    principal: list[Formula] = []
+    for role, which, p in zip(roles, ("left ", "right ") if len(roles) == 2 else ("",),
+                              premises):
+        side = getattr(p, role)
+        if not side:
+            raise DerivationError(
+                "rule", f"{name} {which}premise needs a principal {role} formula")
+        principal.append(side[0] if role == "succedent" else side[-1])
+
+    def to_cut(i: int) -> Node:
+        """Premise `i` with its principal formula moved to the end of its
+        succedent, where CUT takes it."""
+        p, f = premises[i], principal[i]
+        rest = tuple(x for x in p.succedent if x != f)
+        return StructNode(nodes[i], Sequent(p.antecedent, rest + (f,)))
 
     if name == "I":
         (phi,) = args
-        return TautNode(Sequent((phi,), (phi,)))
+        leaf = TautNode(Sequent((phi,), (phi,)))
+        return leaf.target, leaf
     if name == "andL":
-        (p,) = ps
-        (pc,) = premise_concls
-        phi, psi = pc.antecedent[-1], args[0]
-        leaf = TautNode(Sequent((conj(phi, psi),), (phi,)))
-        cut = CutNode(leaf, p, phi)
-        return StructNode(cut, apply_derived_rule(name, premise_concls, args))
-    if name == "orR":
-        (p,) = ps
-        (pc,) = premise_concls
-        phi, psi = pc.succedent[0], args[0]
-        moved, mc = to_succ_last(p, pc, phi)
-        leaf = TautNode(Sequent((phi,), (disj(phi, psi),)))
-        cut = CutNode(moved, leaf, phi)
-        return StructNode(cut, apply_derived_rule(name, premise_concls, args))
-    if name == "andR":
-        p1, p2 = ps
-        c1, c2 = premise_concls
-        phi, psi = c1.succedent[0], c2.succedent[0]
+        (p,), (phi,), (psi,) = premises, principal, args
+        concl = Sequent(p.antecedent[:-1] + (conj(phi, psi),), p.succedent)
+        body = CutNode(TautNode(Sequent((conj(phi, psi),), (phi,))), nodes[0], phi)
+    elif name == "orR":
+        (p,), (phi,), (psi,) = premises, principal, args
+        concl = Sequent(p.antecedent, (disj(phi, psi),) + p.succedent[1:])
+        body = CutNode(to_cut(0), TautNode(Sequent((phi,), (disj(phi, psi),))), phi)
+    elif name == "andR":
+        (p1, p2), (phi, psi) = premises, principal
+        concl = Sequent(p1.antecedent + p2.antecedent,
+                        (conj(phi, psi),) + p1.succedent[1:] + p2.succedent[1:])
         leaf = TautNode(Sequent((phi, psi), (conj(phi, psi),)))
-        m1, _ = to_succ_last(p1, c1, phi)
-        k1 = CutNode(m1, leaf, phi)
-        m2, _ = to_succ_last(p2, c2, psi)
-        k2 = CutNode(m2, k1, psi)
-        return StructNode(k2, apply_derived_rule(name, premise_concls, args))
-    if name == "impL":
-        p1, p2 = ps
-        c1, c2 = premise_concls
-        phi, psi = c1.succedent[0], c2.antecedent[-1]
-        mp = AxiomNode.make("mp", phi=phi, psi=psi)
-        m1, _ = to_succ_last(p1, c1, phi)
-        k1 = CutNode(m1, mp, phi)      # G, phi->psi |- D, psi
-        k2 = CutNode(k1, p2, psi)
-        return StructNode(k2, apply_derived_rule(name, premise_concls, args))
-    if name == "negL":
-        (p,) = ps
-        (pc,) = premise_concls
-        phi = pc.succedent[0]
-        leaf = TautNode(Sequent((phi, Not(phi)), ()))
-        m, _ = to_succ_last(p, pc, phi)
-        cut = CutNode(m, leaf, phi)
-        return StructNode(cut, apply_derived_rule(name, premise_concls, args))
-    raise DerivationError("rule", f"unknown derived rule {name!r}")
+        body = CutNode(to_cut(1), CutNode(to_cut(0), leaf, phi), psi)
+    elif name == "impL":
+        (p1, p2), (phi, psi) = premises, principal
+        concl = Sequent(p1.antecedent + p2.antecedent[:-1] + (Implies(phi, psi),),
+                        p1.succedent[1:] + p2.succedent)
+        # G, phi -> psi |- D, psi, then psi cut into the right premise
+        mp = CutNode(to_cut(0), AxiomNode.make("mp", phi=phi, psi=psi), phi)
+        body = CutNode(mp, nodes[1], psi)
+    else:  # negL
+        (p,), (phi,) = premises, principal
+        concl = Sequent(p.antecedent + (Not(phi),), p.succedent[1:])
+        body = CutNode(to_cut(0), TautNode(Sequent((phi, Not(phi)), ())), phi)
+    return concl, StructNode(body, concl)
+
+
+def apply_derived_rule(name: str, premises: Sequence[Sequent],
+                       args: Sequence[Formula] = ()) -> Sequent:
+    """Conclusion of a derived-rule macro (see `_derive_rule`); the
+    premises stand in as leaves of an expansion that is dropped."""
+    return _derive_rule(name, [TautNode(p) for p in premises], premises, args)[0]
 
 
 def check_derivation(d: Derivation, lang: Language) -> CheckResult:
     """Validate every node and return the root conclusion plus the set of
-    axiom schemas used (with their b5-family flags)."""
+    axiom schemas used (with their b5-family flags).  A derivation nested
+    past the recursion limit is a `DerivationError`, not a crash."""
     # keyed by id; each entry holds its node so that transient macro
     # expansions stay alive and their ids are never reused for other nodes
     memo: dict[int, tuple[Node, Sequent]] = {}
@@ -470,14 +462,9 @@ def check_derivation(d: Derivation, lang: Language) -> CheckResult:
                 pc = walk(node.premise, path + ".premise")
                 concl = apply_struct(pc, node.target, lang)
             elif isinstance(node, RuleNode):
-                if node.name in REJECTED_RULES:
-                    raise DerivationError("rule", f"rule {node.name!r} is rejected by construction")
                 pcs = [walk(p, f"{path}.premise{i}") for i, p in enumerate(node.premises)]
-                expansion = _expand_rule(node, pcs)
+                _, expansion = _derive_rule(node.name, node.premises, pcs, node.args)
                 concl = walk(expansion, path + ".expansion")
-                macro = apply_derived_rule(node.name, pcs, node.args)
-                if concl != macro:
-                    raise DerivationError("rule", "macro conclusion differs from its expansion")
             else:
                 raise DerivationError("node", f"unknown node type {type(node).__name__}")
         except DerivationError as e:
@@ -488,7 +475,10 @@ def check_derivation(d: Derivation, lang: Language) -> CheckResult:
         memo[key] = (node, concl)
         return concl
 
-    conclusion = walk(d.root, "root")
+    try:
+        conclusion = walk(d.root, "root")
+    except RecursionError:
+        raise DerivationError("root", "derivation nested too deeply to check") from None
     flags = frozenset(
         AXIOM_SCHEMAS[sid].family for sid in used
         if AXIOM_SCHEMAS[sid].family is not None

@@ -5,8 +5,10 @@ import os
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dblogic import construction
+from dblogic import construction, proof
 from dblogic.cli import cmd_check, cmd_model, cmd_prob, main
 from dblogic.library import proofs_dir
 
@@ -352,6 +354,78 @@ def test_check_deep_conditionals_compared_in_a_leaf_are_failure(tmp_path):
         "FAIL deepcond [f.dseq]: root: formula nested too deeply for the classical leaf check",
         "checked 0 derivations, 1 failures",
     ]
+
+
+_DEEP_CHAIN = "n0: I[x]\n" + "".join(
+    f"n{i}: struct[x |- x] n{i - 1}\n" for i in range(1, 1500)) + "qed: n1499 t\n"
+
+
+@pytest.mark.parametrize("body, reason", [
+    ("n1: I[x]\nn2: andR n1\nqed: n2 t\n", "andR expects two premises"),
+    ("n1: taut[|- x -> x]\nn2: andL[y] n1\nqed: n2 t\n",
+     "andL premise needs a principal antecedent formula"),
+    ("n1: I\nqed: n1 t\n", "I expects no premises and one formula argument"),
+    ("n1: ax[b3; phi = x; psi = y; eta = x]\nqed: n1 t\n",
+     "schema 'b3' has no metavariable 'eta'"),
+    (_DEEP_CHAIN, "derivation nested too deeply to check"),
+], ids=["andR-one-premise", "andL-no-antecedent", "I-no-argument", "stray-binding",
+        "deep-chain"])
+def test_check_malformed_derivation_is_failure(tmp_path, body, reason):
+    path = tmp_path / "f.dseq"
+    path.write_text("theta: x, y\nsystem: dbl*\n" + body)
+    out = io.StringIO()
+    assert cmd_check([str(path)], None, out=out) == 1
+    assert out.getvalue().splitlines() == [
+        f"FAIL t [f.dseq]: root: {reason}",
+        "checked 0 derivations, 1 failures",
+    ]
+
+
+_FORMULAS = ["x", "y", "!x", "x -> y", "(y | x)", "x /\\ y", "T", "x ->"]
+_SEQUENTS = ["|- x -> x", "x |- x", "|-", "x, y |- y", "|- x, !x", "x -> y |- (y | x)"]
+
+
+@st.composite
+def _dseq_texts(draw):
+    """Derivation files drawn from the node grammar: every operator,
+    rejected and unknown rules included, any number of premises, optional
+    arguments and ``ax`` bindings, stray ones included."""
+    lines = ["theta: x, y",
+             "system: " + draw(st.sampled_from(["dbl*", "dbl", "classical", "dbl+star"]))]
+    rules = [*proof.DERIVED_RULES, *proof.REJECTED_RULES, "orX"]
+    for i in range(1, draw(st.integers(1, 6)) + 1):
+        op = draw(st.sampled_from(["ax", "taut", "cut", "struct", *rules]))
+        if op == "ax":
+            sid = draw(st.sampled_from([*proof.AXIOM_SCHEMAS, "b9"]))
+            keys = draw(st.lists(st.sampled_from(["phi", "psi", "eta", "chi"]),
+                                 max_size=4, unique=True))
+            bracket = "; ".join([sid] + [f"{k} = {draw(st.sampled_from(_FORMULAS))}"
+                                         for k in keys])
+        elif op in ("taut", "struct"):
+            bracket = draw(st.sampled_from(_SEQUENTS))
+        else:
+            args = draw(st.lists(st.sampled_from(_FORMULAS), max_size=2))
+            bracket = "; ".join(args) if args or op == "cut" else None
+        refs = [f"n{draw(st.integers(1, i - 1))}"
+                for _ in range(draw(st.integers(0, 3 if i > 1 else 0)))]
+        head = op if bracket is None else f"{op}[{bracket}]"
+        lines.append(f"n{i}: {' '.join([head, *refs])}")
+    lines.append(f"qed: n{draw(st.integers(1, len(lines) - 2))} t")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_dseq_texts())
+def test_check_never_raises_on_grammar_built_files(tmp_path, text):
+    path = tmp_path / "g.dseq"
+    path.write_text(text)
+    out = io.StringIO()
+    rc = cmd_check([str(path)], None, out=out)
+    *verdicts, summary = out.getvalue().splitlines()
+    assert rc in (0, 1)
+    assert len(verdicts) == 1 and verdicts[0].startswith(("OK   ", "FAIL ", "ERROR ")), text
+    assert summary == f"checked {1 - rc} derivations, {rc} failures"
 
 
 @pytest.mark.parametrize("text, error", [

@@ -486,15 +486,15 @@ def _taut_nodes_reached(root, expansions):
 
 def test_each_library_leaf_is_checked_once(monkeypatch):
     calls, tables, expansions = [], [], []
-    leaf_check, evaluate, expand = proof.classical_leaf_check, proof.evaluate, proof._expand_rule
+    leaf_check, evaluate, derive = proof.classical_leaf_check, proof.evaluate, proof._derive_rule
     monkeypatch.setattr(proof, "classical_leaf_check",
                         lambda t: calls.append(t) or leaf_check(t))
     # every truth table is evaluated through `proof.evaluate`, whatever name
     # a caller imported the leaf check under
     monkeypatch.setattr(proof, "evaluate",
                         lambda *a, **k: tables.append(a[0]) or evaluate(*a, **k))
-    monkeypatch.setattr(proof, "_expand_rule",
-                        lambda n, pcs: expansions.append(expand(n, pcs)) or expansions[-1])
+    monkeypatch.setattr(proof, "_derive_rule",
+                        lambda *a: expansions.append(derive(*a)) or expansions[-1])
     lang = library_language()
     entries = theorem_library(lang)
     assert calls == [] and tables == []  # building records leaves, checking decides them
@@ -502,7 +502,8 @@ def test_each_library_leaf_is_checked_once(monkeypatch):
         calls.clear()
         expansions.clear()
         check_derivation(e.derivation, lang)
-        assert len(calls) == _taut_nodes_reached(e.derivation.root, expansions), e.tid
+        reached = _taut_nodes_reached(e.derivation.root, [x for _, x in expansions])
+        assert len(calls) == reached, e.tid
     assert tables  # the watcher sees the checker's truth tables
 
 
