@@ -12,7 +12,8 @@ from fractions import Fraction as F
 
 from dblogic import ClassicalProbability, Language, build_for_formulas
 from dblogic.probability import (
-    default_lewis_deltas, lewis_collapse_demo, lewis_separation,
+    default_lewis_deltas, extend_probability, lewis_collapse_demo,
+    lewis_separation,
 )
 
 lang = Language(["a", "b"])
@@ -24,7 +25,7 @@ deltas = default_lewis_deltas(lang)
 stage = build_for_formulas(["a", "b"], deltas, max_atoms=32, skip_unaffordable=True)
 print(f"model: {stage.size} points after {stage.index} advances")
 
-report = lewis_separation(stage, pi, phi, deltas=deltas, lang=lang)
+report = lewis_separation(extend_probability(pi, stage), phi, deltas=deltas)
 decided = [e for e in report.entries if e.equal is not None]
 print(f"compared {len(decided)} conditionals (skipped "
       f"{len(report.entries) - len(decided)} beyond the point budget)")

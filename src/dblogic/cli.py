@@ -286,7 +286,7 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
 
     if lewis_phi is not None:
         try:
-            rep_ = probability.lewis_separation(stage, pi, lewis_phi, lang=lang)
+            rep_ = probability.lewis_separation(ext, lewis_phi)
         except ValueError as e:
             print(f"ERROR: {e}", file=out)
             return 1

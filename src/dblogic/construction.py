@@ -480,7 +480,6 @@ class CheckReport:
 
     checks: dict[str, tuple[int, int]] = field(default_factory=dict)
     counterexamples: dict[str, str] = field(default_factory=dict)
-    seed: int | None = None
 
     def record(self, name: str, passed: int, skipped: int = 0,
                counterexample: str | None = None) -> None:

@@ -72,9 +72,14 @@ class ClassicalProbability:
         if len(table) != 1 << len(self.theta):
             raise ValueError("table must cover every complete conjunction")
         self.table = tuple(table)
-        total = sum(self.table[1:], self.table[0])
-        if not (total == 1):
-            raise ValueError(f"probabilities must sum to 1 exactly (got {total})")
+        # Only a table without RatFunc cells is summed.  The workbench builds
+        # RatFunc tables only in `epsilon_perturbed`, whose cells
+        # w + (1/n - w) e over an exact table checked here sum to 1 + 0 e by
+        # construction, and summing them costs a RatFunc add per cell.
+        if not any(isinstance(w, RatFunc) for w in self.table):
+            total = sum(self.table)
+            if total != 1:
+                raise ValueError(f"probabilities must sum to 1 exactly (got {total})")
         self.exact_rational = all(isinstance(w, Fraction) for w in self.table)
         if self.exact_rational and any(w < 0 for w in self.table):
             raise ValueError("probabilities must be nonnegative")
@@ -540,22 +545,21 @@ def lewis_preconditions(pi: ClassicalProbability, phi: Formula) -> Fraction:
     return p_phi
 
 
-def lewis_separation(stage: Stage, pi: ClassicalProbability, phi: Formula,
-                     deltas: Sequence[Formula] | None = None,
-                     lang: Language | None = None) -> LewisReport:
+def lewis_separation(ext: Extension, phi: Formula,
+                     deltas: Sequence[Formula] | None = None) -> LewisReport:
     """Compare, over a family of conditionals, the extension of the
-    conditioned probability with the conditioning of the extension."""
-    lang = lang or Language(stage.theta)
+    conditioned probability with the conditioning of the extension `ext`
+    (the direct extension of its `pi` up its stage)."""
+    pi, stage = ext.pi, ext.assignment.stage
     p_phi = lewis_preconditions(pi, phi)
     if deltas is None:
-        deltas = default_lewis_deltas(lang)
-    main = extend_probability(pi, stage)
+        deltas = default_lewis_deltas(Language(stage.theta))
     # P(phi) < 1 on a strictly positive pi, so conditioning zeroes a cell
     side_a_ext = epsilon_extension(pi.conditioned(phi), stage)
     entries: list[LewisEntry] = []
     for d in deltas:
         a_raw = side_a_ext.prob(d)
-        num = main.prob(conj(d, phi))
+        num = ext.prob(conj(d, phi))
         if a_raw is None or num is None:
             entries.append(LewisEntry(d, None, None, None))
             continue
@@ -566,7 +570,7 @@ def lewis_separation(stage: Stage, pi: ClassicalProbability, phi: Formula,
     # (0 < P(psi /\ phi) < P(phi)), since the demo conditions on both
     # psi /\ phi and !psi /\ phi.  When phi changes no atom, every atom
     # splits it (pi is strictly positive) and the first one is taken.
-    atoms = [Atom(n) for n in lang.theta]
+    atoms = [Atom(n) for n in stage.theta]
     changed = [a for a in atoms if pi.of(conj(a, phi)) / p_phi != pi.of(a)]
     fits = [a for a in changed if 0 < pi.of(conj(a, phi)) < p_phi] if changed else atoms
     demo = lewis_collapse_demo(pi, phi, fits[0]) if fits else None

@@ -53,8 +53,8 @@ from typing import Mapping, Sequence
 
 from .syntax import (
     Atom, Cond, Formula, Implies, Language, Meta, Not, Sequent,
-    SubstitutionError, conj, disj, evaluate, indep, iff, metas, substitute,
-    truth_columns,
+    SubstitutionError, conj, disj, evaluate, indep, iff, leaves, metas,
+    substitute, truth_columns,
 )
 
 __all__ = [
@@ -200,29 +200,19 @@ def _too_wide(width: int) -> DerivationError:
 
 def _leaf_variables(formulas: Sequence[Formula]
                     ) -> tuple[dict[str, int], list[Formula], dict[int, int]]:
-    """One iterative left-before-right scan of a leaf's formulas, visiting
-    each shared node once.  Returns the atom names (name -> index), one
-    representative per class of equal maximal conditionals, and the class
-    of each maximal conditional node by id.  A new conditional node is
-    compared by ``==`` (nothing is hashed) with each representative; a
-    conditional that finds atoms plus classes past `_MAX_TABLE_VARS` stops
-    the scan, so it makes at most that many comparisons per node."""
+    """The variables of a leaf's formulas, read off `leaves` with the
+    conditionals closed: the atom names (name -> index), one representative
+    per class of equal maximal conditionals, and the class of each maximal
+    conditional node by id.  A new conditional node is compared by ``==``
+    (nothing is hashed) with each representative; a conditional that finds
+    atoms plus classes past `_MAX_TABLE_VARS` stops the loop, so it makes at
+    most that many comparisons per node."""
     names: dict[str, int] = {}
     classes: list[Formula] = []
     conds: dict[int, int] = {}
-    seen: set[int] = set()
-    stack = list(reversed(formulas))
-    while stack:
-        g = stack.pop()
-        if id(g) in seen:
-            continue
-        seen.add(id(g))
+    for g in leaves(formulas, False):
         if isinstance(g, Atom):
             names.setdefault(g.name, len(names))
-        elif isinstance(g, Not):
-            stack.append(g.body)
-        elif isinstance(g, Implies):
-            stack += (g.right, g.left)
         elif isinstance(g, Cond):
             j = next((j for j, c in enumerate(classes) if c == g), len(classes))
             if j == len(classes):

@@ -16,6 +16,13 @@ constants.  Precedence: ``!`` > ``/\\`` > ``\\/`` > ``->`` > ``<->``/``><``.
 
 Sequents are pairs of formula sequences written ``G1, G2 |- D1, D2``; either
 side may be empty.
+
+Formulas are DAGs: a `Language` builds each subformula once, and ``<->``
+holds its two sides twice.  `leaves` is the one walk over the leaves of a
+formula, iterative and visiting each shared node once, so `atoms`, `metas`
+and `is_classical` cost time linear in the distinct nodes.  `_fmt` is the
+one printer, for both styles, and `_sugar` the one matcher that reads the
+sugar back off a node.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ __all__ = [
     "Formula", "Atom", "Not", "Implies", "Cond", "Meta",
     "Sequent", "Language", "ParseError", "SubstitutionError",
     "disj", "conj", "iff", "indep", "parse",
-    "atoms", "metas", "is_classical", "substitute", "truth_columns", "evaluate",
+    "leaves", "atoms", "metas", "is_classical", "substitute", "truth_columns",
+    "evaluate",
 ]
 
 
@@ -101,46 +109,45 @@ def indep(psi: Formula, phi: Formula) -> Formula:
     return iff(Cond(psi, phi), psi)
 
 
-def _leaf_names(f: Formula, kind: type) -> frozenset[str]:
-    """Names of the `kind` leaves of `f`, visiting each shared node once."""
-    out: set[str] = set()
+def leaves(formulas: Sequence[Formula],
+           open_conditionals: bool = True) -> list[Formula]:
+    """The atoms and metavariables of `formulas`, in the order a
+    left-to-right reading first meets each node.  The walk is iterative and
+    opens each shared node once.  With `open_conditionals` false a
+    conditional is listed, not opened, so the maximal conditionals are in
+    the list too."""
+    out: list[Formula] = []
     seen: set[int] = set()
-    stack = [f]
+    stack = list(reversed(formulas))
     while stack:
         g = stack.pop()
         if id(g) in seen:
             continue
         seen.add(id(g))
-        if isinstance(g, kind):
-            out.add(g.name)
-        elif isinstance(g, Not):
+        if isinstance(g, Not):
             stack.append(g.body)
         elif isinstance(g, Implies):
-            stack.extend((g.left, g.right))
-        elif isinstance(g, Cond):
-            stack.extend((g.then, g.given))
-    return frozenset(out)
+            stack += (g.right, g.left)
+        elif isinstance(g, Cond) and open_conditionals:
+            stack += (g.given, g.then)
+        else:
+            out.append(g)
+    return out
 
 
 def atoms(f: Formula) -> frozenset[str]:
     """Names of all atoms occurring in `f`."""
-    return _leaf_names(f, Atom)
+    return frozenset(g.name for g in leaves((f,)) if isinstance(g, Atom))
 
 
 def metas(f: Formula) -> frozenset[str]:
     """Names of all metavariables occurring in `f`."""
-    return _leaf_names(f, Meta)
+    return frozenset(g.name for g in leaves((f,)) if isinstance(g, Meta))
 
 
 def is_classical(f: Formula) -> bool:
     """True when `f` contains no conditional constructor."""
-    if isinstance(f, (Atom, Meta)):
-        return True
-    if isinstance(f, Not):
-        return is_classical(f.body)
-    if isinstance(f, Implies):
-        return is_classical(f.left) and is_classical(f.right)
-    return False
+    return not any(isinstance(g, Cond) for g in leaves((f,), False))
 
 
 def truth_columns(names: Sequence[str]) -> dict[str, int]:
@@ -457,9 +464,9 @@ class Language:
 
     def format(self, f: Formula, style: str = "core") -> str:
         if style == "core":
-            return _fmt_core(f, 0)
+            return _fmt(f, 0, None)
         if style == "sugared":
-            return _fmt_sugared(f, 0, self)
+            return _fmt(f, 0, self)
         raise ValueError(f"unknown style {style!r}")
 
     def format_sequent(self, s: Sequent, style: str = "core") -> str:
@@ -478,100 +485,69 @@ def parse(text: str, theta: Sequence[str]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Printers
+# Printer
+#
+# One recursive printer for both styles.  In the sugared style `_sugar`
+# reads the most specific sugar shape off a node before the core
+# constructors are printed; `_BINARY` gives each binary operator's
+# precedence and the precedences its two operands are printed at.
 # ---------------------------------------------------------------------------
 
-# precedence levels used by the printers; higher binds tighter
-_P_IFF, _P_IMP, _P_OR, _P_AND, _P_NOT, _P_ATOM = 1, 2, 3, 4, 5, 6
+# precedence levels; higher binds tighter
+_P_IFF, _P_IMP, _P_OR, _P_AND, _P_NOT = 1, 2, 3, 4, 5
+# binary operator -> (its precedence, left operand's, right operand's)
+_BINARY = {
+    "><": (_P_IFF, _P_IFF + 1, _P_IFF + 1),
+    "<->": (_P_IFF, _P_IFF + 1, _P_IFF + 1),
+    "->": (_P_IMP, _P_IMP + 1, _P_IMP),
+    "\\/": (_P_OR, _P_OR, _P_OR + 1),
+    "/\\": (_P_AND, _P_AND, _P_AND + 1),
+}
 
 
-def _fmt_core(f: Formula, parent: int) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Meta):
-        return f"?{f.name}"
-    if isinstance(f, Cond):
-        return f"({_fmt_core(f.then, 0)} | {_fmt_core(f.given, 0)})"
-    if isinstance(f, Not):
-        s = "!" + _fmt_core(f.body, _P_NOT)
-        return s if parent <= _P_NOT else f"({s})"
+def _sugar(f: Formula) -> tuple[str, Formula, Formula] | None:
+    """The sugar `f` expands: ``(op, left, right)`` for the most specific of
+    ``><``, ``<->``, ``/\\`` and ``\\/`` whose expansion `f` is, else None."""
     if isinstance(f, Implies):
-        s = f"{_fmt_core(f.left, _P_IMP + 1)} -> {_fmt_core(f.right, _P_IMP)}"
-        return s if parent <= _P_IMP else f"({s})"
-    raise TypeError(f)
-
-
-def _match_disj(f: Formula) -> tuple[Formula, Formula] | None:
-    if isinstance(f, Implies) and isinstance(f.left, Not):
-        return f.left.body, f.right
-    return None
-
-
-def _match_conj(f: Formula) -> tuple[Formula, Formula] | None:
-    if not isinstance(f, Not):
+        return ("\\/", f.left.body, f.right) if isinstance(f.left, Not) else None
+    if not (isinstance(f, Not) and isinstance(g := f.body, Implies)
+            and isinstance(g.left, Not) and isinstance(p := g.left.body, Not)
+            and isinstance(q := g.right, Not)):
         return None
-    inner = _match_disj(f.body)
-    if inner is None:
-        return None
-    na, nb = inner
-    if isinstance(na, Not) and isinstance(nb, Not):
-        return na.body, nb.body
-    return None
-
-
-def _match_iff(f: Formula) -> tuple[Formula, Formula] | None:
-    inner = _match_conj(f)
-    if inner is None:
-        return None
-    p, q = inner
-    if (isinstance(p, Implies) and isinstance(q, Implies)
+    p, q = p.body, q.body                  # f is p /\ q
+    if not (isinstance(p, Implies) and isinstance(q, Implies)
             and p.left == q.right and p.right == q.left):
-        return p.left, p.right
-    return None
+        return "/\\", p, q
+    a, b = p.left, p.right                 # f is a <-> b
+    if isinstance(a, Cond) and a.then == b:
+        return "><", b, a.given
+    return "<->", a, b
 
 
-def _match_indep(f: Formula) -> tuple[Formula, Formula] | None:
-    inner = _match_iff(f)
-    if inner is None:
-        return None
-    l, r = inner
-    if isinstance(l, Cond) and l.then == r:
-        return r, l.given
-    return None
-
-
-def _fmt_sugared(f: Formula, parent: int, lang: Language) -> str:
-    def wrap(s: str, prec: int) -> str:
-        return s if parent <= prec else f"({s})"
-
-    if f == lang.top:
-        return "T"
-    if f == lang.bot:
-        return "F"
-    m = _match_indep(f)
-    if m is not None:
-        psi, phi = m
-        return wrap(f"{_fmt_sugared(psi, _P_IFF + 1, lang)} >< {_fmt_sugared(phi, _P_IFF + 1, lang)}", _P_IFF)
-    m = _match_iff(f)
-    if m is not None:
-        a, b = m
-        return wrap(f"{_fmt_sugared(a, _P_IFF + 1, lang)} <-> {_fmt_sugared(b, _P_IFF + 1, lang)}", _P_IFF)
-    m = _match_conj(f)
-    if m is not None:
-        a, b = m
-        return wrap(f"{_fmt_sugared(a, _P_AND, lang)} /\\ {_fmt_sugared(b, _P_AND + 1, lang)}", _P_AND)
-    m = _match_disj(f)
-    if m is not None:
-        a, b = m
-        return wrap(f"{_fmt_sugared(a, _P_OR, lang)} \\/ {_fmt_sugared(b, _P_OR + 1, lang)}", _P_OR)
+def _fmt(f: Formula, parent: int, lang: Language | None) -> str:
+    """`f` in core syntax when `lang` is None, else in the sugared syntax of
+    `lang`, bracketed when it binds less tightly than `parent`."""
     if isinstance(f, Atom):
         return f.name
     if isinstance(f, Meta):
         return f"?{f.name}"
-    if isinstance(f, Cond):
-        return f"({_fmt_sugared(f.then, 0, lang)} | {_fmt_sugared(f.given, 0, lang)})"
-    if isinstance(f, Not):
-        return wrap("!" + _fmt_sugared(f.body, _P_NOT, lang), _P_NOT)
-    if isinstance(f, Implies):
-        return wrap(f"{_fmt_sugared(f.left, _P_IMP + 1, lang)} -> {_fmt_sugared(f.right, _P_IMP, lang)}", _P_IMP)
-    raise TypeError(f)
+    sugar = None
+    if lang is not None:
+        if f == lang.top:
+            return "T"
+        if f == lang.bot:
+            return "F"
+        sugar = _sugar(f)
+    if sugar is None:
+        if isinstance(f, Cond):
+            return f"({_fmt(f.then, 0, lang)} | {_fmt(f.given, 0, lang)})"
+        if isinstance(f, Not):
+            s = "!" + _fmt(f.body, _P_NOT, lang)
+            return s if parent <= _P_NOT else f"({s})"
+        if not isinstance(f, Implies):
+            raise TypeError(f)
+        sugar = ("->", f.left, f.right)
+    op, a, b = sugar
+    prec, left, right = _BINARY[op]
+    s = f"{_fmt(a, left, lang)} {op} {_fmt(b, right, lang)}"
+    return s if parent <= prec else f"({s})"

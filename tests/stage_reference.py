@@ -100,11 +100,9 @@ def reference_verify_stage(stage: Stage, rng: Random | None = None) -> CheckRepo
     its limit: every element of a level of at most _VERIFY_LIMIT points,
     _VERIFY_SAMPLES seeded ones of a larger level (the trivial conditions
     on 64 seeded elements, and an unchecked tally at stage 0)."""
-    seed = None
     if rng is None:
-        seed = 0
-        rng = Random(seed)
-    rep = CheckReport(seed=seed)
+        rng = Random(0)
+    rep = CheckReport()
 
     if stage.index == 0:
         rep.record("trivial-conditions", 1 << min(stage.size, _VERIFY_LIMIT))

@@ -269,7 +269,7 @@ def test_acceptance_09_lewis_separation():
     assert pi.of(L2.parse("a /\\ !b")) == F(1, 4)
     deltas = default_lewis_deltas(L2)
     stage = build_for_formulas(["a", "b"], deltas, max_atoms=32, skip_unaffordable=True)
-    rep = lewis_separation(stage, pi, L2.parse("b"), deltas=deltas, lang=L2)
+    rep = lewis_separation(extend_probability(pi, stage), L2.parse("b"), deltas=deltas)
     by_delta = {e.delta: e for e in rep.entries}
     e = by_delta[L2.parse("(b | a)")]
     # frozen oracles: extending the conditioned table gives the plain Bayes

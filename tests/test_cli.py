@@ -306,6 +306,18 @@ def test_prob_lewis_witness_printed():
     assert "collapses=True" in text
 
 
+def test_prob_lewis_on_a_deep_classical_phi_is_fast():
+    # each <-> holds the one below twice, shared: 2**22 tree paths
+    phi = "a <-> (" * 22 + "b" + ")" * 22
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    rc = cmd_prob(["a", "b"], PI_TEXT, [], 32, 0, False, phi, out=out)
+    elapsed = time.perf_counter() - t0
+    assert rc == 0
+    assert "lewis separation on phi=a <-> (a <-> " in out.getvalue()
+    assert elapsed < 1.0, elapsed
+
+
 def test_prob_lewis_collapse_demo_not_applicable():
     # phi = a: the only atom phi changes is a itself, which phi does not
     # split (P(!a /\ a) = 0), so the collapse demo has no psi to use

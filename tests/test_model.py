@@ -176,10 +176,12 @@ def test_equivalence_theorems_respected_by_evaluation(m1):
         if e.derivation.system is not System.DBL_STAR:
             continue
         if len(e.statement.antecedent) == 0 and len(e.statement.succedent) == 1:
-            from dblogic.syntax import _match_iff
-            m = _match_iff(e.statement.succedent[0])
-            if m:
-                pairs.append((e.tid, *m))
+            from dblogic.syntax import _sugar
+            m = _sugar(e.statement.succedent[0])
+            if m and m[0] == "<->":
+                pairs.append((e.tid, m[1], m[2]))
+            elif m and m[0] == "><":   # psi >< phi is (psi | phi) <-> psi
+                pairs.append((e.tid, Cond(m[1], m[2]), m[1]))
     assert pairs
     names = sorted({n for _, a, b in pairs
                     for n in LIB_LANG.theta})

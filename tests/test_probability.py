@@ -468,7 +468,7 @@ def test_lemma_checks_hold_in_epsilon_mode():
 def test_lewis_separation_documented_instance():
     deltas = default_lewis_deltas(L2)
     stage = build_for_formulas(["a", "b"], deltas, max_atoms=32, skip_unaffordable=True)
-    rep = lewis_separation(stage, PI_DOC, L2.parse("b"), deltas=deltas, lang=L2)
+    rep = lewis_separation(extend_probability(PI_DOC, stage), L2.parse("b"), deltas=deltas)
     by_delta = {e.delta: e for e in rep.entries}
     # frozen by hand: extending pi_b sees (b|a) as certain (the Bayes quotient
     # under pi_b), conditioning the extension gives 14/15
@@ -491,7 +491,8 @@ def test_lewis_classical_deltas_do_not_separate():
     stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     classicals = [Cond(x, L2.parse("T")) for x in
                   (Atom("a"), Atom("b"), Not(Atom("a")), conj(Atom("a"), Atom("b")))]
-    rep = lewis_separation(stage, PI_DOC, L2.parse("b"), deltas=classicals, lang=L2)
+    rep = lewis_separation(extend_probability(PI_DOC, stage), L2.parse("b"),
+                           deltas=classicals)
     for e in rep.entries:
         assert e.equal is True, e
 
@@ -500,7 +501,7 @@ def test_lewis_conditioning_on_top_is_identity():
     stage = build_for_formulas(["a", "b"], [L2.parse("(b | a)")])
     phi = L2.parse("a \\/ !a")
     with pytest.raises(ValueError):
-        lewis_separation(stage, PI_DOC, phi, lang=L2)  # P(phi)=1 is excluded
+        lewis_separation(extend_probability(PI_DOC, stage), phi)  # P(phi)=1 is excluded
 
 
 def test_collapse_demo_values():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import os
 import time
@@ -14,6 +15,7 @@ from dblogic.syntax import (
 from dblogic.library import proofs_dir
 
 import parser_reference as ref
+import printer_reference
 
 AB = Language(["a", "b"])
 
@@ -140,6 +142,7 @@ def test_leaf_names_visit_shared_nodes_once():
     t0 = time.perf_counter()
     assert atoms(deep) == {"a"} and metas(deep) == {"phi", "psi"}
     assert atoms(parsed) == {"a", "b"}
+    assert not is_classical(deep) and is_classical(parsed)
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -184,6 +187,40 @@ def test_trees_are_core_only(f):
         assert isinstance(g, (Atom, Not, Implies, Cond))
         if not isinstance(g, Atom):
             todo.extend(getattr(g, fl.name) for fl in dataclasses.fields(g))
+
+
+def near_miss_strategy(lang: Language):
+    """DAGs over atoms, metavariables, T and F, built with the sugar
+    constructors and with shapes one step off each sugar: a conjunction
+    whose second side is no negation, conjunctions of implications that
+    are each other's converse on one side only, a ``<->`` whose left side
+    is a conditional of another formula than its right side, and a ``<->``
+    whose sides are equal copies rather than shared nodes."""
+    base = st.sampled_from([Atom(n) for n in lang.theta] + [lang.top, lang.bot]
+                           + [Meta("phi"), Meta("psi")])
+    shapes = {
+        "not": lambda a, b: Not(a),
+        "imp": Implies, "cond": Cond, "or": disj, "and": conj, "iff": iff,
+        "indep": indep,
+        "and?": lambda a, b: Not(Implies(Not(Not(a)), b)),
+        "iff?": lambda a, b: conj(Implies(a, b), Implies(b, b)),
+        "iff?'": lambda a, b: conj(Implies(a, b), Implies(a, a)),
+        "indep?": lambda a, b: iff(Cond(b, a), a),
+        "iff copy": lambda a, b: conj(Implies(a, b),
+                                      Implies(copy.deepcopy(b), copy.deepcopy(a))),
+    }
+
+    def extend(children):
+        return st.tuples(st.sampled_from(sorted(shapes)), children, children).map(
+            lambda t: shapes[t[0]](t[1], t[2]))
+
+    return st.recursive(base, extend, max_leaves=12)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(near_miss_strategy(AB), st.sampled_from(["core", "sugared"]))
+def test_printer_agrees_with_reference(f, style):
+    assert AB.format(f, style) == printer_reference.format_formula(AB, f, style)
 
 
 # -- differential tests against the recursive-descent reference --------------
