@@ -106,14 +106,18 @@ def cmd_check(paths: list[str], system: str | None, out=None) -> int:
                 d = proof.Derivation(d.root, *override)
             try:
                 res = proof.check_derivation(d, lang)
+                concl = lang.format_sequent(res.conclusion, "sugared")
             except proof.DerivationError as e:
                 lines.append(f"FAIL {label} [{os.path.basename(path)}]: {e}")
                 failures += 1
                 continue
+            except RecursionError:
+                lines.append(f"ERROR {path}: {label}: conclusion nested too deeply to print")
+                failures += 1
+                continue
             checked += 1
             flags = ",".join(sorted(res.flags)) or "-"
-            lines.append(f"OK   {label}: {lang.format_sequent(res.conclusion, 'sugared')}"
-                         f"  [flags {flags}]")
+            lines.append(f"OK   {label}: {concl}  [flags {flags}]")
     lines.append(f"checked {checked} derivations, {failures} failures")
     print("\n".join(lines), file=out)
     return 0 if failures == 0 else 1

@@ -9,7 +9,7 @@ instead of guessing.
 
 Formula values come from the one bit-parallel evaluator, `syntax.evaluate`,
 which `entails` calls directly for each assignment; `ConditionalAssignment`
-is its front-end on a stage, memoized by node id.  The laws of f are checked
+is its front-end on a stage, memoized by formula.  The laws of f are checked
 on each stage by `construction.verify_stage`.
 """
 
@@ -31,26 +31,25 @@ __all__ = ["ConditionalAssignment", "EntailmentResult", "entails"]
 # ---------------------------------------------------------------------------
 
 class ConditionalAssignment:
-    """Unique homomorphic extension of an atom map, memoized by node id (the
-    entry keeps its node, so the id is not reused; nothing is hashed)."""
+    """Unique homomorphic extension of an atom map, memoized by formula."""
 
     def __init__(self, stage: Stage, atom_map: Mapping[str, int]):
         self.stage = stage
         self.atom_map = dict(atom_map)
-        self._memo: dict[int, tuple[Formula, int | None, int | None]] = {}
+        self._memo: dict[Formula, tuple[int | None, int | None]] = {}
 
     def value(self, f: Formula) -> int | None:
         """Homomorphic value, or None when some required f row is missing."""
-        hit = self._memo.get(id(f))
+        hit = self._memo.get(f)
         if hit is None:
-            hit = self._memo[id(f)] = (f, *evaluate(f, self.atom_map, self.stage.full,
-                                                    self.stage.apply_f))
-        return hit[1]
+            hit = self._memo[f] = evaluate(f, self.atom_map, self.stage.full,
+                                           self.stage.apply_f)
+        return hit[0]
 
     def blocking_condition(self, f: Formula) -> int | None:
         """The innermost condition element whose f row was missing."""
         self.value(f)
-        return self._memo[id(f)][2]
+        return self._memo[f][1]
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +85,8 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
     # Each node is evaluated once per assignment: a repeat decides nothing new,
     # and once the succedent is reached every antecedent node is full.
     full, cond = stage.full, stage.apply_f
-    ante = list({id(g): g for g in s.antecedent}.values())
-    ante_ids = {id(g) for g in ante}
-    succ = list({id(d): d for d in s.succedent}.values())
+    ante = dict.fromkeys(s.antecedent)
+    succ = dict.fromkeys(s.succedent)
 
     def holds_at(amap: dict[str, int]) -> bool | None:
         """Whether the sequent holds under `amap`; None when undefined."""
@@ -98,7 +96,7 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
                 return None if v is None else True
         undefined = False
         for d in succ:
-            v = full if id(d) in ante_ids else evaluate(d, amap, full, cond)[0]
+            v = full if d in ante else evaluate(d, amap, full, cond)[0]
             if v == full:
                 return True
             undefined = undefined or v is None

@@ -133,25 +133,30 @@ class ClassicalProbability:
 def parse_probability_file(text: str, lang: Language,
                            strict_positive: bool = False) -> ClassicalProbability:
     """Lines ``conjunction : p/q`` over the complete conjunctions; missing
-    lines default to zero (rejected under `strict_positive`)."""
+    lines default to zero (rejected under `strict_positive`).  A bad line is
+    a `ValueError` that starts ``line N:``."""
     theta = lang.theta
     table: list[Fraction | None] = [None] * (1 << len(theta))
     columns = truth_columns(theta)
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         left, sep, right = line.rpartition(":")
-        if not sep:
-            raise ValueError(f"missing ':' in {line!r}")
-        f = lang.parse(left.strip())
-        rows, _ = evaluate(f, columns, (1 << len(table)) - 1)
-        if bin(rows).count("1") != 1:
-            raise ValueError(f"{left.strip()!r} does not denote a single complete conjunction")
-        code = rows.bit_length() - 1
-        if table[code] is not None:
-            raise ValueError(f"duplicate cell {left.strip()!r}")
-        table[code] = Fraction(right.strip())
+        try:
+            if not sep:
+                raise ValueError(f"missing ':' in {line!r}")
+            rows, _ = evaluate(lang.parse(left.strip()), columns, (1 << len(table)) - 1)
+            if bin(rows).count("1") != 1:
+                raise ValueError(f"{left.strip()!r} does not denote a single complete conjunction")
+            code = rows.bit_length() - 1
+            if table[code] is not None:
+                raise ValueError(f"duplicate cell {left.strip()!r}")
+            table[code] = Fraction(right.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"line {n}: zero denominator in {right.strip()!r}") from None
+        except ValueError as e:
+            raise type(e)(f"line {n}: {e}") from None
     cells = [w if w is not None else Fraction(0) for w in table]
     pi = ClassicalProbability(theta, cells)
     if strict_positive and not pi.strictly_positive:

@@ -16,8 +16,8 @@ single derivation for the purpose of exhibiting the triviality it causes.
 
 CUT position convention: the cut formula must be the last succedent element of
 the left premise and may be any antecedent element of the right premise; a
-STRUCT node reorders as needed.  Formula identity is structural equality of
-core trees throughout.
+STRUCT node reorders as needed.  Formulas are hash-consed, so structural
+equality of core trees is object identity throughout.
 
 Each admissible LK rule (``I``, ``andL``, ``orR``, ``andR``, ``impL``,
 ``negL``) is defined once, in `_derive_rule`: a table gives its premise roles
@@ -177,8 +177,7 @@ def apply_cut(left: Sequent, right: Sequent, cut: Formula) -> Sequent:
 
 def apply_struct(premise: Sequent, target: Sequent, lang: Language) -> Sequent:
     """Weakening + contraction + permutation, with {T} removable on the left
-    and {F} on the right.  Inclusion is membership by ``==`` on core trees,
-    which stops at shared children; nothing is hashed."""
+    and {F} on the right.  Inclusion is membership, by identity."""
     ant, suc = target.antecedent, target.succedent
     if not all(f in ant or f == lang.top for f in premise.antecedent):
         raise DerivationError("struct", "antecedent inclusion violated")
@@ -198,33 +197,25 @@ def _too_wide(width: int) -> DerivationError:
     return DerivationError("taut", f"too many variables for a truth table ({width})")
 
 
-def _leaf_variables(formulas: Sequence[Formula]
-                    ) -> tuple[dict[str, int], list[Formula], dict[int, int]]:
-    """The variables of a leaf's formulas, read off `leaves` with the
-    conditionals closed: the atom names (name -> index), one representative
-    per class of equal maximal conditionals, and the class of each maximal
-    conditional node by id.  A new conditional node is compared by ``==``
-    (nothing is hashed) with each representative; a conditional that finds
-    atoms plus classes past `_MAX_TABLE_VARS` stops the loop, so it makes at
-    most that many comparisons per node."""
-    names: dict[str, int] = {}
-    classes: list[Formula] = []
-    conds: dict[int, int] = {}
+def _leaf_variables(formulas: Sequence[Formula]) -> tuple[list[str], list[Formula]]:
+    """The atom names and the maximal conditionals of a leaf's formulas, in
+    the order `leaves` first meets them: each is one variable, as equal
+    formulas are one node.  A conditional that takes the count of variables
+    past `_MAX_TABLE_VARS` stops the scan."""
+    names: list[str] = []
+    conds: list[Formula] = []
     for g in leaves(formulas, False):
         if isinstance(g, Atom):
-            names.setdefault(g.name, len(names))
+            names.append(g.name)
         elif isinstance(g, Cond):
-            j = next((j for j, c in enumerate(classes) if c == g), len(classes))
-            if j == len(classes):
-                classes.append(g)
-            conds[id(g)] = j
-            if len(names) + len(classes) > _MAX_TABLE_VARS:
-                raise _too_wide(len(names) + len(classes))
+            conds.append(g)
+            if len(names) + len(conds) > _MAX_TABLE_VARS:
+                raise _too_wide(len(names) + len(conds))
         elif isinstance(g, Meta):
             raise DerivationError("taut", "metavariable in a concrete leaf")
-    if len(names) + len(classes) > _MAX_TABLE_VARS:
-        raise _too_wide(len(names) + len(classes))
-    return names, classes, conds
+    if len(names) + len(conds) > _MAX_TABLE_VARS:
+        raise _too_wide(len(names) + len(conds))
+    return names, conds
 
 
 def classical_leaf_check(target: Sequent) -> bool:
@@ -235,21 +226,20 @@ def classical_leaf_check(target: Sequent) -> bool:
 
     Multi-succedent targets are an error, never silently accepted: sequents
     like ``|- a, !a`` are not derivable, so admitting them here would make the
-    checker unsound.  ``==`` and `evaluate` recurse, so a formula nested past
-    the recursion limit is a `DerivationError`, not a crash.
+    checker unsound.  `evaluate` recurses, so a formula nested past the
+    recursion limit is a `DerivationError`, not a crash.
     """
     if len(target.succedent) > 1:
         raise DerivationError("taut", "classical leaf requires at most one succedent formula")
     try:
-        names, classes, conds = _leaf_variables(target.antecedent + target.succedent)
-        columns = truth_columns(range(len(names) + len(classes)))
-        atom_map = {name: columns[i] for name, i in names.items()}
-        memo: dict[int, int | None] = {k: columns[len(names) + j] for k, j in conds.items()}
+        names, conds = _leaf_variables(target.antecedent + target.succedent)
+        columns = truth_columns(names + conds)      # each variable's column
+        memo: dict[Formula, int | None] = {c: columns[c] for c in conds}
         rows = full = (1 << (1 << len(columns))) - 1
         for f in target.antecedent:
-            rows &= evaluate(f, atom_map, full, memo=memo)[0]
+            rows &= evaluate(f, columns, full, memo=memo)[0]
         for f in target.succedent:
-            rows &= ~evaluate(f, atom_map, full, memo=memo)[0]
+            rows &= ~evaluate(f, columns, full, memo=memo)[0]
     except RecursionError:
         raise DerivationError(
             "taut", "formula nested too deeply for the classical leaf check") from None

@@ -17,19 +17,19 @@ constants.  Precedence: ``!`` > ``/\\`` > ``\\/`` > ``->`` > ``<->``/``><``.
 Sequents are pairs of formula sequences written ``G1, G2 |- D1, D2``; either
 side may be empty.
 
-Formulas are DAGs: a `Language` builds each subformula once, and ``<->``
-holds its two sides twice.  `leaves` is the one walk over the leaves of a
-formula, iterative and visiting each shared node once, so `atoms`, `metas`
-and `is_classical` cost time linear in the distinct nodes.  `_fmt` is the
-one printer, for both styles, and `_sugar` the one matcher that reads the
-sugar back off a node.
+Formulas are hash-consed DAGs: each distinct formula is one object, so
+``==`` is ``is``, and ``<->`` holds its two sides twice.  `leaves` is the
+one walk over the leaves of a formula, iterative and visiting each node
+once, so `atoms`, `metas` and `is_classical` cost time linear in the
+distinct subformulas.  `_fmt` is the one printer, for both styles, and
+`_sugar` the one matcher that reads the sugar back off a node.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 __all__ = [
     "Formula", "Atom", "Not", "Implies", "Cond", "Meta",
@@ -50,31 +50,62 @@ class SubstitutionError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Formula trees
+#
+# `Formula.__new__` looks each node up in `_TABLE`, keyed by its class and
+# fields (a leaf's name or a node's children), and builds it only on a miss,
+# so structurally equal formulas are one object however they were built:
+# parser, sugar helpers, `substitute`, copying, pickling, `dataclasses.replace`.
+# The classes generate no ``__eq__`` or ``__hash__``; both go by identity, in
+# O(1).  Fields cannot be assigned: a changed node would change every formula
+# sharing it.  The table keeps each distinct formula for the life of the
+# process and is never pruned.
 # ---------------------------------------------------------------------------
 
+_TABLE: dict[tuple, Formula] = {}
+
+
 class Formula:
-    """Base class for core formula trees."""
+    """Base class for core formula nodes: one object per formula."""
 
-    __slots__ = ()
+    def __new__(cls, *args, **named):
+        fields = cls.__match_args__
+        if named:                          # as `dataclasses.replace` passes them
+            args += tuple(named.pop(n) for n in fields[len(args):] if n in named)
+        f = _TABLE.get(key := (cls, *args))
+        if f is None or named:
+            if named or len(args) != len(fields):
+                raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}")
+            f = _TABLE[key] = object.__new__(cls)
+            for name, value in zip(fields, args):
+                object.__setattr__(f, name, value)
+        return f
+
+    def __deepcopy__(self, memo=None) -> Formula:
+        return self
+
+    __copy__ = __deepcopy__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Cond(Formula):
     """The conditional ``(then | given)``: `then` in the sub-universe of `given`."""
 
@@ -82,7 +113,7 @@ class Cond(Formula):
     given: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Meta(Formula):
     """Schema metavariable; never produced by the parser."""
 
@@ -113,17 +144,16 @@ def leaves(formulas: Sequence[Formula],
            open_conditionals: bool = True) -> list[Formula]:
     """The atoms and metavariables of `formulas`, in the order a
     left-to-right reading first meets each node.  The walk is iterative and
-    opens each shared node once.  With `open_conditionals` false a
-    conditional is listed, not opened, so the maximal conditionals are in
-    the list too."""
+    opens each node once.  With `open_conditionals` false a conditional is
+    listed, not opened, so the maximal conditionals are in the list too."""
     out: list[Formula] = []
-    seen: set[int] = set()
+    seen: set[Formula] = set()
     stack = list(reversed(formulas))
     while stack:
         g = stack.pop()
-        if id(g) in seen:
+        if g in seen:
             continue
-        seen.add(id(g))
+        seen.add(g)
         if isinstance(g, Not):
             stack.append(g.body)
         elif isinstance(g, Implies):
@@ -150,7 +180,7 @@ def is_classical(f: Formula) -> bool:
     return not any(isinstance(g, Cond) for g in leaves((f,), False))
 
 
-def truth_columns(names: Sequence[str]) -> dict[str, int]:
+def truth_columns(names: Sequence[Hashable]) -> dict[Hashable, int]:
     """Truth-table columns as bitmasks: row r sets bit r of the column of
     ``names[i]`` exactly when bit i of r is set."""
     rows = 1 << len(names)
@@ -168,7 +198,7 @@ def truth_columns(names: Sequence[str]) -> dict[str, int]:
 
 def evaluate(f: Formula, atom_map: Mapping[str, int], full: int,
              cond: Callable[[int, int], int | None] | None = None,
-             *, memo: dict[int, int | None] | None = None,
+             *, memo: dict[Formula, int | None] | None = None,
              ) -> tuple[int | None, int | None]:
     """Bit-parallel value of `f` in the powerset algebra with top `full`.
 
@@ -180,8 +210,8 @@ def evaluate(f: Formula, atom_map: Mapping[str, int], full: int,
     and with truth-table columns for `atom_map` the value is its set of
     satisfying rows.
 
-    `memo` seeds the id-keyed memo, where a node takes its value unopened;
-    the walk fills it, so one dict can serve several formulas.
+    `memo` seeds the memo, where a node takes its value unopened; the walk
+    fills it, so one dict can serve several formulas.
     """
     memo = {} if memo is None else memo
     blocking: int | None = None
@@ -190,9 +220,8 @@ def evaluate(f: Formula, atom_map: Mapping[str, int], full: int,
         nonlocal blocking
         if isinstance(g, Atom):
             return atom_map[g.name]
-        key = id(g)
-        if key in memo:
-            return memo[key]
+        if g in memo:
+            return memo[g]
         if isinstance(g, Not):
             v = ev(g.body)
             out = None if v is None else full ^ v
@@ -211,7 +240,7 @@ def evaluate(f: Formula, atom_map: Mapping[str, int], full: int,
                     blocking = a
         else:
             raise TypeError(g)
-        memo[key] = out
+        memo[g] = out
         return out
 
     return ev(f), blocking
@@ -257,17 +286,16 @@ class Sequent:
 # brackets on another.  A binary operator first reduces every stacked
 # operator that binds at least as tightly (strictly more tightly for the
 # right-associative ``->``), and ``)``, ``|``, ``,``, ``|-`` and the end of
-# input reduce down to the innermost open bracket.  Every node comes from
-# the node table of its `Language`, keyed by constructor and child ids, so a
-# subformula that repeats within the language's texts is one object.  Deep
-# input cannot hit the recursion limit here.
+# input reduce down to the innermost open bracket, the sugar expanded by
+# `disj`, `conj`, `iff` and `indep`.  Deep input cannot hit the recursion
+# limit here.
 #
 # Above the loop sits the text memo of the `Language`: formula text ->
 # formula, for every text that parsed, alone or as a stripped formula of a
 # sequent split at ``|-`` and ``,`` (`Language.parse_sequent` says why that
 # split is exact).  A repeated text costs one dict lookup and returns the
-# same node-table object the loop would build; a text that fails is not
-# stored, so it fails again with the same error.
+# object the loop would build; a text that fails is not stored, so it fails
+# again with the same error.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\|-|<->|->|/\\|\\/|><|[!()|,]|[A-Za-z_][A-Za-z0-9_]*")
@@ -277,6 +305,7 @@ _RESERVED = {"T", "F"}
 _POWER = {"<->": 1, "><": 1, "->": 2, "\\/": 3, "/\\": 4, "!": 5}
 # a binary operator reduces the stacked operators of at least this power
 _REDUCES = {"<->": 1, "><": 1, "->": 3, "\\/": 3, "/\\": 4}
+_BUILD = {"->": Implies, "\\/": disj, "/\\": conj, "<->": iff, "><": indep}
 
 
 def _tokenize(text: str) -> list[str]:
@@ -299,14 +328,9 @@ def _found(tok: str | None) -> str:
 
 
 class Language:
-    """A declared, ordered atom set plus its parser, its node table, its text
-    memo and its printers.
-
-    The node table maps (constructor, child ids) to the one node built for
-    them; the text memo maps each formula text that parsed, alone or as a
-    formula of a sequent, to its formula.  Both live as long as the
-    `Language`, so two languages share no node and no entry.
-    """
+    """A declared, ordered atom set plus its parser, its printers and its
+    text memo, which maps each formula text that parsed, alone or in a
+    sequent, to its formula."""
 
     def __init__(self, theta: Sequence[str]):
         names = tuple(theta)
@@ -318,13 +342,10 @@ class Language:
             if not _IDENT_RE.match(name) or name in _RESERVED:
                 raise ValueError(f"invalid atom name {name!r}")
         self.theta: tuple[str, ...] = names
-        self._nodes: dict[tuple, Formula] = {}
         self._texts: dict[str, Formula] = {}
-        self._leaves: dict[str, Formula] = {n: Atom(n) for n in names}
-        first = self._leaves[names[0]]
-        self.top: Formula = self._node(Implies, first, first)
-        self.bot: Formula = self._node(Not, self.top)
-        self._leaves.update(T=self.top, F=self.bot)
+        self.top: Formula = Implies(Atom(names[0]), Atom(names[0]))
+        self.bot: Formula = Not(self.top)
+        self._leaves = {**{n: Atom(n) for n in names}, "T": self.top, "F": self.bot}
 
     # -- parsing ------------------------------------------------------------
 
@@ -369,32 +390,12 @@ class Language:
             out.append(f)
         return tuple(out)
 
-    def _node(self, cls: type, a: Formula, b: Formula | None = None) -> Formula:
-        key = (cls, id(a), id(b))
-        f = self._nodes.get(key)
-        if f is None:
-            f = self._nodes[key] = cls(a) if b is None else cls(a, b)
-        return f
-
-    def _reduce(self, op: str, out: list[Formula]) -> None:
-        """Replace the operands of `op` on top of `out` by its node, sugar
-        expanded as `disj`, `conj`, `iff` and `indep` expand it."""
-        node = self._node
+    @staticmethod
+    def _reduce(op: str, out: list[Formula]) -> None:
+        """Replace the operands of `op` on top of `out` by its formula, built
+        by `Not`, `Implies`, `disj`, `conj`, `iff` or `indep`."""
         b = out.pop()
-        if op == "!":
-            out.append(node(Not, b))
-            return
-        a = out.pop()
-        if op == "->":
-            out.append(node(Implies, a, b))
-        elif op == "\\/":
-            out.append(node(Implies, node(Not, a), b))
-        else:
-            if op == "><":
-                a, b = node(Cond, a, b), a
-            if op != "/\\":
-                a, b = node(Implies, a, b), node(Implies, b, a)
-            out.append(node(Not, node(Implies, node(Not, node(Not, a)), node(Not, b))))
+        out.append(Not(b) if op == "!" else _BUILD[op](out.pop(), b))
 
     def _read(self, text: str, sequent: bool) -> Formula | Sequent:
         """`text` as one formula, or as a sequent when `sequent` is set."""
@@ -436,7 +437,7 @@ class Language:
                 if tok == ")":
                     if ops.pop() == "(|":
                         given = out.pop()
-                        out.append(self._node(Cond, out.pop(), given))
+                        out.append(Cond(out.pop(), given))
                 elif tok == "|" and ops[-1] == "(":
                     ops[-1] = "(|"
                     operand = True
@@ -516,10 +517,10 @@ def _sugar(f: Formula) -> tuple[str, Formula, Formula] | None:
         return None
     p, q = p.body, q.body                  # f is p /\ q
     if not (isinstance(p, Implies) and isinstance(q, Implies)
-            and p.left == q.right and p.right == q.left):
+            and p.left is q.right and p.right is q.left):
         return "/\\", p, q
     a, b = p.left, p.right                 # f is a <-> b
-    if isinstance(a, Cond) and a.then == b:
+    if isinstance(a, Cond) and a.then is b:
         return "><", b, a.given
     return "<->", a, b
 
@@ -533,17 +534,19 @@ def _fmt(f: Formula, parent: int, lang: Language | None) -> str:
         return f"?{f.name}"
     sugar = None
     if lang is not None:
-        if f == lang.top:
+        if f is lang.top:
             return "T"
-        if f == lang.bot:
+        if f is lang.bot:
             return "F"
         sugar = _sugar(f)
     if sugar is None:
         if isinstance(f, Cond):
             return f"({_fmt(f.then, 0, lang)} | {_fmt(f.given, 0, lang)})"
-        if isinstance(f, Not):
-            s = "!" + _fmt(f.body, _P_NOT, lang)
-            return s if parent <= _P_NOT else f"({s})"
+        if isinstance(f, Not):             # a run of plain `!` in one frame
+            n, f = 1, f.body
+            while isinstance(f, Not) and (lang is None or f is not lang.bot and not _sugar(f)):
+                n, f = n + 1, f.body
+            return "!" * n + _fmt(f, _P_NOT, lang)
         if not isinstance(f, Implies):
             raise TypeError(f)
         sugar = ("->", f.left, f.right)

@@ -210,6 +210,12 @@ def test_prob_bad_lewis_formula_is_error():
     assert out.getvalue().startswith("ERROR: --lewis: ")
 
 
+def test_prob_zero_denominator_is_one_error_line():
+    out = io.StringIO()
+    assert cmd_prob(["a", "b"], "a /\\ b : 1/0\n", ["a"], 32, 0, False, None, out=out) == 1
+    assert out.getvalue() == "ERROR: line 1: zero denominator in '1/0'\n"
+
+
 @pytest.mark.parametrize("table, phi, error", [
     ("a /\\ b : 1/2\na /\\ !b : 1/2\n", "b", "the base distribution must be strictly positive"),
     (PI_TEXT, "(b | a)", "the conditioning proposition must be classical"),
@@ -354,8 +360,8 @@ def test_check_deep_leaf_is_failure(tmp_path):
 
 
 def test_check_deep_conditionals_compared_in_a_leaf_are_failure(tmp_path):
-    # two distinct conditionals 1 200 `!` deep: the `==` that tells them
-    # apart recurses past the limit, and the leaf check reports it
+    # two distinct conditionals 1 200 `!` deep are two truth-table
+    # variables, told apart without a recursive comparison
     bangs = "!" * 1200
     path = tmp_path / "f.dseq"
     path.write_text(f"theta: x, y\nsystem: dbl*\n"
@@ -363,8 +369,40 @@ def test_check_deep_conditionals_compared_in_a_leaf_are_failure(tmp_path):
     out = io.StringIO()
     assert cmd_check([str(path)], None, out=out) == 1
     assert out.getvalue().splitlines() == [
-        "FAIL deepcond [f.dseq]: root: formula nested too deeply for the classical leaf check",
+        "FAIL deepcond [f.dseq]: root: not a classical tautology under abstraction",
         "checked 0 derivations, 1 failures",
+    ]
+
+
+def test_check_deep_equal_conditionals_in_a_leaf_are_one_variable(tmp_path):
+    # the two equal conditionals are one node, hence one variable, and the
+    # printer writes the run of 1 200 `!` without one frame per `!`
+    cond = f"({'!' * 1200}x | x)"
+    path = tmp_path / "f.dseq"
+    path.write_text(f"theta: x, y\nsystem: dbl*\n"
+                    f"n1: taut[|- {cond} -> {cond}]\nqed: n1 deepcond\n")
+    out = io.StringIO()
+    assert cmd_check([str(path)], None, out=out) == 0
+    assert out.getvalue().splitlines() == [
+        f"OK   deepcond: |- {cond} -> {cond}  [flags -]",
+        "checked 1 derivations, 0 failures",
+    ]
+
+
+def test_check_conclusion_too_deep_to_print_is_error(tmp_path):
+    # the derivation checks, but its conclusion nests 3 000 `->` on the
+    # right: one ERROR line, and the other files are still checked
+    deep = tmp_path / "deep.dseq"
+    deep.write_text("theta: a, b\nn1: ax[c1; phi = " + "a -> " * 3000
+                    + "a; psi = b]\nqed: n1\n")
+    fine = tmp_path / "fine.dseq"
+    fine.write_text("theta: a, b\nn1: taut[|- a -> a]\nqed: n1 fine\n")
+    out = io.StringIO()
+    assert cmd_check([str(deep), str(fine)], None, out=out) == 1
+    assert out.getvalue().splitlines() == [
+        f"ERROR {deep}: derivation1: conclusion nested too deeply to print",
+        "OK   fine: |- T  [flags -]",
+        "checked 1 derivations, 1 failures",
     ]
 
 

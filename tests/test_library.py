@@ -1,7 +1,10 @@
+import io
 import os
 
 import pytest
 
+from dblogic import syntax
+from dblogic.cli import cmd_check
 from dblogic.library import (
     GROUP_ANNOTATIONS, export_library, library_language, proofs_dir,
     theorem_library,
@@ -107,3 +110,17 @@ def test_library_runtime_budget():
     for e in theorem_library(LANG):
         check_derivation(e.derivation, LANG)
     assert time.time() - t0 < 5.0
+
+
+def test_a_second_check_of_the_library_builds_no_formula():
+    # the shipped files and the in-memory library, checked once to fill
+    # the formula table: checking both again adds no entry to it
+    def check_all():
+        assert cmd_check([proofs_dir()], None, out=io.StringIO()) == 0
+        for e in theorem_library(LANG):
+            check_derivation(e.derivation, LANG)
+
+    check_all()
+    size = len(syntax._TABLE)
+    check_all()
+    assert len(syntax._TABLE) == size

@@ -528,3 +528,20 @@ def test_probability_file_parsing():
         parse_probability_file(partial, L2, strict_positive=True)
     with pytest.raises(ValueError):
         parse_probability_file("a : 1/2\n", L2)  # not a complete conjunction
+
+
+AND_B, B_AND = "a /\\ b", "b /\\ a"
+
+
+@pytest.mark.parametrize("text, error", [
+    (f"# cells\n{AND_B} 1/2\n", f"line 2: missing ':' in {AND_B + ' 1/2'!r}"),
+    ("a /\\ c : 1/2\n", "line 1: unknown atom 'c' (declared: a, b)"),
+    ("a : 1/2\n", "line 1: 'a' does not denote a single complete conjunction"),
+    (f"{AND_B} : 1/2\n\n{B_AND} : 1/2\n", f"line 3: duplicate cell {B_AND!r}"),
+    (f"{AND_B} : x\n", "line 1: Invalid literal for Fraction: 'x'"),
+    (f"{AND_B} : 1/0\n", "line 1: zero denominator in '1/0'"),
+], ids=["colon", "atom", "conjunction", "duplicate", "number", "zero-denominator"])
+def test_probability_file_errors_name_their_line(text, error):
+    with pytest.raises(ValueError) as info:
+        parse_probability_file(text, L2)
+    assert str(info.value) == error

@@ -101,7 +101,8 @@ def test_struct_cannot_drop_plain_antecedent():
 
 
 def _rebuilt(f):
-    """An equal copy of `f` that shares no node with it."""
+    """`f` rebuilt node by node with fresh constructor calls, which
+    hash-consing answers with the nodes of `f` themselves."""
     if isinstance(f, Atom):
         return Atom(f.name)
     if isinstance(f, Not):
@@ -170,7 +171,7 @@ _LEAF_NAMES = [f"p{i}" for i in range(22)]
 def _leaf_sequents(draw):
     """A sequent over a random formula DAG: each new node takes earlier
     nodes as children, so subterms are shared and conditionals nest and
-    repeat; a copy is equal to an earlier node but a distinct object, and
+    repeat; a copy by `dataclasses.replace` is the earlier node itself, and
     a fold over every earlier node makes tables of any width."""
     pool = [Atom(_LEAF_NAMES[0])]
 
@@ -235,9 +236,8 @@ def test_tautology_keeps_iff_sharing():
 
 
 def _distinct_conditionals(n, depth=60):
-    """n pairwise distinct conditionals, built without sharing, that agree
-    on a chain of `depth` negations and differ only below it, so each
-    comparison of two of them walks the chain."""
+    """n pairwise distinct conditionals that agree on a chain of `depth`
+    negations and differ only below it."""
     out = []
     for k in range(n):
         code = A
@@ -267,8 +267,8 @@ def test_truth_table_limit_counts_atoms_and_conditionals():
 
 
 def test_wide_leaf_is_rejected_after_a_bounded_scan():
-    # placeholders are found by comparing with `==`; the scan stops once the
-    # table is too wide, so 200 conditionals cost no more than 19
+    # the scan stops once the table is too wide, so 200 conditionals cost
+    # no more than 19
     f = _any_of(_distinct_conditionals(200))
     t0 = time.perf_counter()
     with pytest.raises(DerivationError, match="too many variables"):

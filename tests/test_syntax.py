@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import os
+import pickle
 import time
 
 import pytest
@@ -13,6 +14,7 @@ from dblogic.syntax import (
     _tokenize, substitute, disj,
 )
 from dblogic.library import proofs_dir
+from dblogic.proof import AXIOM_SCHEMAS
 
 import parser_reference as ref
 import printer_reference
@@ -195,7 +197,7 @@ def near_miss_strategy(lang: Language):
     whose second side is no negation, conjunctions of implications that
     are each other's converse on one side only, a ``<->`` whose left side
     is a conditional of another formula than its right side, and a ``<->``
-    whose sides are equal copies rather than shared nodes."""
+    built from deep copies of its sides, which are the sides themselves."""
     base = st.sampled_from([Atom(n) for n in lang.theta] + [lang.top, lang.bot]
                            + [Meta("phi"), Meta("psi")])
     shapes = {
@@ -341,20 +343,6 @@ def test_memo_hits_agree_with_reference(tokens, sep):
 
 # -- stack safety and sharing ---------------------------------------------------
 
-def _nodes(f):
-    """Every node of `f` once, walked without recursion."""
-    seen, stack = {}, [f]
-    while stack:
-        g = stack.pop()
-        if id(g) not in seen:
-            seen[id(g)] = g
-            if isinstance(g, Not):
-                stack.append(g.body)
-            elif isinstance(g, (Implies, Cond)):
-                stack.extend((getattr(g, fl.name) for fl in dataclasses.fields(g)))
-    return seen
-
-
 def test_deep_negation_parses_without_recursion():
     f = AB.parse("!" * 1000 + "a")
     for _ in range(1000):
@@ -384,9 +372,30 @@ def test_equal_subformulas_are_one_node():
     assert lang.parse("x -> x") is lang.top and lang.parse("!T") is lang.bot
 
 
-def test_languages_share_no_node():
+def test_equal_formulas_are_one_object():
+    # hash-consed: a structurally equal formula is the same object however
+    # it was built, so `==` and `hash` go by identity
     one, two = Language(["a", "b"]), Language(["a", "b"])
     text = "(a | b) <-> !b /\\ T"
-    f, g = one.parse(text), two.parse(text)
-    assert f == g
-    assert not set(_nodes(f)) & set(_nodes(g))
+    f = one.parse(text)
+    assert two.parse(text) is f
+    a, b = Atom("a"), Atom("b")
+    c, r = Cond(a, b), Not(Implies(Not(Not(Not(b))), Not(Implies(a, a))))
+    assert Not(Implies(Not(Not(Implies(c, r))), Not(Implies(r, c)))) is f
+    assert iff(Cond(a, b), conj(Not(b), Implies(a, a))) is f
+    assert indep(a, b) is one.parse("a >< b") and disj(a, b) is two.parse("a \\/ b")
+    binding = {"phi": one.parse("a /\\ b"), "psi": one.parse("(b | a)")}
+    assert substitute(AXIOM_SCHEMAS["b5"].succedent[0], binding) is two.parse(
+        "a /\\ b >< (b | a)")
+    for g in (f, a, Meta("phi")):
+        assert copy.copy(g) is g and copy.deepcopy(g) is g
+        assert dataclasses.replace(g) is g and pickle.loads(pickle.dumps(g)) is g
+    assert dataclasses.replace(c, given=a) is Cond(a, a)
+    for cls in (Atom, Not, Implies, Cond, Meta):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    # one interned node changed would change every formula that shares it
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.then = b
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.name = "b"
+    assert c.then is a and a.name == "a"
