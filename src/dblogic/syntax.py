@@ -21,8 +21,9 @@ Formulas are hash-consed DAGs: each distinct formula is one object, so
 ``==`` is ``is``, and ``<->`` holds its two sides twice.  `leaves` is the
 one walk over the leaves of a formula, iterative and visiting each node
 once, so `atoms`, `metas` and `is_classical` cost time linear in the
-distinct subformulas.  `_fmt` is the one printer, for both styles, and
-`_sugar` the one matcher that reads the sugar back off a node.
+distinct subformulas.  `_fmt` is the one printer, for both styles and
+iterative too, and `_sugar` the one matcher that reads the sugar back off a
+node.
 """
 
 from __future__ import annotations
@@ -465,9 +466,9 @@ class Language:
 
     def format(self, f: Formula, style: str = "core") -> str:
         if style == "core":
-            return _fmt(f, 0, None)
+            return _fmt(f, None)
         if style == "sugared":
-            return _fmt(f, 0, self)
+            return _fmt(f, self)
         raise ValueError(f"unknown style {style!r}")
 
     def format_sequent(self, s: Sequent, style: str = "core") -> str:
@@ -488,21 +489,23 @@ def parse(text: str, theta: Sequence[str]) -> Formula:
 # ---------------------------------------------------------------------------
 # Printer
 #
-# One recursive printer for both styles.  In the sugared style `_sugar`
-# reads the most specific sugar shape off a node before the core
-# constructors are printed; `_BINARY` gives each binary operator's
-# precedence and the precedences its two operands are printed at.
+# One iterative printer for both styles, so no nesting depth reaches the
+# recursion limit.  In the sugared style `_sugar` reads the most specific
+# sugar shape off a node before the core constructors are printed; `_BINARY`
+# gives each binary operator's precedence and the precedences its two
+# operands are printed at.
 # ---------------------------------------------------------------------------
 
 # precedence levels; higher binds tighter
 _P_IFF, _P_IMP, _P_OR, _P_AND, _P_NOT = 1, 2, 3, 4, 5
-# binary operator -> (its precedence, left operand's, right operand's)
+# binary operator -> (its precedence, left operand's, right operand's, the
+# text between the operands)
 _BINARY = {
-    "><": (_P_IFF, _P_IFF + 1, _P_IFF + 1),
-    "<->": (_P_IFF, _P_IFF + 1, _P_IFF + 1),
-    "->": (_P_IMP, _P_IMP + 1, _P_IMP),
-    "\\/": (_P_OR, _P_OR, _P_OR + 1),
-    "/\\": (_P_AND, _P_AND, _P_AND + 1),
+    "><": (_P_IFF, _P_IFF + 1, _P_IFF + 1, " >< "),
+    "<->": (_P_IFF, _P_IFF + 1, _P_IFF + 1, " <-> "),
+    "->": (_P_IMP, _P_IMP + 1, _P_IMP, " -> "),
+    "\\/": (_P_OR, _P_OR, _P_OR + 1, " \\/ "),
+    "/\\": (_P_AND, _P_AND, _P_AND + 1, " /\\ "),
 }
 
 
@@ -525,32 +528,52 @@ def _sugar(f: Formula) -> tuple[str, Formula, Formula] | None:
     return "<->", a, b
 
 
-def _fmt(f: Formula, parent: int, lang: Language | None) -> str:
+def _fmt(f: Formula, lang: Language | None) -> str:
     """`f` in core syntax when `lang` is None, else in the sugared syntax of
-    `lang`, bracketed when it binds less tightly than `parent`."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Meta):
-        return f"?{f.name}"
-    sugar = None
-    if lang is not None:
-        if f is lang.top:
-            return "T"
-        if f is lang.bot:
-            return "F"
-        sugar = _sugar(f)
-    if sugar is None:
-        if isinstance(f, Cond):
-            return f"({_fmt(f.then, 0, lang)} | {_fmt(f.given, 0, lang)})"
-        if isinstance(f, Not):             # a run of plain `!` in one frame
-            n, f = 1, f.body
-            while isinstance(f, Not) and (lang is None or f is not lang.bot and not _sugar(f)):
-                n, f = n + 1, f.body
-            return "!" * n + _fmt(f, _P_NOT, lang)
-        if not isinstance(f, Implies):
-            raise TypeError(f)
-        sugar = ("->", f.left, f.right)
-    op, a, b = sugar
-    prec, left, right = _BINARY[op]
-    s = f"{_fmt(a, left, lang)} {op} {_fmt(b, right, lang)}"
-    return s if parent <= prec else f"({s})"
+    `lang`.  The loop prints `f` at precedence `parent`, going down left
+    operands at once; what comes after them waits on the stack, the next
+    piece on top: a (text, formula, parent) entry writes its text, then
+    prints its formula, if any, at its parent precedence."""
+    out: list[str] = []
+    stack: list[tuple[str, Formula | None, int]] = []
+    parent = 0
+    while True:
+        if isinstance(f, Atom):
+            out.append(f.name)
+        elif isinstance(f, Meta):
+            out.append(f"?{f.name}")
+        elif lang is not None and (f is lang.top or f is lang.bot):
+            out.append("T" if f is lang.top else "F")
+        else:
+            sugar = None if lang is None else _sugar(f)
+            if sugar is None:
+                if isinstance(f, Cond):
+                    out.append("(")
+                    stack += ((")", None, 0), (" | ", f.given, 0))
+                    f, parent = f.then, 0
+                    continue
+                if isinstance(f, Not):             # a run of plain `!` at once
+                    n, f = 1, f.body
+                    while isinstance(f, Not) and (lang is None or f is not lang.bot and not _sugar(f)):
+                        n, f = n + 1, f.body
+                    out.append("!" * n)
+                    parent = _P_NOT
+                    continue
+                if not isinstance(f, Implies):
+                    raise TypeError(f)
+                sugar = ("->", f.left, f.right)
+            op, a, b = sugar
+            prec, left, right, between = _BINARY[op]
+            if parent > prec:
+                out.append("(")
+                stack.append((")", None, 0))
+            stack.append((between, b, right))
+            f, parent = a, left
+            continue
+        while stack:                           # `f` is written: take the next piece
+            text, f, parent = stack.pop()
+            out.append(text)
+            if f is not None:
+                break
+        else:
+            return "".join(out)

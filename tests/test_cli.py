@@ -389,20 +389,21 @@ def test_check_deep_equal_conditionals_in_a_leaf_are_one_variable(tmp_path):
     ]
 
 
-def test_check_conclusion_too_deep_to_print_is_error(tmp_path):
-    # the derivation checks, but its conclusion nests 3 000 `->` on the
-    # right: one ERROR line, and the other files are still checked
+def test_check_conclusion_nested_3000_deep_prints(tmp_path):
+    # the derivation's conclusion nests 3 000 `->` on the right, and the
+    # printer's explicit stack prints it like any other
     deep = tmp_path / "deep.dseq"
     deep.write_text("theta: a, b\nn1: ax[c1; phi = " + "a -> " * 3000
                     + "a; psi = b]\nqed: n1\n")
     fine = tmp_path / "fine.dseq"
     fine.write_text("theta: a, b\nn1: taut[|- a -> a]\nqed: n1 fine\n")
     out = io.StringIO()
-    assert cmd_check([str(deep), str(fine)], None, out=out) == 1
+    assert cmd_check([str(deep), str(fine)], None, out=out) == 0
+    phi = "a -> " * 2999 + "T"                  # a -> a is T
     assert out.getvalue().splitlines() == [
-        f"ERROR {deep}: derivation1: conclusion nested too deeply to print",
+        f"OK   derivation1: |- ({phi}) -> b -> {phi}  [flags -]",
         "OK   fine: |- T  [flags -]",
-        "checked 1 derivations, 1 failures",
+        "checked 2 derivations, 0 failures",
     ]
 
 

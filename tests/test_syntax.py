@@ -399,3 +399,30 @@ def test_equal_formulas_are_one_object():
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.name = "b"
     assert c.then is a and a.name == "a"
+
+
+def _deep_shapes(n):
+    """Formulas nesting n operators: `->` to the right and to the left,
+    `/\\`, and conditionals in both places.  (`<->` writes each side twice
+    in the core style, so its nesting would print 2**n copies.)"""
+    a, b = Atom("a"), Atom("b")
+    right, left, both, then, given = b, b, b, b, b
+    for _ in range(n):
+        right, left = Implies(a, right), Implies(left, a)
+        both = conj(both, a)
+        then, given = Cond(then, a), Cond(a, given)
+    return [right, left, both, then, given]
+
+
+@pytest.mark.parametrize("style", ["core", "sugared"])
+def test_printer_is_the_reference_at_depth_200(style):
+    for f in _deep_shapes(200):
+        assert AB.format(f, style) == printer_reference.format_formula(AB, f, style)
+
+
+@pytest.mark.parametrize("style", ["core", "sugared"])
+def test_deep_formulas_print_without_recursion(style):
+    # the printer's stack holds what the recursion limit would not; the
+    # iterative parser reads the text back to the same object
+    for f in _deep_shapes(3000):
+        assert AB.parse(AB.format(f, style)) is f
