@@ -4,13 +4,13 @@ probability extension, with reproducible seeds and plain-text reports.
 Identical configuration and seed produce byte-identical reports; the exit
 status is 0 exactly when no check failed and no error occurred.  Each
 ``cmd_*`` writes to its `out` stream, or to the ``sys.stdout`` of the moment
-it is called when `out` is None.
+it is called when `out` is None.  Input of any depth is answered: no walk
+recurses.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
@@ -44,20 +44,6 @@ def _language(theta: list[str], out) -> Language | None:
     except ValueError as e:
         print(f"ERROR: --theta: {e}", file=out)
         return None
-
-
-def _depth_checked(cmd):
-    """`cmd` with the RecursionError of a formula nested too deeply turned
-    into one ERROR line and exit 1; the report, printed last, is not."""
-    @functools.wraps(cmd)
-    def run(*args, out=None, **kwargs):
-        out = sys.stdout if out is None else out
-        try:
-            return cmd(*args, out=out, **kwargs)
-        except RecursionError:
-            print("ERROR: formula nested too deeply to evaluate", file=out)
-            return 1
-    return run
 
 
 def _fmt_weight(w) -> str:
@@ -123,13 +109,13 @@ def cmd_check(paths: list[str], system: str | None, out=None) -> int:
 # model
 # ---------------------------------------------------------------------------
 
-@_depth_checked
 def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
               seed: int, samples: int | None, target: str | None,
               dump_path: str | None, out=None) -> int:
     """Build a model (faithful or targeted), verify each level once, then
     evaluate formulas and check sequents from the input lines.  The stage
     checks are exact; `seed` seeds only the sampled entailment checks."""
+    out = sys.stdout if out is None else out
     if samples is not None and samples < 1:
         print(f"ERROR: --samples: must be at least 1, got {samples}", file=out)
         return 1
@@ -209,13 +195,13 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
 # prob
 # ---------------------------------------------------------------------------
 
-@_depth_checked
 def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
              max_atoms: int, seed: int, strict_positive: bool,
              lewis: str | None, out=None) -> int:
     """Probability extension over a targeted build: per-formula values,
     pushforward/multiplicativity checks, Bayes defaults and optionally the
     separation demonstration."""
+    out = sys.stdout if out is None else out
     lang = _language(theta, out)
     if lang is None:
         return 1

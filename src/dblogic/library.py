@@ -73,13 +73,13 @@ class Prover:
         self.lang = lang
         self.system = system
         self.allow_star = allow_star
-        self._concl: dict[int, Sequent] = {}
+        self._concl: dict[Node, Sequent] = {}
 
     def concl(self, node: Node) -> Sequent:
-        return self._concl[id(node)]
+        return self._concl[node]
 
     def _register(self, node: Node, concl: Sequent) -> Node:
-        self._concl[id(node)] = concl
+        self._concl[node] = concl
         return node
 
     def ax(self, sid: str, **binding: Formula) -> Node:

@@ -138,11 +138,14 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
     `full` carries into its flag bit exactly when some point is missing,
     and never further.  The rules above then run as and, or and not on
     those masks, one mask per outcome, with the open slots those that no
-    earlier formula decided.  Slot i is the i-th assignment of the block,
-    so the lowest failing slot is the first failing assignment, and
-    `checked` and `skipped` count the held and the skipped slots below it,
-    after every earlier block's.  Verdict, witness and counts are those of
-    deciding one assignment after the other (`tests/entails_reference.py`).
+    earlier formula decided.  ``(B | A)`` flags every decided slot without
+    asking `Stage.apply_f`; as a block's decided slots only grow, a memo
+    value made while fewer were decided stays valid.  Slot i is the i-th
+    assignment of the block, so the lowest failing slot is the first
+    failing assignment, and `checked` and `skipped` count the held and the
+    skipped slots below it, after every earlier block's.  Verdict, witness
+    and counts are those of deciding one assignment after the other
+    (`tests/entails_reference.py`).
     """
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -182,9 +185,9 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
         atom_map = {n: slots.pack(col) for n, col in columns.items()}
         unpack, pack = slots.unpack, slots.pack
 
-        def cond(t: int, a: int) -> int:
+        def cond(t: int, a: int) -> int:            # a decided slot is flagged
             return pack([rows[k] if k in rows else row(*k)
-                         for k in zip(unpack(t), unpack(a))])
+                         for k in zip(unpack(t | flags & ~open_ | any_full), unpack(a))])
 
         fulls, flags = slots.full, slots.flags
         memo: dict[Formula, int] = {}
@@ -195,7 +198,7 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
             undefined = v & flags
             return flags & ~(((~v & fulls) + fulls) | undefined), undefined
 
-        open_, held, skips = flags, 0, 0
+        open_, held, skips, any_full = flags, 0, 0, 0
         for g in ante:
             if not open_:
                 break
@@ -205,7 +208,7 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
             open_ &= is_full
         failing = 0
         if open_:
-            any_full = any_undefined = 0
+            any_undefined = 0
             for d in succ:                      # an antecedent node is full here
                 if not open_ & ~any_full:
                     break

@@ -26,7 +26,11 @@ the rule's expansion into CUT/STRUCT/leaf nodes.  The checker walks that
 expansion in place of the macro, so accepting a macro never goes beyond the
 base system; ``orL``, ``impR`` and ``negR`` are rejected.  Bad input is a
 `DerivationError`, never a crash: a malformed rule node, an ``ax`` binding
-for a name its schema lacks, a derivation nested past the recursion limit.
+for a name its schema lacks.
+
+Derivation nodes share the formulas' hash-consing table (`syntax.Interned`):
+equal subderivations are one object, checked once.  The checker and the
+printer walk the DAG on explicit stacks, reading premises from `_premises`.
 
 Derivation file format (line oriented, ``#`` comments):
 
@@ -53,8 +57,8 @@ from typing import Mapping, Sequence
 
 from .syntax import (
     Atom, Cond, Formula, Implies, Language, Meta, Not, Sequent,
-    SubstitutionError, conj, disj, evaluate, indep, iff, leaves, metas,
-    substitute, truth_columns,
+    Interned, SubstitutionError, conj, disj, evaluate, indep, iff, leaves,
+    metas, substitute, truth_columns,
 )
 
 __all__ = [
@@ -226,23 +230,19 @@ def classical_leaf_check(target: Sequent) -> bool:
 
     Multi-succedent targets are an error, never silently accepted: sequents
     like ``|- a, !a`` are not derivable, so admitting them here would make the
-    checker unsound.  `evaluate` recurses, so a formula nested past the
-    recursion limit is a `DerivationError`, not a crash.
+    checker unsound.  The scan and `evaluate` are iterative, so a formula of
+    any depth is decided.
     """
     if len(target.succedent) > 1:
         raise DerivationError("taut", "classical leaf requires at most one succedent formula")
-    try:
-        names, conds = _leaf_variables(target.antecedent + target.succedent)
-        columns = truth_columns(names + conds)      # each variable's column
-        memo: dict[Formula, int | None] = {c: columns[c] for c in conds}
-        rows = full = (1 << (1 << len(columns))) - 1
-        for f in target.antecedent:
-            rows &= evaluate(f, columns, full, memo=memo)[0]
-        for f in target.succedent:
-            rows &= ~evaluate(f, columns, full, memo=memo)[0]
-    except RecursionError:
-        raise DerivationError(
-            "taut", "formula nested too deeply for the classical leaf check") from None
+    names, conds = _leaf_variables(target.antecedent + target.succedent)
+    columns = truth_columns(names + conds)      # each variable's column
+    memo: dict[Formula, int | None] = {c: columns[c] for c in conds}
+    rows = full = (1 << (1 << len(columns))) - 1
+    for f in target.antecedent:
+        rows &= evaluate(f, columns, full, memo=memo)[0]
+    for f in target.succedent:
+        rows &= ~evaluate(f, columns, full, memo=memo)[0]
     return rows == 0
 
 
@@ -255,12 +255,11 @@ def is_tautology(f: Formula) -> bool:
 # Derivation nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Node:
-    pass
+class Node(Interned):
+    """Base class for derivation nodes: one object per node."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class AxiomNode(Node):
     schema_id: str
     binding: tuple[tuple[str, Formula], ...]  # sorted items
@@ -270,25 +269,25 @@ class AxiomNode(Node):
         return AxiomNode(schema_id, tuple(sorted(binding.items())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TautNode(Node):
     target: Sequent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class CutNode(Node):
     left: Node
     right: Node
     cut: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class StructNode(Node):
     premise: Node
     target: Sequent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class RuleNode(Node):
     name: str
     args: tuple[Formula, ...]
@@ -302,12 +301,23 @@ class Derivation:
     allow_star: bool = False
 
 
+def _premises(node: Node) -> tuple[tuple[str, Node], ...]:
+    """The premises of `node`, each with the step its path takes to it."""
+    if isinstance(node, CutNode):
+        return (".left", node.left), (".right", node.right)
+    if isinstance(node, StructNode):
+        return ((".premise", node.premise),)
+    if isinstance(node, RuleNode):
+        return tuple((f".premise{i}", p) for i, p in enumerate(node.premises))
+    return ()
+
+
 @dataclass
 class CheckResult:
     conclusion: Sequent
     axioms_used: frozenset[str]
     flags: frozenset[str]
-    nodes: int
+    nodes: int                        # distinct nodes checked, expansions too
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +421,26 @@ def apply_derived_rule(name: str, premises: Sequence[Sequent],
 
 def check_derivation(d: Derivation, lang: Language) -> CheckResult:
     """Validate every node and return the root conclusion plus the set of
-    axiom schemas used (with their b5-family flags).  A derivation nested
-    past the recursion limit is a `DerivationError`, not a crash."""
-    # keyed by id; each entry holds its node so that transient macro
-    # expansions stay alive and their ids are never reused for other nodes
-    memo: dict[int, tuple[Node, Sequent]] = {}
-    used: set[str] = set()
-    count = 0
+    axiom schemas used (with their b5-family flags).
 
-    def walk(node: Node, path: str) -> Sequent:
-        nonlocal count
-        key = id(node)
-        if key in memo:
-            return memo[key][1]
-        count += 1
+    The walk is post-order on an explicit stack: a node waits, ready, under
+    its premises not yet checked, the first on top, then a macro under its
+    expansion; so the first failure in depth-first order is reported.  The
+    memo is keyed by node: each distinct node is checked once.
+    """
+    memo: dict[Node, Sequent] = {}
+    used: set[str] = set()
+    stack = [(d.root, "root", False)]
+    while stack:
+        node, path, ready = stack.pop()
+        if node in memo:
+            continue
+        if not ready and (premises := _premises(node)):
+            stack.append((node, path, True))
+            for step, p in reversed(premises):
+                if p not in memo:
+                    stack.append((p, path + step, False))
+            continue
         try:
             if isinstance(node, AxiomNode):
                 concl = instantiate_axiom(node.schema_id, dict(node.binding),
@@ -435,35 +451,26 @@ def check_derivation(d: Derivation, lang: Language) -> CheckResult:
                     raise DerivationError("taut", "not a classical tautology under abstraction")
                 concl = node.target
             elif isinstance(node, CutNode):
-                lc = walk(node.left, path + ".left")
-                rc = walk(node.right, path + ".right")
-                concl = apply_cut(lc, rc, node.cut)
+                concl = apply_cut(memo[node.left], memo[node.right], node.cut)
             elif isinstance(node, StructNode):
-                pc = walk(node.premise, path + ".premise")
-                concl = apply_struct(pc, node.target, lang)
+                concl = apply_struct(memo[node.premise], node.target, lang)
             elif isinstance(node, RuleNode):
-                pcs = [walk(p, f"{path}.premise{i}") for i, p in enumerate(node.premises)]
-                _, expansion = _derive_rule(node.name, node.premises, pcs, node.args)
-                concl = walk(expansion, path + ".expansion")
+                _, expansion = _derive_rule(node.name, node.premises,
+                                            [memo[p] for p in node.premises], node.args)
+                if expansion not in memo:
+                    stack += ((node, path, True), (expansion, path + ".expansion", False))
+                    continue
+                concl = memo[expansion]
             else:
                 raise DerivationError("node", f"unknown node type {type(node).__name__}")
         except DerivationError as e:
-            # prefix the location once; inner nodes already carry theirs
-            if not e.path.startswith("root"):
-                raise DerivationError(path, e.message) from None
-            raise
-        memo[key] = (node, concl)
-        return concl
-
-    try:
-        conclusion = walk(d.root, "root")
-    except RecursionError:
-        raise DerivationError("root", "derivation nested too deeply to check") from None
+            raise DerivationError(path, e.message) from None
+        memo[node] = concl
     flags = frozenset(
         AXIOM_SCHEMAS[sid].family for sid in used
         if AXIOM_SCHEMAS[sid].family is not None
     )
-    return CheckResult(conclusion, frozenset(used), flags, count)
+    return CheckResult(memo[d.root], frozenset(used), flags, len(memo))
 
 
 # ---------------------------------------------------------------------------
@@ -590,45 +597,36 @@ def _split_op(body: str) -> tuple[str, str, str]:
 
 
 def format_derivation(d: Derivation, lang: Language, label: str = "main") -> str:
-    """Serialize a derivation (DAG-aware) in the line-oriented file format."""
-    order: list[Node] = []
-    seen: set[int] = set()
-
-    def visit(node: Node) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        if isinstance(node, CutNode):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, StructNode):
-            visit(node.premise)
-        elif isinstance(node, RuleNode):
-            for p in node.premises:
-                visit(p)
-        order.append(node)
-
-    visit(d.root)
-    ids = {id(node): f"n{i + 1}" for i, node in enumerate(order)}
+    """Serialize a derivation (DAG-aware) in the line-oriented file format:
+    each distinct node once, after its premises, in depth-first order."""
+    ids: dict[Node, str] = {}
+    stack = [d.root]
+    while stack:
+        node = stack[-1]
+        if node in ids:
+            stack.pop()
+            continue
+        todo = [p for _, p in _premises(node) if p not in ids]
+        if todo:
+            stack += reversed(todo)
+            continue
+        ids[node] = f"n{len(ids) + 1}"
+        stack.pop()
     sysname = "dbl+star" if d.allow_star else d.system.value
     lines = [f"theta: {', '.join(lang.theta)}", f"system: {sysname}"]
-    for node in order:
-        nid = ids[id(node)]
+    for node, nid in ids.items():
         if isinstance(node, AxiomNode):
             binding = "; ".join(f"{k} = {lang.format(v)}" for k, v in node.binding)
-            inner = f"{node.schema_id}; {binding}" if binding else node.schema_id
-            lines.append(f"{nid}: ax[{inner}]")
+            head = f"ax[{node.schema_id}; {binding}]" if binding else f"ax[{node.schema_id}]"
         elif isinstance(node, TautNode):
-            lines.append(f"{nid}: taut[{lang.format_sequent(node.target)}]")
+            head = f"taut[{lang.format_sequent(node.target)}]"
         elif isinstance(node, CutNode):
-            lines.append(f"{nid}: cut[{lang.format(node.cut)}] "
-                         f"{ids[id(node.left)]} {ids[id(node.right)]}")
+            head = f"cut[{lang.format(node.cut)}]"
         elif isinstance(node, StructNode):
-            lines.append(f"{nid}: struct[{lang.format_sequent(node.target)}] "
-                         f"{ids[id(node.premise)]}")
-        elif isinstance(node, RuleNode):
-            argtext = f"[{'; '.join(lang.format(a) for a in node.args)}]" if node.args else ""
-            prems = " ".join(ids[id(p)] for p in node.premises)
-            lines.append(f"{nid}: {node.name}{argtext} {prems}".rstrip())
-    lines.append(f"qed: {ids[id(d.root)]} {label}")
+            head = f"struct[{lang.format_sequent(node.target)}]"
+        else:
+            args = "; ".join(lang.format(a) for a in node.args)
+            head = f"{node.name}[{args}]" if node.args else node.name
+        lines.append(" ".join([f"{nid}: {head}", *(ids[p] for _, p in _premises(node))]))
+    lines.append(f"qed: {ids[d.root]} {label}")
     return "\n".join(lines) + "\n"

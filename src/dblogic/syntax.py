@@ -18,12 +18,13 @@ Sequents are pairs of formula sequences written ``G1, G2 |- D1, D2``; either
 side may be empty.
 
 Formulas are hash-consed DAGs: each distinct formula is one object, so
-``==`` is ``is``, and ``<->`` holds its two sides twice.  `leaves` is the
-one walk over the leaves of a formula, iterative and visiting each node
-once, so `atoms`, `metas` and `is_classical` cost time linear in the
-distinct subformulas.  `_fmt` is the one printer, for both styles and
-iterative too, and `_sugar` the one matcher that reads the sugar back off a
-node.
+``==`` is ``is``, and ``<->`` holds its two sides twice; the one table
+(`Interned`) holds `proof`'s derivation nodes too.  `leaves` is the one
+walk over the leaves of a formula, iterative and visiting each node once,
+so `atoms`, `metas` and `is_classical` cost time linear in the distinct
+subformulas.  `_fmt` is the one printer, for both styles, `_sugar` the one
+matcher that reads the sugar back off a node, and `evaluate` the one
+evaluator; all three are iterative.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
 __all__ = [
-    "Formula", "Atom", "Not", "Implies", "Cond", "Meta",
+    "Interned", "Formula", "Atom", "Not", "Implies", "Cond", "Meta",
     "Sequent", "Language", "ParseError", "SubstitutionError",
     "disj", "conj", "iff", "indep", "parse",
     "leaves", "atoms", "metas", "is_classical", "substitute", "truth_columns",
@@ -52,21 +53,21 @@ class SubstitutionError(ValueError):
 # ---------------------------------------------------------------------------
 # Formula trees
 #
-# `Formula.__new__` looks each node up in `_TABLE`, keyed by its class and
-# fields (a leaf's name or a node's children), and builds it only on a miss,
-# so structurally equal formulas are one object however they were built:
+# `Interned.__new__` looks each formula or derivation node (`proof.Node`) up
+# in `_TABLE`, keyed by its class and fields, and builds it only on a miss,
+# so structurally equal ones are one object however they were built:
 # parser, sugar helpers, `substitute`, copying, pickling, `dataclasses.replace`.
 # The classes generate no ``__eq__`` or ``__hash__``; both go by identity, in
-# O(1).  Fields cannot be assigned: a changed node would change every formula
-# sharing it.  The table keeps each distinct formula for the life of the
+# O(1).  Fields cannot be assigned: a changed node would change every object
+# sharing it.  The table keeps each distinct object for the life of the
 # process and is never pruned.
 # ---------------------------------------------------------------------------
 
-_TABLE: dict[tuple, Formula] = {}
+_TABLE: dict[tuple, Interned] = {}
 
 
-class Formula:
-    """Base class for core formula nodes: one object per formula."""
+class Interned:
+    """Base class of the hash-consed dataclasses: one object per value."""
 
     def __new__(cls, *args, **named):
         fields = cls.__match_args__
@@ -81,13 +82,17 @@ class Formula:
                 object.__setattr__(f, name, value)
         return f
 
-    def __deepcopy__(self, memo=None) -> Formula:
+    def __deepcopy__(self, memo=None) -> Interned:
         return self
 
     __copy__ = __deepcopy__
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+
+class Formula(Interned):
+    """Base class for core formula nodes: one object per formula."""
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -211,46 +216,54 @@ def evaluate(f: Formula, atom_map: Mapping[str, int], full: int,
     and with truth-table columns for `atom_map` the value is its set of
     satisfying rows.
 
-    `memo` seeds the memo, where a node takes its value unopened; the walk
-    fills it, so one dict can serve several formulas.
+    The walk keeps an explicit stack, so no depth reaches the recursion
+    limit.  `memo` seeds the memo, where a node takes its value unopened;
+    the walk fills it, so one dict can serve several formulas.
     """
     memo = {} if memo is None else memo
+    get = memo.get
     blocking: int | None = None
-
-    def ev(g: Formula) -> int | None:
-        nonlocal blocking
-        if isinstance(g, Atom):
-            return atom_map[g.name]
+    stack = [f]
+    while stack:
+        g = stack.pop()
         if g in memo:
-            return memo[g]
+            continue
+        if isinstance(g, Atom):
+            memo[g] = atom_map[g.name]
+            continue
         if isinstance(g, Not):
-            v = ev(g.body)
-            out = None if v is None else full ^ v
-        elif isinstance(g, Implies):
-            l, r = ev(g.left), ev(g.right)
-            out = None if l is None or r is None else (full ^ l) | r
-        elif isinstance(g, Cond):
-            if cond is None:
-                raise ValueError("classical formula expected")
-            t, a = ev(g.then), ev(g.given)
-            if t is None or a is None:
-                out = None
+            v = get(g.body, g)                 # g marks a miss: no value is a formula
+            if v is g:
+                stack += (g, g.body)
             else:
-                out = cond(t, a)
-                if out is None and blocking is None:
-                    blocking = a
+                memo[g] = None if v is None else full ^ v
+            continue
+        if isinstance(g, Implies):
+            x, y = g.left, g.right
+        elif isinstance(g, Cond) and cond is not None:
+            x, y = g.then, g.given
         else:
-            raise TypeError(g)
-        memo[g] = out
-        return out
-
-    return ev(f), blocking
+            raise ValueError("classical formula expected") if isinstance(g, Cond) else TypeError(g)
+        u, v = get(x, g), get(y, g)
+        if u is g or v is g:
+            stack += (g, y, x)
+        elif u is None or v is None:
+            memo[g] = None
+        elif isinstance(g, Implies):
+            memo[g] = (full ^ u) | v
+        else:
+            memo[g] = u = cond(u, v)
+            if u is None and blocking is None:
+                blocking = v
+    return memo[f], blocking
 
 
 def substitute(schema: Formula, binding: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace every metavariable of `schema` via `binding`.
 
-    There are no binders, so plain replacement is capture-free.
+    There are no binders, so plain replacement is capture-free.  It recurses
+    on the schema only, no axiom schema is over 10 deep, and an explicit
+    stack made check-library a quarter slower.
     """
     if isinstance(schema, Meta):
         try:

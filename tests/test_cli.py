@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dblogic import construction, proof
 from dblogic.cli import cmd_check, cmd_model, cmd_prob, main
 from dblogic.library import proofs_dir
+from dblogic.syntax import Language
 
 PI_TEXT = """\
 a /\\ b : 1/2
@@ -164,19 +165,54 @@ def test_model_faithful_with_target_is_error():
     assert out.getvalue() == "ERROR: --target: only the targeted mode takes a target\n"
 
 
-def test_deep_formula_is_error_without_a_partial_report(tmp_path, capsys):
-    deep = "!" * 1000 + "a"
+def _nested_iff(depth):
+    text = "b"
+    for _ in range(depth):
+        text = f"a <-> ({text})"
+    return text
+
+
+# (deep formula, a shallow equivalent): 1 000 `!` on `a`, a `/\` chain of
+# 300 atoms, and 24 nested `<->`, each `a <-> (a <-> x)` being x
+_DEEP_SHAPES = {
+    "negations": ("!" * 1000 + "a", "a"),
+    "conjunctions": (" /\\ ".join(["a", "b"] * 150), "a /\\ b"),
+    "iffs": (_nested_iff(24), "b"),
+}
+
+
+@pytest.mark.parametrize("shape", _DEEP_SHAPES)
+def test_deep_formula_answers_on_every_cli_path(tmp_path, capsys, shape):
+    # every walk is iterative: each path answers the deep formula at once,
+    # as it answers its shallow equivalent
+    deep, shallow = _DEEP_SHAPES[shape]
+    lang = Language(["a", "b"])
     table = tmp_path / "pi.txt"
     table.write_text(PI_TEXT)
-    lines = tmp_path / "in.txt"
-    lines.write_text(f"(b | a)\n{deep}\n")
-    dump = tmp_path / "stage.txt"
-    for argv in (["model", "--theta", "a,b", "--input", str(lines), "--dump", str(dump)],
-                 ["model", "--theta", "a,b", "--target", deep],
-                 ["prob", "--theta", "a,b", "--prob", str(table), "--input", str(lines)]):
-        assert main(argv) == 1, argv
-        assert capsys.readouterr().out == "ERROR: formula nested too deeply to evaluate\n"
-    assert not dump.exists()
+
+    def run(x):
+        """Each path's exit code and report on the formula `x`."""
+        model_in, prob_in = tmp_path / "model.txt", tmp_path / "prob.txt"
+        model_in.write_text(f"{x}\n(b | {x})\na, {x} |- {shallow}\n")
+        prob_in.write_text(f"{x}\n(b | {x})\n")
+        dseq = tmp_path / "leaf.dseq"
+        dseq.write_text(f"theta: a, b\nn1: taut[{x} |- {shallow}]\nqed: n1 t\n")
+        outs = []
+        for argv in (["model", "--theta", "a,b", "--input", str(model_in)],
+                     ["model", "--theta", "a,b", "--target", f"(b | {x})"],
+                     ["prob", "--theta", "a,b", "--prob", str(table), "--input", str(prob_in)],
+                     ["check", str(dseq)]):
+            t0 = time.perf_counter()
+            rc = main(argv)
+            elapsed = time.perf_counter() - t0
+            assert elapsed < 1.0, (argv[0], elapsed)
+            outs.append((rc, capsys.readouterr().out))
+        return outs
+
+    printed = lang.format(lang.parse(deep), "sugared")
+    for (rc, got), (_, want) in zip(run(deep), run(shallow)):
+        assert rc == 0, got
+        assert got.replace(printed, lang.format(lang.parse(shallow), "sugared")) == want
 
 
 def test_model_bad_formula_is_parse_error():
@@ -347,15 +383,16 @@ def test_check_unknown_system_is_error():
     assert out.getvalue() == "ERROR: --system: unknown system 'bogus'\n"
 
 
-def test_check_deep_leaf_is_failure(tmp_path):
+def test_check_deep_leaf_checks(tmp_path):
+    # the leaf check evaluates 1 200 `!` on an explicit stack
     bangs = "!" * 1200
     path = tmp_path / "f.dseq"
     path.write_text(f"theta: x\nsystem: dbl*\nn1: taut[|- {bangs}x -> {bangs}x]\nqed: n1 deep\n")
     out = io.StringIO()
-    assert cmd_check([str(path)], None, out=out) == 1
+    assert cmd_check([str(path)], None, out=out) == 0
     assert out.getvalue().splitlines() == [
-        "FAIL deep [f.dseq]: root: formula nested too deeply for the classical leaf check",
-        "checked 0 derivations, 1 failures",
+        f"OK   deep: |- {bangs[1:]}x \\/ {bangs}x  [flags -]",
+        "checked 1 derivations, 0 failures",
     ]
 
 
@@ -411,6 +448,18 @@ _DEEP_CHAIN = "n0: I[x]\n" + "".join(
     f"n{i}: struct[x |- x] n{i - 1}\n" for i in range(1, 1500)) + "qed: n1499 t\n"
 
 
+def test_check_deep_struct_chain_checks(tmp_path):
+    # 1 500 nodes, each the premise of the next, on the checker's explicit stack
+    path = tmp_path / "f.dseq"
+    path.write_text("theta: x, y\nsystem: dbl*\n" + _DEEP_CHAIN)
+    out = io.StringIO()
+    assert cmd_check([str(path)], None, out=out) == 0
+    assert out.getvalue().splitlines() == [
+        "OK   t: x |- x  [flags -]",
+        "checked 1 derivations, 0 failures",
+    ]
+
+
 @pytest.mark.parametrize("body, reason", [
     ("n1: I[x]\nn2: andR n1\nqed: n2 t\n", "andR expects two premises"),
     ("n1: taut[|- x -> x]\nn2: andL[y] n1\nqed: n2 t\n",
@@ -418,9 +467,7 @@ _DEEP_CHAIN = "n0: I[x]\n" + "".join(
     ("n1: I\nqed: n1 t\n", "I expects no premises and one formula argument"),
     ("n1: ax[b3; phi = x; psi = y; eta = x]\nqed: n1 t\n",
      "schema 'b3' has no metavariable 'eta'"),
-    (_DEEP_CHAIN, "derivation nested too deeply to check"),
-], ids=["andR-one-premise", "andL-no-antecedent", "I-no-argument", "stray-binding",
-        "deep-chain"])
+], ids=["andR-one-premise", "andL-no-antecedent", "I-no-argument", "stray-binding"])
 def test_check_malformed_derivation_is_failure(tmp_path, body, reason):
     path = tmp_path / "f.dseq"
     path.write_text("theta: x, y\nsystem: dbl*\n" + body)

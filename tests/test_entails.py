@@ -127,3 +127,18 @@ def test_wide_slots_when_sampling(level, samples):
     # 384 points: 49-byte slots, wider than any array item
     s = LANGS[2].parse_sequent("(a | b), a |- b, !(b | a)")
     _agree(AB_TOP.levels[level], s, samples=samples, seed=7)
+
+
+def test_f_is_asked_only_on_open_assignments():
+    # on the six-point stage `a` is full on one assignment in 64, so it
+    # decides the rest before `(b | a)` is valued: a block asks f no more
+    # often than deciding one assignment after the other does
+    s = LANGS[2].parse_sequent("a, (b | a) |- (a | b)")
+    asked = []
+    stage = copy.copy(SIX)
+    stage.apply_f = lambda b, a: asked.append((b, a)) or SIX.apply_f(b, a)
+    got = entails(stage, s)
+    block = len(asked)
+    asked.clear()
+    assert entails_reference.entails(stage, s) == got
+    assert 0 < block <= len(asked)

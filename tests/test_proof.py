@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -457,6 +459,46 @@ def test_file_round_trip():
     assert lang2.theta == L.theta
     res = check_derivation(parsed["intro"], L)
     assert res.conclusion == seq("|- !a, (a | a)")
+
+
+def test_deep_struct_chain_round_trips():
+    # 1 500 nodes, each the premise of the next: checked and printed on
+    # explicit stacks, and read back to the same derivation
+    text = "theta: x, y\nsystem: dbl*\nn0: I[x]\n" + "".join(
+        f"n{i}: struct[x |- x] n{i - 1}\n" for i in range(1, 1500)) + "qed: n1499 t\n"
+    lang, parsed = parse_derivation_file(text)
+    res = check_derivation(parsed["t"], lang)
+    assert res.conclusion == lang.parse_sequent("x |- x")
+    assert res.nodes == 1501                    # the chain and the I leaf's expansion
+    again = format_derivation(parsed["t"], lang, label="t")
+    assert again == "theta: x, y\nsystem: dbl*\nn1: I[x]\n" + "".join(
+        f"n{i + 1}: struct[x |- x] n{i}\n" for i in range(1, 1500)) + "qed: n1500 t\n"
+    lang2, reparsed = parse_derivation_file(again)
+    assert reparsed["t"].root is parsed["t"].root
+    assert check_derivation(reparsed["t"], lang2).conclusion == res.conclusion
+
+
+def test_derivation_nodes_are_interned():
+    # equal nodes are one object however they were built, so a node memo is
+    # keyed by the node and equal subderivations are checked once
+    leaf = TautNode(seq("a |- a"))
+    assert TautNode(seq("a |- a")) is leaf
+    assert AxiomNode.make("b3", phi=A, psi=B) is AxiomNode("b3", (("phi", A), ("psi", B)))
+    for node in (leaf, CutNode(leaf, leaf, A)):
+        assert copy.copy(node) is node and copy.deepcopy(node) is node
+        assert dataclasses.replace(node) is node and pickle.loads(pickle.dumps(node)) is node
+    for cls in (AxiomNode, TautNode, CutNode, StructNode, RuleNode):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    # a macro's expansion, built twice, is one object
+    premise = TautNode(seq("|- a"))
+    one = proof._derive_rule("orR", [premise], [seq("|- a")], [B])[1]
+    assert proof._derive_rule("orR", [premise], [seq("|- a")], [B])[1] is one
+    # two leaves built apart are one node, checked once
+    twice = CutNode(TautNode(seq("|- a -> a")), StructNode(TautNode(seq("|- a -> a")),
+                                                            seq("a -> a |- a -> a")),
+                    L.parse("a -> a"))
+    assert twice.left is twice.right.premise
+    assert check_derivation(Derivation(twice, System.DBL_STAR), L).nodes == 3
 
 
 def test_file_rejects_unknown_node():
