@@ -258,8 +258,10 @@ def is_tautology(f: Formula) -> bool:
 class Node(Interned):
     """Base class for derivation nodes: one object per node."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False, init=False)
+
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class AxiomNode(Node):
     schema_id: str
     binding: tuple[tuple[str, Formula], ...]  # sorted items
@@ -269,25 +271,25 @@ class AxiomNode(Node):
         return AxiomNode(schema_id, tuple(sorted(binding.items())))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class TautNode(Node):
     target: Sequent
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class CutNode(Node):
     left: Node
     right: Node
     cut: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class StructNode(Node):
     premise: Node
     target: Sequent
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class RuleNode(Node):
     name: str
     args: tuple[Formula, ...]

@@ -60,7 +60,8 @@ class SubstitutionError(ValueError):
 # The classes generate no ``__eq__`` or ``__hash__``; both go by identity, in
 # O(1).  Fields cannot be assigned: a changed node would change every object
 # sharing it.  The table keeps each distinct object for the life of the
-# process and is never pruned.
+# process and is never pruned, so a node holds its fields in slots, with no
+# per-object ``__dict__``.
 # ---------------------------------------------------------------------------
 
 _TABLE: dict[tuple, Interned] = {}
@@ -68,6 +69,8 @@ _TABLE: dict[tuple, Interned] = {}
 
 class Interned:
     """Base class of the hash-consed dataclasses: one object per value."""
+
+    __slots__ = ()
 
     def __new__(cls, *args, **named):
         fields = cls.__match_args__
@@ -87,31 +90,100 @@ class Interned:
 
     __copy__ = __deepcopy__
 
+    def __repr__(self) -> str:
+        """The dataclass repr, ``Cls(field=value, ...)``, written from an
+        explicit stack, so no depth reaches the recursion limit.  A str on
+        the stack is text to write; any other item is a value, written by
+        its fields when interned, by its items when a tuple, else by `repr`."""
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            v = stack.pop()
+            if isinstance(v, str):
+                out.append(v)
+                continue
+            if isinstance(v, Interned):
+                head = f"{type(v).__qualname__}("
+                items = [(f"{', ' if i else head}{n}=", getattr(v, n))
+                         for i, n in enumerate(v.__match_args__)]
+                stack.append(")")
+            elif type(v) is tuple and v:
+                items = [(", " if i else "(", x) for i, x in enumerate(v)]
+                stack.append(",)" if len(v) == 1 else ")")
+            else:
+                out.append(repr(v))
+                continue
+            for text, x in reversed(items):
+                stack += (repr(x) if isinstance(x, str) else x, text)
+        return "".join(out)
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+        """Pickle as `_rebuild` of a flat post-order list, so no depth
+        reaches the recursion limit.  An entry is a class and its fields,
+        each interned object in them, alone or in tuples, written ``[i]``:
+        the index of its own, earlier entry.  No field holds a list, since
+        the fields are hashed into the table key."""
+        index: dict[Interned, int] = {}
+        entries: list[tuple] = []
+
+        def encode(v):                     # KeyError: `v` holds a node not yet entered
+            if isinstance(v, Interned):
+                return [index[v]]
+            return tuple(map(encode, v)) if type(v) is tuple else v
+
+        stack: list[Interned] = [self]
+        while stack:
+            node = stack.pop()
+            if node in index:
+                continue
+            try:
+                entry = (type(node), *(encode(getattr(node, n)) for n in node.__match_args__))
+            except KeyError as missing:
+                stack += (node, missing.args[0])
+                continue
+            index[node] = len(entries)
+            entries.append(entry)
+        return _rebuild, (entries,)
+
+
+def _rebuild(entries: list[tuple]) -> Interned:
+    """The object `Interned.__reduce__` flattened into `entries`, each
+    entry built in turn through the table."""
+    built: list[Interned] = []
+
+    def decode(v):
+        if type(v) is list:
+            return built[v[0]]
+        return tuple(map(decode, v)) if type(v) is tuple else v
+
+    for cls, *fields in entries:
+        built.append(cls(*map(decode, fields)))
+    return built[-1]
 
 
 class Formula(Interned):
     """Base class for core formula nodes: one object per formula."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False, init=False)
+
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Cond(Formula):
     """The conditional ``(then | given)``: `then` in the sub-universe of `given`."""
 
@@ -119,7 +191,7 @@ class Cond(Formula):
     given: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Meta(Formula):
     """Schema metavariable; never produced by the parser."""
 
@@ -296,20 +368,32 @@ class Sequent:
 # ---------------------------------------------------------------------------
 # Lexer / parser
 #
-# One loop over the tokens: operands wait on one stack, operators and open
-# brackets on another.  A binary operator first reduces every stacked
-# operator that binds at least as tightly (strictly more tightly for the
-# right-associative ``->``), and ``)``, ``|``, ``,``, ``|-`` and the end of
-# input reduce down to the innermost open bracket, the sugar expanded by
-# `disj`, `conj`, `iff` and `indep`.  Deep input cannot hit the recursion
-# limit here.
+# One loop over the tokens, `Language._shift_reduce`: operands wait on one
+# stack, operators and open brackets on another.  A binary operator first
+# reduces every stacked operator that binds at least as tightly (strictly
+# more tightly for the right-associative ``->``), and ``)``, ``|``, ``,``,
+# ``|-`` and the end of input reduce down to the innermost open bracket.
+# ``!``, ``->`` and ``(A | B)`` nodes come straight from `_TABLE`, the
+# constructor only on a miss; the sugar is expanded by `disj`, `conj`, `iff`
+# and `indep`.  Deep input cannot hit the recursion limit here.
 #
-# Above the loop sits the text memo of the `Language`: formula text ->
+# In front of the loop, `Language._read` buckets the tokens by bracket in
+# one pass: each ``)`` closes a group, whose key is the tuple of its tokens
+# with every inner group already replaced by its formula, and the group
+# memo of the `Language` maps each key that read to its formula, so each
+# distinct bracketed group is read once per `Language`.  Each token lands in
+# exactly one group, and a key hashes interned formulas by identity, so the
+# pass is linear in the text.  The loop takes a formula among its tokens as
+# an operand, and reads the outermost tokens as a formula or a sequent.
+#
+# Above both sits the text memo of the `Language`: formula text ->
 # formula, for every text that parsed, alone or as a stripped formula of a
 # sequent split at ``|-`` and ``,`` (`Language.parse_sequent` says why that
 # split is exact).  A repeated text costs one dict lookup and returns the
-# object the loop would build; a text that fails is not stored, so it fails
-# again with the same error.
+# object the loop would build.  Neither memo stores a failure: a text that
+# fails anywhere is read again by the loop over its ungrouped tokens, which
+# raises the first error in reading order, so it fails again with the same
+# error.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\|-|<->|->|/\\|\\/|><|[!()|,]|[A-Za-z_][A-Za-z0-9_]*")
@@ -319,7 +403,7 @@ _RESERVED = {"T", "F"}
 _POWER = {"<->": 1, "><": 1, "->": 2, "\\/": 3, "/\\": 4, "!": 5}
 # a binary operator reduces the stacked operators of at least this power
 _REDUCES = {"<->": 1, "><": 1, "->": 3, "\\/": 3, "/\\": 4}
-_BUILD = {"->": Implies, "\\/": disj, "/\\": conj, "<->": iff, "><": indep}
+_SUGAR = {"\\/": disj, "/\\": conj, "<->": iff, "><": indep}
 
 
 def _tokenize(text: str) -> list[str]:
@@ -337,14 +421,33 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _found(tok: str | None) -> str:
-    return "end of input" if tok is None else repr(tok)
+def _found(tok: str | Formula | None) -> str:
+    """`tok` as an error text names it.  A formula among the tokens is a
+    read group, named by the ``(`` it stands for."""
+    if tok is None:
+        return "end of input"
+    return repr(tok if isinstance(tok, str) else "(")
 
 
 class Language:
-    """A declared, ordered atom set plus its parser, its printers and its
-    text memo, which maps each formula text that parsed, alone or in a
-    sequent, to its formula."""
+    """A declared, ordered atom set plus its parser, its printers and two
+    memos: the text memo maps each formula text that parsed, alone or in a
+    sequent, to its formula, and the group memo maps each bracketed group
+    that read, as a tuple of tokens and formulas, to its formula.
+
+    The group memo is exact because in this grammar ``(`` always opens a
+    primary.  In operand position the loop stacks the ``(``, reduces
+    nothing below it until the matching ``)`` and leaves one more operand,
+    and the sequent mode is idle while a bracket is open; so the group
+    reads as the formula it reads to alone, whatever surrounds it.  Out of
+    operand position a ``(`` is an error, and so is the group's formula
+    that stands there.  So the grouped tokens read exactly when the text
+    does, to the same result.  The first error is another matter: a group
+    is read before the tokens in front of it, and a ``)`` or ``(`` left
+    unmatched is no group.  So a text whose grouped read fails is read
+    again by the same loop over its ungrouped tokens, which raises the
+    first error in reading order, the one the text always raised.
+    """
 
     def __init__(self, theta: Sequence[str]):
         names = tuple(theta)
@@ -357,6 +460,7 @@ class Language:
                 raise ValueError(f"invalid atom name {name!r}")
         self.theta: tuple[str, ...] = names
         self._texts: dict[str, Formula] = {}
+        self._groups: dict[tuple[str | Formula, ...], Formula] = {}
         self.top: Formula = Implies(Atom(names[0]), Atom(names[0]))
         self.bot: Formula = Not(self.top)
         self._leaves = {**{n: Atom(n) for n in names}, "T": self.top, "F": self.bot}
@@ -376,7 +480,7 @@ class Language:
         and no other token contains it, and every ``|-`` substring is read
         as a ``|-`` token, since no token holds ``|`` after its first
         character.  No formula holds either token, and outside brackets
-        `_read` ends a formula at ``,`` or ``|-`` just as at the end of
+        the loop ends a formula at ``,`` or ``|-`` just as at the end of
         input, so the formulas of a sequent with one ``|-`` are the pieces
         between them, each read alone; a blank side is empty.  Any other
         text -- no ``|-`` or several, a blank piece, a piece that is no
@@ -404,23 +508,46 @@ class Language:
             out.append(f)
         return tuple(out)
 
-    @staticmethod
-    def _reduce(op: str, out: list[Formula]) -> None:
-        """Replace the operands of `op` on top of `out` by its formula, built
-        by `Not`, `Implies`, `disj`, `conj`, `iff` or `indep`."""
-        b = out.pop()
-        out.append(Not(b) if op == "!" else _BUILD[op](out.pop(), b))
-
     def _read(self, text: str, sequent: bool) -> Formula | Sequent:
-        """`text` as one formula, or as a sequent when `sequent` is set."""
-        leaves, reduce = self._leaves, self._reduce
+        """`text` as one formula, or as a sequent when `sequent` is set:
+        each distinct bracketed group read once, through the group memo, then
+        the outermost tokens; on any failure, the ungrouped tokens."""
+        tokens = _tokenize(text)
+        groups, loop = self._groups, self._shift_reduce
+        outer: list[list[str | Formula]] = []    # the enclosing lists of the open groups
+        inner: list[str | Formula] = []          # the innermost open group, or the text
+        try:
+            for tok in tokens:
+                if tok == "(":
+                    outer.append(inner)
+                    inner = []
+                elif tok == ")" and outer:
+                    key = tuple(inner)
+                    f = groups.get(key)
+                    if f is None:
+                        f = groups[key] = loop(["(", *key, ")", None], False)
+                    inner = outer.pop()
+                    inner.append(f)
+                else:
+                    inner.append(tok)
+            if not outer:
+                inner.append(None)
+                return loop(inner, sequent)
+        except ParseError:
+            pass
+        tokens.append(None)
+        return loop(tokens, sequent)
+
+    def _shift_reduce(self, tokens: list[str | Formula | None],
+                      sequent: bool) -> Formula | Sequent:
+        """`tokens`, ended by None, as one formula, or as a sequent when
+        `sequent` is set.  A formula among them is an operand."""
+        leaves, table = self._leaves, _TABLE
         out: list[Formula] = []
         ops: list[str] = []                # operators, "(" and "(|"
         done: list[Formula] = []           # finished formulas of this side
         ant: list[Formula] | None = None   # the antecedent, once past "|-"
         operand = True                     # an operand is due
-        tokens = _tokenize(text)
-        tokens.append(None)
         for tok in tokens:
             if operand:
                 f = leaves.get(tok)
@@ -429,6 +556,9 @@ class Language:
                     operand = False
                 elif tok == "!" or tok == "(":
                     ops.append(tok)
+                elif isinstance(tok, Formula):
+                    out.append(tok)
+                    operand = False
                 elif (sequent and not ops and not done
                       and tok == ("|-" if ant is None else None)):
                     if ant is not None:    # empty succedent
@@ -443,15 +573,23 @@ class Language:
                 continue
             power = _REDUCES.get(tok)
             while ops and _POWER.get(ops[-1], 0) >= (power or 1):
-                reduce(ops.pop(), out)
+                op, b = ops.pop(), out.pop()
+                if op == "!":
+                    out.append(table.get((Not, b)) or Not(b))
+                elif op == "->":
+                    a = out.pop()
+                    out.append(table.get((Implies, a, b)) or Implies(a, b))
+                else:
+                    out.append(_SUGAR[op](out.pop(), b))
             if power is not None:
                 ops.append(tok)
                 operand = True
             elif ops:                      # inside brackets
                 if tok == ")":
                     if ops.pop() == "(|":
-                        given = out.pop()
-                        out.append(Cond(out.pop(), given))
+                        b = out.pop()
+                        a = out.pop()
+                        out.append(table.get((Cond, a, b)) or Cond(a, b))
                 elif tok == "|" and ops[-1] == "(":
                     ops[-1] = "(|"
                     operand = True
@@ -460,7 +598,7 @@ class Language:
             elif not sequent:
                 if tok is None:
                     return out.pop()
-                raise ParseError(f"unexpected trailing token {tok!r}")
+                raise ParseError(f"unexpected trailing token {_found(tok)}")
             else:
                 done.append(out.pop())
                 operand = True
@@ -473,7 +611,7 @@ class Language:
                 elif tok is None:
                     return Sequent(tuple(ant), tuple(done))
                 else:
-                    raise ParseError(f"unexpected trailing token {tok!r}")
+                    raise ParseError(f"unexpected trailing token {_found(tok)}")
 
     # -- printing -----------------------------------------------------------
 

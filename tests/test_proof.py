@@ -475,6 +475,9 @@ def test_deep_struct_chain_round_trips():
         f"n{i + 1}: struct[x |- x] n{i}\n" for i in range(1, 1500)) + "qed: n1500 t\n"
     lang2, reparsed = parse_derivation_file(again)
     assert reparsed["t"].root is parsed["t"].root
+    root = parsed["t"].root
+    assert repr(root).count("StructNode(premise=") == 1499
+    assert pickle.loads(pickle.dumps(root)) is root
     assert check_derivation(reparsed["t"], lang2).conclusion == res.conclusion
 
 
@@ -484,9 +487,15 @@ def test_derivation_nodes_are_interned():
     leaf = TautNode(seq("a |- a"))
     assert TautNode(seq("a |- a")) is leaf
     assert AxiomNode.make("b3", phi=A, psi=B) is AxiomNode("b3", (("phi", A), ("psi", B)))
-    for node in (leaf, CutNode(leaf, leaf, A)):
+    rule = RuleNode("orR", (B,), (AxiomNode.make("b3", phi=A, psi=B),))
+    for node in (leaf, CutNode(leaf, leaf, A), rule):
         assert copy.copy(node) is node and copy.deepcopy(node) is node
+        assert not hasattr(node, "__dict__")   # fields in slots only
         assert dataclasses.replace(node) is node and pickle.loads(pickle.dumps(node)) is node
+    # the text of the dataclass repr, tuples of nodes and bindings included
+    assert repr(rule) == (
+        "RuleNode(name='orR', args=(Atom(name='b'),), premises=(AxiomNode(schema_id='b3', "
+        "binding=(('phi', Atom(name='a')), ('psi', Atom(name='b')))),))")
     for cls in (AxiomNode, TautNode, CutNode, StructNode, RuleNode):
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
     # a macro's expansion, built twice, is one object

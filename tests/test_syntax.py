@@ -341,6 +341,63 @@ def test_memo_hits_agree_with_reference(tokens, sep):
         _agree(MEMO, text)
 
 
+# -- the group memo ---------------------------------------------------------------
+
+GROUPS = Language(["a", "b"])    # one Language for every example: its group memo fills
+GROUP_FORMULAS = formula_strategy(GROUPS)
+_JOINS = [" -> ", " /\\ ", " \\/ ", " <-> ", " >< "]
+# each breaks a text just inside one of its brackets: an unclosed "(", a
+# stray ")", a "," or "|-" in brackets, an unknown atom
+_BREAKS = ["(", ")", "a, ", "b |- ", "c -> "]
+
+
+@st.composite
+def grouped_texts(draw):
+    """Printed formulas in brackets, some of them repeated or joined inside
+    brackets of their own, joined by operators; then the same text broken
+    just inside one of its brackets."""
+    style = draw(st.sampled_from(["core", "sugared"]))
+    formulas = draw(st.lists(GROUP_FORMULAS, min_size=1, max_size=3))
+    groups = [f"({GROUPS.format(f, style)})" for f in formulas]
+    pick = st.sampled_from(groups)
+    nested = draw(st.lists(st.tuples(pick, st.sampled_from(_JOINS + [" | "]), pick).map(
+        lambda t: f"({''.join(t)})"), max_size=2))
+    parts = draw(st.lists(st.sampled_from(groups + nested), min_size=1, max_size=6))
+    joins = st.sampled_from(_JOINS + [", ", " |- "] if draw(st.booleans()) else _JOINS)
+    text = parts[0] + "".join(draw(joins) + p for p in parts[1:])
+    i = draw(st.sampled_from([i for i, ch in enumerate(text) if ch == "("])) + 1
+    return text, text[:i] + draw(st.sampled_from(_BREAKS)) + text[i:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_texts())
+def test_group_memo_agrees_with_reference(texts):
+    # the broken text reads after the whole one, whose groups the memo holds
+    for text in texts:
+        _agree(GROUPS, text)
+
+
+def test_a_repeated_group_is_read_once(monkeypatch):
+    reads = []
+    shift_reduce = Language._shift_reduce
+
+    def spy(self, tokens, sequent):
+        reads.append(list(tokens))
+        return shift_reduce(self, tokens, sequent)
+
+    monkeypatch.setattr(Language, "_shift_reduce", spy)
+    lang = Language(["a", "b"])
+    text = " -> ".join(["(a | !b -> a)"] * 50)
+    assert lang.parse(text) is ref.parse(lang, text)
+    group = Cond(Atom("a"), Implies(Not(Atom("b")), Atom("a")))
+    assert reads == [["(", "a", "|", "!", "b", "->", "a", ")", None],
+                     [group, "->"] * 49 + [group, None]]
+    # the memo belongs to the Language: another text reads no group again
+    reads.clear()
+    assert lang.parse_sequent("(a | !b -> a) |- (a | !b -> a)") == Sequent((group,), (group,))
+    assert reads == [[group, None]]
+
+
 # -- stack safety and sharing ---------------------------------------------------
 
 def test_deep_negation_parses_without_recursion():
@@ -362,6 +419,31 @@ def test_long_conjunction_parses_without_recursion():
         assert isinstance(left, Not) and isinstance(left.body, Not)
         f = left.body.body
     assert f == Atom(names[0])
+
+
+# 5 000 nodes deep where each bracket builds a node: the node table is never
+# pruned, and every later full collection of the test process walks it
+@pytest.mark.parametrize("opening, build, n", [
+    ("(", lambda f: f, 20000),
+    ("!(", Not, 5000),
+    ("(a | ", lambda f: Cond(Atom("a"), f), 5000),
+], ids=["parens", "negations", "conditionals"])
+def test_deep_brackets_read_in_linear_time(opening, build, n):
+    expected = Atom("b")
+    for _ in range(n):
+        expected = build(expected)
+    cases = [
+        (opening * n + "b" + ")" * n, expected),
+        (opening * n, ("ParseError", "dangling operator or unexpected end of input")),
+        (opening * n + "b" + ")" * (n - 1), ("ParseError", "expected ')', found end of input")),
+        (opening * n + "b" + ")" * (n + 1), ("ParseError", "unexpected trailing token ')'")),
+    ]
+    for text, outcome in cases:
+        lang = Language(["a", "b"])
+        start = time.perf_counter()
+        got = _outcome(lang.parse, text)
+        assert time.perf_counter() - start < 1.0
+        assert got == outcome
 
 
 def test_equal_subformulas_are_one_node():
@@ -389,6 +471,7 @@ def test_equal_formulas_are_one_object():
         "a /\\ b >< (b | a)")
     for g in (f, a, Meta("phi")):
         assert copy.copy(g) is g and copy.deepcopy(g) is g
+        assert not hasattr(g, "__dict__")      # fields in slots only
         assert dataclasses.replace(g) is g and pickle.loads(pickle.dumps(g)) is g
     assert dataclasses.replace(c, given=a) is Cond(a, a)
     for cls in (Atom, Not, Implies, Cond, Meta):
@@ -426,3 +509,21 @@ def test_deep_formulas_print_without_recursion(style):
     # iterative parser reads the text back to the same object
     for f in _deep_shapes(3000):
         assert AB.parse(AB.format(f, style)) is f
+
+
+def test_deep_formulas_repr_and_pickle_without_recursion():
+    a, b = Atom("a"), Atom("b")
+    negations, chain = a, b
+    for _ in range(1000):
+        negations = Not(negations)
+    for _ in range(3000):
+        chain = Implies(a, chain)
+    assert repr(negations) == "Not(body=" * 1000 + "Atom(name='a')" + ")" * 1000
+    assert repr(chain) == ("Implies(left=Atom(name='a'), right=" * 3000
+                           + "Atom(name='b')" + ")" * 3000)
+    for f in (negations, chain):
+        assert pickle.loads(pickle.dumps(f)) is f
+    # at depth 3, the text of the dataclass repr
+    assert repr(AB.parse("!(a | b -> a)")) == (
+        "Not(body=Cond(then=Atom(name='a'), "
+        "given=Implies(left=Atom(name='b'), right=Atom(name='a'))))")
