@@ -769,26 +769,33 @@ def build_for_formulas(theta: Sequence[str], formulas: Sequence[Formula],
     formula until everything evaluates or the budget is hit, and return the
     top stage; its `levels` are the tower.  With `skip_unaffordable` the
     formulas whose conditions would blow the budget are left undefined
-    instead of aborting the build."""
+    instead of aborting the build.
+
+    Each stage is scanned from the first pending formula.  A skip leaves the
+    stage and its canonical assignment as they were, and every formula in
+    front of the skipped one is already known to evaluate there, so the scan
+    drops it and goes on at the same index; only an advance starts it over."""
     stage = new_stage0(theta)
     pending = list(formulas)
-    while True:
-        h = canonical_assignment(stage)
-        for f in pending:
-            blocking = evaluate(f, h, stage.full, stage.apply_f)[1]
-            if blocking is not None:
-                break
-        else:
-            return stage
+    h = canonical_assignment(stage)
+    i = 0
+    while i < len(pending):
+        blocking = evaluate(pending[i], h, stage.full, stage.apply_f)[1]
+        if blocking is None:
+            i += 1
+            continue
         b = select_condition(stage, target=blocking)
         tdata = partition_data(stage, b)
         if tdata.next_size > max_atoms:
-            if skip_unaffordable:
-                pending.remove(f)
-                continue
-            raise BudgetExceeded(f"element {b:#x} at stage {stage.index}",
-                                 stage.size, tdata.next_size)
+            if not skip_unaffordable:
+                raise BudgetExceeded(f"element {b:#x} at stage {stage.index}",
+                                     stage.size, tdata.next_size)
+            del pending[i]
+            continue
         stage = advance(stage, b, tdata=tdata)
+        h = canonical_assignment(stage)
+        i = 0
+    return stage
 
 
 def build_faithful(theta: Sequence[str], max_atoms: int = 32) -> tuple[Stage, bool]:

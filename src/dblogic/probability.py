@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .construction import Stage, canonical_assignment
 from .model import ConditionalAssignment
-from .ratfunc import Poly, RatFunc, cancel
+from .ratfunc import Poly, RatFunc, cancel, limit0
 from .syntax import (
     Atom, Cond, Formula, Implies, Language, Not, conj, evaluate, is_classical,
     truth_columns,
@@ -267,6 +267,14 @@ class RationalValuation:
         num = self.numerator(mask)
         return self._value(num) if mask else Fraction(0)
 
+    def limit0(self, mask: int) -> Fraction:
+        """`limit_at_zero(self.measure(mask))`, read off the numerator and
+        `den` as they are, without normalizing the quotient first."""
+        num = self.numerator(mask)
+        if isinstance(self.den, Poly):
+            return limit0(num, self.den)
+        return Fraction(num, self.den)
+
 
 def p0_from_pi(pi: ClassicalProbability, stage0: Stage) -> RationalValuation:
     """Stage-0 weights: each point carries its complete conjunction's cell."""
@@ -330,13 +338,18 @@ class Extension:
         return None if v is None else self.top.measure(v)
 
 
-def extend_probability(pi: ClassicalProbability, stage: Stage) -> Extension:
-    """Extend `pi` up the tower of `stage`, one `extend_step` per level."""
+def _valuations(pi: ClassicalProbability, stage: Stage) -> list[RationalValuation]:
+    """`pi` pushed up the tower of `stage`, one `extend_step` per level."""
     vals = [p0_from_pi(pi, stage.levels[0])]
     for nxt in stage.levels[1:]:
         vals.append(extend_step(vals[-1], nxt))
+    return vals
+
+
+def extend_probability(pi: ClassicalProbability, stage: Stage) -> Extension:
+    """Extend `pi` up the tower of `stage`, one `extend_step` per level."""
     asg = ConditionalAssignment(stage, canonical_assignment(stage))
-    return Extension(pi, vals, asg)
+    return Extension(pi, _valuations(pi, stage), asg)
 
 
 # ---------------------------------------------------------------------------
@@ -554,22 +567,30 @@ def lewis_separation(ext: Extension, phi: Formula,
                      deltas: Sequence[Formula] | None = None) -> LewisReport:
     """Compare, over a family of conditionals, the extension of the
     conditioned probability with the conditioning of the extension `ext`
-    (the direct extension of its `pi` up its stage)."""
-    pi, stage = ext.pi, ext.assignment.stage
+    (the direct extension of its `pi` up its stage).
+
+    Both sides read each delta's value on the one canonical assignment of
+    the stage, evaluated once.  Side A weighs it with `pi` conditioned on
+    phi, perturbed and pushed up the same tower, and takes the limit at 0+
+    straight off the numerator over the common denominator, with no gcd
+    (`RationalValuation.limit0`).  Side B weighs its meet with phi's value,
+    which is the value of the sugar delta /\\ phi, under `ext`."""
+    pi, asg, top = ext.pi, ext.assignment, ext.top
+    stage = asg.stage
     p_phi = lewis_preconditions(pi, phi)
     if deltas is None:
         deltas = default_lewis_deltas(Language(stage.theta))
     # P(phi) < 1 on a strictly positive pi, so conditioning zeroes a cell
-    side_a_ext = epsilon_extension(pi.conditioned(phi), stage)
+    side_a = _valuations(pi.conditioned(phi).epsilon_perturbed(), stage)[-1]
+    phi_v = asg.value(phi)
     entries: list[LewisEntry] = []
     for d in deltas:
-        a_raw = side_a_ext.prob(d)
-        num = ext.prob(conj(d, phi))
-        if a_raw is None or num is None:
+        v = asg.value(d)
+        if v is None:
             entries.append(LewisEntry(d, None, None, None))
             continue
-        a_val = limit_at_zero(a_raw)
-        b_val = num / p_phi
+        a_val = side_a.limit0(v)
+        b_val = top.measure(v & phi_v) / p_phi
         entries.append(LewisEntry(d, a_val, b_val, a_val == b_val))
     # psi: the first atom whose probability phi changes and that splits phi
     # (0 < P(psi /\ phi) < P(phi)), since the demo conditions on both

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-__all__ = ["Poly", "RatFunc", "EPS", "cancel"]
+__all__ = ["Poly", "RatFunc", "EPS", "cancel", "limit0"]
 
 
 def _primitive(coeffs: Iterable[int | Fraction]) -> list[int]:
@@ -70,6 +70,21 @@ def cancel(polys: list["Poly"]) -> list["Poly"]:
         g = g.gcd(p)
     it, gi = iter(_primitive(c for p in polys for c in p.coeffs)), _primitive(g.coeffs)
     return [Poly(tuple(_quotient([next(it) for _ in p.coeffs], gi))) for p in polys]
+
+
+def limit0(num: "Poly", den: "Poly") -> Fraction:
+    """One-sided limit at 0+ of num / den, den nonzero, whether or not the
+    quotient is reduced: a common factor adds its order at 0 to both lowest
+    orders and multiplies both lowest coefficients by its own, so it changes
+    neither their difference nor their ratio.  ValueError when unbounded."""
+    if num.is_zero():
+        return Fraction(0)
+    vn, vd = num.valuation(), den.valuation()
+    if vn < vd:
+        raise ValueError("unbounded at 0: no limit")
+    if vn > vd:
+        return Fraction(0)
+    return Fraction(num.coeffs[vn], den.coeffs[vd])
 
 
 @dataclass(frozen=True)
@@ -238,15 +253,7 @@ class RatFunc:
     def limit0(self) -> Fraction:
         """One-sided limit at 0+ (exists whenever the function is bounded
         near 0, which the construction guarantees)."""
-        if self.num.is_zero():
-            return Fraction(0)
-        vn = self.num.valuation()
-        vd = self.den.valuation()
-        if vn < vd:
-            raise ValueError("unbounded at 0: no limit")
-        if vn > vd:
-            return Fraction(0)
-        return Fraction(self.num.coeffs[vn], self.den.coeffs[vd])
+        return limit0(self.num, self.den)
 
     def __str__(self) -> str:
         if self.den == Poly.const(1):

@@ -10,6 +10,11 @@ these values, their types and their printed forms.
 The element-loop lemma checks that the point checks replaced test every
 element of a stage up to 16 points, and 2000 seeded ones above.
 Differential tests hold the point checks' verdicts to theirs.
+
+`reference_lewis_separation` is the separation demonstration that
+evaluated every delta twice, once on a second extension of the conditioned
+table with its own assignment and once inside the formula delta /\\ phi,
+and took side A's limit from a normalized RatFunc.
 """
 
 from __future__ import annotations
@@ -18,12 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from random import Random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from dblogic.construction import Stage
 from dblogic.probability import (
-    ClassicalProbability, LemmaReport, RationalValuation, Weight, ZeroBlockError,
+    ClassicalProbability, Extension, LemmaReport, LewisEntry, LewisReport,
+    RationalValuation, Weight, ZeroBlockError, default_lewis_deltas,
+    epsilon_extension, lewis_collapse_demo, lewis_preconditions, limit_at_zero,
 )
+from dblogic.syntax import Atom, Formula, Language, conj
 
 _CHUNK = 8
 _CHUNK_FULL = (1 << _CHUNK) - 1
@@ -154,3 +162,27 @@ def reference_lemma2(parent_val: RationalValuation, child_val: RationalValuation
                 return rep
         rep.checked += 1
     return rep
+
+
+def reference_lewis_separation(ext: Extension, phi: Formula,
+                               deltas: Sequence[Formula] | None = None) -> LewisReport:
+    pi, stage = ext.pi, ext.assignment.stage
+    p_phi = lewis_preconditions(pi, phi)
+    if deltas is None:
+        deltas = default_lewis_deltas(Language(stage.theta))
+    side_a_ext = epsilon_extension(pi.conditioned(phi), stage)
+    entries: list[LewisEntry] = []
+    for d in deltas:
+        a_raw = side_a_ext.prob(d)
+        num = ext.prob(conj(d, phi))
+        if a_raw is None or num is None:
+            entries.append(LewisEntry(d, None, None, None))
+            continue
+        a_val = limit_at_zero(a_raw)
+        b_val = num / p_phi
+        entries.append(LewisEntry(d, a_val, b_val, a_val == b_val))
+    atoms = [Atom(n) for n in stage.theta]
+    changed = [a for a in atoms if pi.of(conj(a, phi)) / p_phi != pi.of(a)]
+    fits = [a for a in changed if 0 < pi.of(conj(a, phi)) < p_phi] if changed else atoms
+    demo = lewis_collapse_demo(pi, phi, fits[0]) if fits else None
+    return LewisReport(phi, entries, demo)

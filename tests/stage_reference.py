@@ -9,13 +9,18 @@ the result back up.  `reference_swap` is T built from nested pair objects,
 looked up by value, as the stage's swap table was before points became
 index pairs.  `reference_verify_stage` is the element-sampling stage verifier
 that `construction.verify_stage` replaced, with every level of at most 10
-points checked exhaustively."""
+points checked exhaustively.  `reference_build_for_formulas` is the targeted
+build that starts its scan over from the first formula after every skip."""
 
 from random import Random
+from typing import Sequence
 
 from dblogic.construction import (
-    CheckReport, ConstructionError, Stage, _bits, _check_partition, check_beta_laws,
+    BudgetExceeded, CheckReport, ConstructionError, Stage, _bits, _check_partition,
+    advance, canonical_assignment, check_beta_laws, new_stage0, partition_data,
+    select_condition,
 )
+from dblogic.syntax import Formula, evaluate
 
 _VERIFY_LIMIT = 10
 _VERIFY_SAMPLES = 10_000
@@ -222,3 +227,29 @@ def reference_verify_stage(stage: Stage, rng: Random | None = None) -> CheckRepo
     rep.record("ranks", good)
 
     return rep
+
+
+def reference_build_for_formulas(theta: Sequence[str], formulas: Sequence[Formula],
+                                 max_atoms: int = 32,
+                                 skip_unaffordable: bool = False) -> Stage:
+    """The targeted build whose scan restarts from the first formula, with a
+    fresh canonical assignment, after an advance and after a skip alike."""
+    stage = new_stage0(theta)
+    pending = list(formulas)
+    while True:
+        h = canonical_assignment(stage)
+        for f in pending:
+            blocking = evaluate(f, h, stage.full, stage.apply_f)[1]
+            if blocking is not None:
+                break
+        else:
+            return stage
+        b = select_condition(stage, target=blocking)
+        tdata = partition_data(stage, b)
+        if tdata.next_size > max_atoms:
+            if skip_unaffordable:
+                pending.remove(f)
+                continue
+            raise BudgetExceeded(f"element {b:#x} at stage {stage.index}",
+                                 stage.size, tdata.next_size)
+        stage = advance(stage, b, tdata=tdata)

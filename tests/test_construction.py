@@ -4,6 +4,8 @@ from dataclasses import replace
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dblogic import construction
 from dblogic.construction import (
@@ -12,11 +14,12 @@ from dblogic.construction import (
     dump_stage, load_stage, new_stage0, partition_data,
     select_condition, verify_stage,
 )
-from dblogic.syntax import Language
+from dblogic.probability import default_lewis_deltas
+from dblogic.syntax import Atom, Cond, Implies, Language, Not
 
 from stage_reference import (
-    reference_apply_f, reference_swap, reference_verify_stage, walk_embed_from,
-    walk_rank, walk_unembed_to,
+    reference_apply_f, reference_build_for_formulas, reference_swap,
+    reference_verify_stage, walk_embed_from, walk_rank, walk_unembed_to,
 )
 
 L1 = Language(["a"])
@@ -503,3 +506,54 @@ def test_exact_verifier_agrees_with_the_sampling_reference(towers, monkeypatch):
             verdicts.append(got)
     assert len(verdicts) == 264 + 68
     assert 0 < verdicts.count(True) < len(verdicts)
+
+
+# -- targeted build: the scan resumes after a skip ---------------------------
+
+DELTAS = default_lewis_deltas(L2)
+TARGETS = st.one_of(st.sampled_from(DELTAS), st.recursive(
+    st.sampled_from([Atom("a"), Atom("b"), L2.top]),
+    lambda children: st.one_of(
+        children.map(Not),
+        st.tuples(children, children).map(lambda t: Implies(*t)),
+        st.tuples(children, children).map(lambda t: Cond(*t))),
+    max_leaves=6))
+
+
+def _build_outcome(build, targets, max_atoms, skip):
+    """The tower a build returns, level by level, or its BudgetExceeded text."""
+    try:
+        stage = build(["a", "b"], targets, max_atoms=max_atoms, skip_unaffordable=skip)
+    except BudgetExceeded as e:
+        return str(e)
+    return [(s.index, s.points, s.blocks, s.chains, s.transition) for s in stage.levels]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(TARGETS, max_size=8), st.booleans(), st.sampled_from([0, 4, 6, 8, 32]),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_targeted_build_agrees_with_the_restarting_reference(targets, all_deltas, max_atoms,
+                                                              skip, rng):
+    if all_deltas:
+        targets = targets + DELTAS
+        rng.shuffle(targets)
+    got = _build_outcome(build_for_formulas, targets, max_atoms, skip)
+    want = _build_outcome(reference_build_for_formulas, targets, max_atoms, skip)
+    assert got == want
+
+
+def test_targeted_build_scans_each_stage_once_past_a_skip(monkeypatch):
+    # the targets of a --lewis op at the workbench's 8-point budget: the
+    # scan that restarted after each of the many skips made 583 calls here
+    targets = [L2.parse("(a | a -> b)"), L2.parse("!a <-> a")] + DELTAS
+    calls = []
+    original = construction.evaluate
+
+    def counting_evaluate(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(construction, "evaluate", counting_evaluate)
+    stage = build_for_formulas(["a", "b"], targets, max_atoms=8, skip_unaffordable=True)
+    assert stage.size == 6
+    assert len(calls) == 67

@@ -1,8 +1,11 @@
 from fractions import Fraction as F
+from functools import cache, reduce
 from math import gcd
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dblogic.construction import (
     Stage, advance, build_faithful, build_for_formulas, new_stage0,
@@ -15,9 +18,11 @@ from dblogic.probability import (
     parse_probability_file,
 )
 from dblogic.ratfunc import EPS, Poly, RatFunc
-from dblogic.syntax import Atom, Cond, Implies, Language, Not, conj
+from dblogic.syntax import Atom, Cond, Implies, Language, Not, conj, disj
 
-from probability_reference import reference_extension, reference_lemma1, reference_lemma2
+from probability_reference import (
+    reference_extension, reference_lemma1, reference_lemma2, reference_lewis_separation,
+)
 
 L1 = Language(["a"])
 L2 = Language(["a", "b"])
@@ -502,6 +507,46 @@ def test_lewis_conditioning_on_top_is_identity():
     phi = L2.parse("a \\/ !a")
     with pytest.raises(ValueError):
         lewis_separation(extend_probability(PI_DOC, stage), phi)  # P(phi)=1 is excluded
+
+
+# one classical phi per truth-row set with 0 < P(phi) < 1 on a strictly
+# positive table: the disjunction of its complete conjunctions, in code order
+CELLS = [L2.parse(t) for t in ("!a /\\ !b", "a /\\ !b", "!a /\\ b", "a /\\ b")]
+SPLITTING_PHIS = [reduce(disj, [c for i, c in enumerate(CELLS) if rows >> i & 1])
+                  for rows in range(1, 15)]
+
+
+@cache
+def lewis_stage(max_atoms):
+    return build_for_formulas(["a", "b"], default_lewis_deltas(L2), max_atoms=max_atoms,
+                              skip_unaffordable=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(1, 20), min_size=4, max_size=4), st.sampled_from([8, 32]))
+def test_lewis_separation_agrees_with_the_reference(cells, max_atoms):
+    pi = ClassicalProbability(["a", "b"], [F(c, sum(cells)) for c in cells])
+    ext = extend_probability(pi, lewis_stage(max_atoms))
+    for phi in SPLITTING_PHIS:
+        got, want = lewis_separation(ext, phi), reference_lewis_separation(ext, phi)
+        assert got.phi is want.phi
+        assert got.entries == want.entries
+        assert [(type(e.extension_of_conditioned), type(e.conditioned_extension))
+                for e in got.entries] == [
+            (type(e.extension_of_conditioned), type(e.conditioned_extension))
+            for e in want.entries]
+        assert got.witnesses() == want.witnesses()
+        assert got.demo == want.demo
+
+
+def test_valuation_limit_equals_the_limit_of_the_measure():
+    stage = lewis_stage(8)
+    zero_cell = ClassicalProbability(["a", "b"], cells_ab(F(0), F(1, 2), F(1, 4), F(1, 4)))
+    for top in (extend_probability(PI_DOC, stage).top, epsilon_extension(zero_cell, stage).top,
+                epsilon_extension(PI_DOC.conditioned(L2.parse("b")), stage).top):
+        for m in range(1 << stage.size):
+            got = top.limit0(m)
+            assert got == limit_at_zero(top.measure(m)) and type(got) is F
 
 
 def test_collapse_demo_values():

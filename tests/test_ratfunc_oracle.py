@@ -4,9 +4,11 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ratfunc_reference as ref
-from dblogic.ratfunc import Poly, RatFunc
+from dblogic.ratfunc import Poly, RatFunc, limit0
 
 sympy = pytest.importorskip("sympy")
 E = sympy.Symbol("e")
@@ -117,3 +119,25 @@ def test_limit0_matches_sympy():
         else:
             with pytest.raises(ValueError):
                 r.limit0()
+
+
+INT_POLYS = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(Poly.make)
+POWERS_OF_E = st.integers(1, 3).map(lambda k: Poly.make([0] * k + [1]))
+COMMON_FACTORS = st.one_of(
+    POWERS_OF_E, INT_POLYS.filter(bool),
+    st.tuples(POWERS_OF_E, INT_POLYS.filter(bool)).map(lambda t: t[0] * t[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(INT_POLYS, INT_POLYS.filter(bool), COMMON_FACTORS)
+def test_limit_of_an_unreduced_quotient_matches_make_and_sympy(n, d, g):
+    lim = sympy.limit(_poly_expr(n) / _poly_expr(d), E, 0, "+")
+    try:
+        want = RatFunc.make(n, d).limit0()
+    except ValueError as e:
+        with pytest.raises(ValueError) as info:
+            limit0(n * g, d * g)
+        assert str(info.value) == str(e)
+        assert not lim.is_finite
+        return
+    assert limit0(n * g, d * g) == want == Fraction(int(lim.p), int(lim.q))
