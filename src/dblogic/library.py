@@ -67,7 +67,9 @@ GROUP_ANNOTATIONS: dict[str, frozenset[str]] = {
 class Prover:
     """Derivation builder with incremental conclusion tracking.  A classical
     leaf is recorded with its target, unchecked: `check_derivation` checks
-    every leaf, and every consumer of a built derivation runs it."""
+    every leaf, and every consumer of a built derivation runs it.  Nodes are
+    hash-consed, so a node built again is the one already registered, and
+    its conclusion is not computed again."""
 
     def __init__(self, lang: Language, system: System, allow_star: bool = False):
         self.lang = lang
@@ -84,6 +86,8 @@ class Prover:
 
     def ax(self, sid: str, **binding: Formula) -> Node:
         node = AxiomNode(sid, tuple(sorted(binding.items())))
+        if node in self._concl:
+            return node
         return self._register(node, instantiate_axiom(sid, binding, self.system, self.allow_star))
 
     def taut(self, target: Sequent) -> Node:
@@ -103,10 +107,14 @@ class Prover:
             left = self.struct(left, Sequent(lc.antecedent, rest + (f,)))
             lc = self.concl(left)
         node = CutNode(left, right, f)
+        if node in self._concl:
+            return node
         return self._register(node, apply_cut(lc, self.concl(right), f))
 
     def rule(self, name: str, args: tuple[Formula, ...], premises: tuple[Node, ...]) -> Node:
         node = RuleNode(name, args, premises)
+        if node in self._concl:
+            return node
         macro = apply_derived_rule(name, [self.concl(p) for p in premises], args)
         return self._register(node, macro)
 

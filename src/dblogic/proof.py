@@ -57,8 +57,8 @@ from typing import Mapping, Sequence
 
 from .syntax import (
     Atom, Cond, Formula, Implies, Language, Meta, Not, Sequent,
-    Interned, SubstitutionError, conj, disj, evaluate, indep, iff, leaves,
-    metas, substitute, truth_columns,
+    Interned, SchemaProgram, SubstitutionError, conj, disj, evaluate, indep,
+    iff, leaves, truth_columns,
 )
 
 __all__ = [
@@ -104,8 +104,13 @@ class AxiomSchema:
     family: str | None = None  # reporting family for b5-style side conditions
 
     @cached_property
+    def program(self) -> SchemaProgram:
+        """The antecedent and the succedent, compiled once."""
+        return SchemaProgram(self.antecedent + self.succedent)
+
+    @cached_property
     def metavariables(self) -> frozenset[str]:
-        return frozenset().union(*map(metas, self.antecedent + self.succedent))
+        return frozenset(self.program.names)
 
 
 AXIOM_SCHEMAS: dict[str, AxiomSchema] = {
@@ -144,7 +149,8 @@ AXIOM_SCHEMAS: dict[str, AxiomSchema] = {
 def instantiate_axiom(schema_id: str, binding: Mapping[str, Formula],
                       system: System, allow_star: bool = False) -> Sequent:
     """Instantiate an axiom schema, enforcing system admissibility.  Every
-    metavariable of the schema must be bound, and nothing else."""
+    metavariable of the schema must be bound, and nothing else.  The
+    schema's compiled program is filled, so no formula is walked."""
     try:
         schema = AXIOM_SCHEMAS[schema_id]
     except KeyError:
@@ -153,14 +159,14 @@ def instantiate_axiom(schema_id: str, binding: Mapping[str, Formula],
     if not admissible:
         raise DerivationError("axiom", f"schema {schema_id!r} not admissible in system {system.value!r}")
     try:
-        ant = tuple(substitute(f, binding) for f in schema.antecedent)
-        suc = tuple(substitute(f, binding) for f in schema.succedent)
+        out = schema.program.fill(binding)
     except SubstitutionError as e:
         raise DerivationError("axiom", f"schema {schema_id!r}: {e}") from None
     stray = binding.keys() - schema.metavariables
     if stray:
         raise DerivationError("axiom", f"schema {schema_id!r} has no metavariable {min(stray)!r}")
-    return Sequent(ant, suc)
+    n = len(schema.antecedent)
+    return Sequent(out[:n], out[n:])
 
 
 # ---------------------------------------------------------------------------

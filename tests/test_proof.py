@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import operator
 import pickle
 import random
 import time
@@ -12,14 +13,17 @@ from hypothesis import strategies as st
 from dblogic import proof
 from dblogic.library import Prover, library_language, theorem_library
 from dblogic.proof import (
-    AxiomNode, CutNode, Derivation, DerivationError, RuleNode, StructNode,
-    System, TautNode, apply_cut, apply_derived_rule, apply_struct,
+    AXIOM_SCHEMAS, AxiomNode, CutNode, Derivation, DerivationError, RuleNode,
+    StructNode, System, TautNode, apply_cut, apply_derived_rule, apply_struct,
     check_derivation, classical_leaf_check, format_derivation,
     instantiate_axiom, is_tautology, parse_derivation_file,
 )
-from dblogic.syntax import Atom, Cond, Implies, Language, Meta, Not, Sequent, disj, indep
+from dblogic.syntax import (
+    Atom, Cond, Implies, Language, Meta, Not, Sequent, disj, indep, metas,
+)
 
 import leaf_reference as ref
+import substitute_reference
 
 L = Language(["a", "b", "c"])
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -63,6 +67,48 @@ def test_star_requires_quarantine():
 def test_unbound_metavariable():
     with pytest.raises(Exception):
         instantiate_axiom("b1", {"phi": A}, System.DBL)
+
+
+_BOUND = st.sampled_from([A, B, Not(A), L.top, L.parse("(b | a)"), L.parse("a -> (b | a)"),
+                          Meta("psi"), Cond(Meta("phi"), B)])
+
+
+@st.composite
+def _axiom_bindings(draw):
+    """A schema id and a binding of its metavariables, up to two of them
+    dropped and up to two names added; a value may hold a metavariable or
+    repeat another value."""
+    sid = draw(st.sampled_from(sorted(AXIOM_SCHEMAS)))
+    s = AXIOM_SCHEMAS[sid]
+    names = sorted(frozenset().union(*map(metas, s.antecedent + s.succedent)))
+    dropped = draw(st.sets(st.sampled_from(names), max_size=2))
+    added = draw(st.sets(st.sampled_from(["phi", "psi", "eta", "chi"]), max_size=2))
+    return sid, {n: draw(_BOUND) for n in sorted((set(names) - dropped) | added)}
+
+
+def _instantiated(instantiate, sid, binding, system, allow_star):
+    try:
+        return instantiate(sid, binding, system, allow_star)
+    except DerivationError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_axiom_bindings())
+def test_instantiate_axiom_agrees_with_the_recursive_reference(call):
+    # the same formulas by identity, or the same error, under every system
+    sid, binding = call
+    for system in System:
+        for allow_star in (False, True):
+            want = _instantiated(substitute_reference.instantiate_axiom, sid, binding,
+                                 system, allow_star)
+            got = _instantiated(instantiate_axiom, sid, binding, system, allow_star)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                for side in ("antecedent", "succedent"):
+                    g, w = getattr(got, side), getattr(want, side)
+                    assert len(g) == len(w) and all(map(operator.is_, g, w))
 
 
 # -- CUT -----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import operator
 import os
 import pickle
 import time
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dblogic.syntax import (
-    Atom, Cond, Implies, Language, Meta, Not, ParseError, Sequent,
-    SubstitutionError, atoms, conj, iff, indep, is_classical, metas,
+    Atom, Cond, Implies, Language, Meta, Not, ParseError, SchemaProgram,
+    Sequent, SubstitutionError, atoms, conj, iff, indep, is_classical, metas,
     _tokenize, substitute, disj,
 )
 from dblogic.library import proofs_dir
@@ -18,6 +19,7 @@ from dblogic.proof import AXIOM_SCHEMAS
 
 import parser_reference as ref
 import printer_reference
+import substitute_reference
 
 AB = Language(["a", "b"])
 
@@ -223,6 +225,35 @@ def near_miss_strategy(lang: Language):
 @given(near_miss_strategy(AB), st.sampled_from(["core", "sugared"]))
 def test_printer_agrees_with_reference(f, style):
     assert AB.format(f, style) == printer_reference.format_formula(AB, f, style)
+
+
+def _substituted(substitute, schemas, binding):
+    """The schemas substituted one by one, or the first `SubstitutionError`
+    text."""
+    try:
+        return tuple(substitute(s, binding) for s in schemas)
+    except SubstitutionError as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(near_miss_strategy(AB), min_size=1, max_size=3),
+       st.dictionaries(st.sampled_from(["phi", "psi", "eta"]), near_miss_strategy(AB),
+                       max_size=3))
+def test_substitute_agrees_with_the_recursive_reference(schemas, binding):
+    # the same objects, or the same first error in reading order; one
+    # program over several schemas shares their nodes
+    want = _substituted(substitute_reference.substitute, schemas, binding)
+    try:
+        together = SchemaProgram(schemas).fill(binding)
+    except SubstitutionError as e:
+        together = str(e)
+    for got in (_substituted(substitute, schemas, binding), together):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert type(got) is tuple and len(got) == len(want)
+            assert all(map(operator.is_, got, want))
 
 
 # -- differential tests against the recursive-descent reference --------------
@@ -484,11 +515,12 @@ def test_equal_formulas_are_one_object():
     assert c.then is a and a.name == "a"
 
 
-def _deep_shapes(n):
-    """Formulas nesting n operators: `->` to the right and to the left,
-    `/\\`, and conditionals in both places.  (`<->` writes each side twice
-    in the core style, so its nesting would print 2**n copies.)"""
-    a, b = Atom("a"), Atom("b")
+def _deep_shapes(n, a=Atom("a")):
+    """Formulas nesting n operators over `a` and the atom b: `->` to the
+    right and to the left, `/\\`, and conditionals in both places.  (`<->`
+    writes each side twice in the core style, so its nesting would print
+    2**n copies.)"""
+    b = Atom("b")
     right, left, both, then, given = b, b, b, b, b
     for _ in range(n):
         right, left = Implies(a, right), Implies(left, a)
@@ -509,6 +541,18 @@ def test_deep_formulas_print_without_recursion(style):
     # iterative parser reads the text back to the same object
     for f in _deep_shapes(3000):
         assert AB.parse(AB.format(f, style)) is f
+
+
+def test_deep_schemas_substitute_without_recursion():
+    # 3 000 stacked `!` over a metavariable, and the deep shapes built over
+    # it, substitute to the formulas built over the atom
+    phi, a = Meta("phi"), Atom("a")
+    negations, expected = phi, a
+    for _ in range(3000):
+        negations, expected = Not(negations), Not(expected)
+    schemas = [negations, *_deep_shapes(3000, phi)]
+    for schema, f in zip(schemas, [expected, *_deep_shapes(3000)]):
+        assert substitute(schema, {"phi": a}) is f
 
 
 def test_deep_formulas_repr_and_pickle_without_recursion():
