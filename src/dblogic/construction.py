@@ -21,8 +21,8 @@ partition the stage), and there it is the image of (id u T)(B & A), a join
 over the level-L points of B.  The embedding preserves joins, so f(., A) is
 additive over the fibres: f(B, A) is the join of one row per point of B, and
 B is a union of fibres exactly when the join of the fibres of its points is
-B.  `Stage.apply_f` reads both joins off 8-bit chunk tables, built on a
-condition's first use and kept, since a stage never changes.
+B.  `Stage.f_rows` makes a condition's rows and 8-bit chunk tables of them
+once, as a stage never changes; `Stage.apply_f` reads both joins off those.
 
 Two selection modes exist.  Faithful mode scores candidate conditions by
 lambda(B) = r(B) + min rank of an element A with f(A, B) undefined, picks the
@@ -135,7 +135,7 @@ class Stage:
         for c in self.chains:  # the first chain wins, its mask before its complement
             self._chain_of.setdefault(c.mask, (c, False))
             self._chain_of.setdefault(self.full ^ c.mask, (c, True))
-        self._f_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._f_tables: dict[int, tuple] = {}   # A -> (fibre halves, row halves, tables)
         self._fibres: tuple[tuple[int, ...], ...] | None = None
         if index > 0:
             where = {p: i for i, p in enumerate(self.points)}
@@ -212,41 +212,53 @@ class Stage:
         return self._chain_of.get(mask)
 
     def apply_f(self, b_mask: int, a_mask: int) -> int | None:
-        """f(B, A): B for the trivial conditions, None for a condition on no
-        chain or on one whose mask is no union of the fibres of the level it
-        was last processed at.  For a condition on a chain last processed at
-        level L, f(B, A) is defined exactly when B is a union of fibres
-        (images of level-L points), and it is additive over them (see the
-        module docstring): one pass over 8-bit chunk tables, built on the
-        condition's first call and kept, joins row_A[p] << size | fib_L[p]
-        over the points p of B.  An A
-        or B outside the stage is a ValueError."""
-        tables = self._f_tables.get(a_mask)
-        if tables is None:
+        """f(B, A): B for a trivial A, else by `f_rows`, read off 8-bit chunk
+        tables of row_A[p] << size | fib_L[p], made with the rows and kept.
+        An A or B outside the stage is a ValueError."""
+        entry = self._f_tables.get(a_mask)
+        if entry is None:
             if (a_mask | b_mask) >> self.size:  # a negative or too wide mask
                 bad = a_mask if a_mask >> self.size else b_mask
                 raise ValueError(f"{bad:#x} is not an element of stage {self.index}")
             if a_mask == 0 or a_mask == self.full:
                 return b_mask
-            found = self._chain_of.get(a_mask)
-            rows = None if found is None else self._point_rows(found[0].processed_at, a_mask)
-            if rows is None:
+            if a_mask not in self._chain_of or self.f_rows(a_mask) is None:
                 return None
-            tables = self._f_tables[a_mask] = _join_tables(rows)
+            entry = self._f_tables[a_mask]
         if not 0 <= b_mask <= self.full:
             raise ValueError(f"{b_mask:#x} is not an element of stage {self.index}")
         joined, rest = 0, b_mask
-        for table in tables:
+        for table in entry[2]:
             joined |= table[rest & 0xFF]
             rest >>= 8
         return joined >> self.size if joined & self.full == b_mask else None
 
+    def f_rows(self, a_mask: int) -> tuple[list[int], list[int]] | None:
+        """fib_L[p] and row_A[p] at each point p (see `_point_rows`) for a
+        nontrivial A: f(B, A) is the join of row_A[p] over the points p of B
+        where the join of fib_L[p] over them is B, else undefined.  None when
+        A is on no chain or no union of its chain's fibres: f(., A) is None."""
+        entry = self._f_tables.get(a_mask)
+        if entry is None:
+            found = self._chain_of.get(a_mask)
+            rows = None if found is None else self._point_rows(found[0].processed_at, a_mask)
+            if rows is None:
+                return None
+            tables = []                 # entry m of table k joins rows[8k + i], i in m
+            for k in range(0, self.size, 8):
+                table = [0]
+                for row in rows[k:k + 8]:
+                    table += [m | row for m in table]
+                tables.append(table)
+            entry = self._f_tables[a_mask] = ([r & self.full for r in rows],
+                                              [r >> self.size for r in rows], tables)
+        return entry[0], entry[1]
+
     def _point_rows(self, level: int, a_mask: int) -> list[int] | None:
-        """row_A[p] << size | fib_L[p] at each point p, for a condition A on a
-        chain last processed at `level`: fib_L[p] is the fibre holding p, of
-        the level-L point q, and row_A[p] the image of (id u T)({q} & A).
-        None when A is no union of level-L fibres, which only a stage whose
-        blocks disagree with its chains can give."""
+        """row_A[p] << size | fib_L[p] at each point p, for A on a chain last
+        processed at `level`: fib_L[p] is the fibre holding p, of the level-L
+        point q, and row_A[p] the image of (id u T)({q} & A).  None when A is
+        no union of level-L fibres, as only blocks at odds with chains give."""
         fibres = self.fibres[level]
         swap = self.levels[level]._swap
         a_low = self.unembed_to(level, a_mask)
@@ -271,18 +283,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _join_tables(rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """One table per 8 points: entry m of table k joins rows[8k + i] over the
-    bits i of m."""
-    tables = []
-    for k in range(0, len(rows), 8):
-        table = [0]
-        for row in rows[k:k + 8]:
-            table += [m | row for m in table]
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
 # ---------------------------------------------------------------------------
 # Construction steps
 # ---------------------------------------------------------------------------
@@ -304,10 +304,7 @@ def classify_case(stage: Stage, b_mask: int) -> tuple[int, int | None]:
     if not 0 < b_mask < stage.full:
         raise ValueError("condition must be a nontrivial element of the stage")
     found = stage.chain_for(b_mask)
-    if found is None:
-        return 1, None
-    chain, _ = found
-    return 0, chain.last_selected
+    return (1, None) if found is None else (0, found[0].last_selected)
 
 
 def partition_data(stage: Stage, b_mask: int) -> Transition:
@@ -318,8 +315,7 @@ def partition_data(stage: Stage, b_mask: int) -> Transition:
     if case == 1:
         pi, gamma = [b_mask], [comp]
     else:
-        found = stage.chain_for(b_mask)
-        chain, flipped = found
+        chain, flipped = stage.chain_for(b_mask)
         if flipped:
             # the coherence rule keeps the original orientation
             raise ConstructionError("case-0 condition must use the chain orientation")
@@ -342,9 +338,8 @@ def partition_data(stage: Stage, b_mask: int) -> Transition:
 
 
 def _check_partition(stage: Stage, b_mask: int, pi: Sequence[int], gamma: Sequence[int]) -> None:
-    union_pi = 0
-    union_gamma = 0
-    for i, p in enumerate(pi):
+    union_pi = union_gamma = 0
+    for p in pi:
         if union_pi & p:
             raise ConstructionError("partition blocks over b overlap")
         union_pi |= p
@@ -418,18 +413,13 @@ def _partner_min_rank(stage: Stage, mask: int) -> float:
     found = stage.chain_for(mask)
     if found is None:
         return 0
-    chain, _ = found
-    if chain.processed_at == stage.index:
-        return _INF
-    return chain.processed_at + 1
+    processed = found[0].processed_at
+    return _INF if processed == stage.index else processed + 1
 
 
 def _coherent(stage: Stage, mask: int) -> int:
     found = stage.chain_for(mask)
-    if found is None:
-        return mask
-    chain, _ = found
-    return chain.mask
+    return mask if found is None else found[0].mask
 
 
 def select_condition(stage: Stage, target: int | None = None) -> int | None:

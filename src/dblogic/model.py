@@ -18,12 +18,18 @@ way, so ``full ^ v`` and ``(full ^ l) | r`` -- the evaluator's `!` and
 are bitwise, so no bit crosses from one slot to the next, and as `full` has
 no flag bit, the flag of ``full ^ v`` is v's and the flag of
 ``(full ^ l) | r`` is l's or r's.  A flagged slot's element bits mean
-nothing; the flag stays set through every node above it.  Only ``(B | A)``
-is taken slot by slot, through a memo of `Stage.apply_f`, and its slot is
-flagged when either input slot is or f is undefined there.  So a slot's
-flag is set exactly when evaluating that one assignment gives None, and
-otherwise the slot holds its value.  The laws of f are checked on each
-stage by `construction.verify_stage`.
+nothing; the flag stays set through every node above it.  ``(B | A)``
+takes the whole block too, by the rule of `Stage.f_rows`: B for a trivial
+A, else the join of A's rows over the points of B where the join of their
+fibres is B, else undefined.  Bit p of B, a 0/1 multiple of each slot's
+lowest bit, times a row of `size` bits stays in the slot, so both joins are
+exact slot by slot, and the slot is flagged when either input slot is or f
+is undefined there.  So a slot's flag is set exactly when evaluating that
+one assignment gives None, and otherwise the slot holds its value.  Per
+condition, a ``(B | A)`` node costs a few operations on the block to find
+the slots where A is that condition, and about six per point of the stage
+if there are any.  The laws of f are checked on each stage by
+`construction.verify_stage`.
 """
 
 from __future__ import annotations
@@ -35,12 +41,12 @@ from random import Random
 from typing import Mapping
 
 from .construction import Stage
-from .syntax import Formula, Sequent, atoms as formula_atoms, evaluate
+from .syntax import Atom, Formula, Sequent, evaluate, leaves
 
 __all__ = ["ConditionalAssignment", "EntailmentResult", "entails", "MAX_BLOCK"]
 
 MAX_BLOCK = 4096            # the most assignments `entails` decides at once
-# an `array` type code for each item size in bytes, so slots unpack in C
+# an `array` type code for each item size in bytes, so slots pack in C
 _CODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
@@ -84,35 +90,56 @@ class EntailmentResult:
 
 
 class _Slots:
-    """`count` elements of a `size`-point stage packed into one int, slot i
-    in bits ``i * width`` on.  A slot has room for the element's bits and
-    the flag bit at ``size``; its width is a whole number of bytes.  Up to
-    63 points that is a power of two, 1 to 8 bytes, so that `array` packs
-    and unpacks the slots; wider slots are cut out of the bytes one by one."""
+    """`count` elements of `stage` packed into one int, slot i in bits
+    ``i * width`` on, `width` a whole number of bytes: up to 63 points a
+    power of two, 1 to 8, so that `array` packs the slots."""
 
-    def __init__(self, size: int, count: int):
-        nbytes = size // 8 + 1
+    def __init__(self, stage: Stage, count: int):
+        nbytes = stage.size // 8 + 1
         if nbytes <= 8:
             nbytes = 1 << (nbytes - 1).bit_length()
-        self.nbytes, self.count, self.width = nbytes, count, 8 * nbytes
+        self.stage, self.nbytes, self.count, self.width = stage, nbytes, count, 8 * nbytes
         self.code = _CODES.get(nbytes)
-        ones = ((1 << self.width * count) - 1) // ((1 << self.width) - 1)
-        self.full = ((1 << size) - 1) * ones     # every slot full
-        self.flags = (1 << size) * ones          # every slot's flag bit
+        self.full = self.copy(stage.full)       # every slot full
+        self.flags = self.copy(stage.full + 1)  # every slot's flag bit
+        # each condition in every slot, with its rows: none for 0 and full
+        self.conditions = [(self.copy(c), None) for c in (0, stage.full)] + [
+            (self.copy(c), rows) for c in stage.defined_conditions()
+            if (rows := stage.f_rows(c)) is not None]
 
     def pack(self, values: list[int]) -> int:
         if self.code is not None:
             return int.from_bytes(array(self.code, values).tobytes(), sys.byteorder)
-        return int.from_bytes(b"".join(v.to_bytes(self.nbytes, "little") for v in values),
-                              "little")
+        return int.from_bytes(b"".join(v.to_bytes(self.nbytes, "little") for v in values), "little")
 
-    def unpack(self, x: int):
-        """The slots of `x`, lowest first."""
-        n = self.nbytes
-        if self.code is not None:
-            return memoryview(x.to_bytes(n * self.count, sys.byteorder)).cast(self.code)
-        data = x.to_bytes(n * self.count, "little")
-        return [int.from_bytes(data[k:k + n], "little") for k in range(0, len(data), n)]
+    def copy(self, element: int) -> int:
+        return int.from_bytes(element.to_bytes(self.nbytes, "little") * self.count, "little")
+
+    def conditional(self, b: int, a: int, open_: int) -> int:
+        """(B | A) in every slot, flagged where an input slot is flagged or
+        not in `open_`, or where `Stage.apply_f` is undefined.  A is c in
+        the slots where ``(a ^ c) & full`` carries nothing into the flag;
+        there f is B for a trivial c, else the join of c's rows."""
+        fulls, size = self.full, self.stage.size
+        live, out, defined = open_ & ~(a | b), 0, 0
+        for copy, rows in self.conditions:
+            hit = live & ~(((a ^ copy) & fulls) + fulls)      # A is the condition here
+            if not hit:
+                continue
+            low = hit >> size                    # the lowest bit of each hit slot
+            if rows is None:                     # 0 or full
+                out |= b & (hit - low)
+            else:
+                fib = row = 0
+                for p, fp, rp in zip(range(size), *rows):
+                    at = b >> p & low
+                    if at:
+                        fib |= at * fp
+                        row |= at * rp
+                hit &= ~(((fib ^ b) & (hit - low)) + fulls)   # B a union of fibres
+                out |= row                       # flagged where it is not
+            defined |= hit
+        return out | self.flags & ~defined
 
 
 def entails(stage: Stage, s: Sequent, samples: int | None = None,
@@ -138,43 +165,29 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
     `full` carries into its flag bit exactly when some point is missing,
     and never further.  The rules above then run as and, or and not on
     those masks, one mask per outcome, with the open slots those that no
-    earlier formula decided.  ``(B | A)`` flags every decided slot without
-    asking `Stage.apply_f`; as a block's decided slots only grow, a memo
-    value made while fewer were decided stays valid.  Slot i is the i-th
-    assignment of the block, so the lowest failing slot is the first
-    failing assignment, and `checked` and `skipped` count the held and the
-    skipped slots below it, after every earlier block's.  Verdict, witness
-    and counts are those of deciding one assignment after the other
-    (`tests/entails_reference.py`).
+    earlier formula decided.  ``(B | A)`` flags every decided slot; as a
+    block's decided slots only grow, a memo value made while fewer were
+    decided stays valid.  Slot i is the i-th assignment of the block, so
+    the lowest failing slot is the first failing assignment, and `checked`
+    and `skipped` count the held and the skipped slots below it, after
+    every earlier block's.  Verdict, witness and counts are those of
+    deciding one assignment after the other (`tests/entails_reference.py`).
     """
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    names = sorted(set().union(*map(formula_atoms, s.antecedent + s.succedent)))
+    names = sorted({g.name for g in leaves(s.antecedent + s.succedent) if isinstance(g, Atom)})
     size, full = stage.size, stage.full
     exhaustive = samples is None and len(names) * size <= 18
     total = 1 << len(names) * size if exhaustive else samples or 1000
     rng = None if exhaustive else Random(seed)
-    ante = dict.fromkeys(s.antecedent)
-    succ = dict.fromkeys(s.succedent)
-
-    flag = 1 << size
-    rows: dict[tuple[int, int], int] = {}   # (B, A) -> f(B, A), or `flag`
-
-    def row(b: int, a: int) -> int:
-        if (b | a) > full:                      # an input slot is flagged
-            v = flag
-        else:
-            v = stage.apply_f(b, a)
-            v = flag if v is None else v
-        rows[b, a] = v
-        return v
+    ante, succ = dict.fromkeys(s.antecedent), dict.fromkeys(s.succedent)
 
     skipped = checked = 0
     start, slots = 0, None
     while start < total:
         count = min(1 << size, MAX_BLOCK, total - start)
         if slots is None or slots.count != count:
-            slots = _Slots(size, count)
+            slots = _Slots(stage, count)
         if exhaustive:
             columns = {n: [(i >> k * size) & full for i in range(start, start + count)]
                        for k, n in enumerate(names)}
@@ -183,13 +196,8 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
             columns = {n: draws[k::len(names)] for k, n in enumerate(names)}
         start += count
         atom_map = {n: slots.pack(col) for n, col in columns.items()}
-        unpack, pack = slots.unpack, slots.pack
-
-        def cond(t: int, a: int) -> int:            # a decided slot is flagged
-            return pack([rows[k] if k in rows else row(*k)
-                         for k in zip(unpack(t | flags & ~open_ | any_full), unpack(a))])
-
         fulls, flags = slots.full, slots.flags
+        cond = lambda b, a: slots.conditional(b, a, open_ & ~any_full)  # decided: flagged
         memo: dict[Formula, int] = {}
 
         def outcome(g: Formula) -> tuple[int, int]:

@@ -10,7 +10,12 @@ looked up by value, as the stage's swap table was before points became
 index pairs.  `reference_verify_stage` is the element-sampling stage verifier
 that `construction.verify_stage` replaced, with every level of at most 10
 points checked exhaustively.  `reference_build_for_formulas` is the targeted
-build that starts its scan over from the first formula after every skip."""
+build that starts its scan over from the first formula after every skip.
+`row_tampers` lists changed rows of f and `with_row` puts one into a copy
+of a stage, for the tests that hold the verifier and `entails` to their
+references on stages whose rows are wrong."""
+
+import copy
 
 from random import Random
 from typing import Sequence
@@ -253,3 +258,33 @@ def reference_build_for_formulas(theta: Sequence[str], formulas: Sequence[Formul
             raise BudgetExceeded(f"element {b:#x} at stage {stage.index}",
                                  stage.size, tdata.next_size)
         stage = advance(stage, b, tdata=tdata)
+
+
+def row_tampers(s: Stage):
+    """Per defined condition A and point p, three changes of the row of
+    f(., A) at p, its fibre half kept: complemented, its own bit flipped,
+    and the next point's row copied in."""
+    n, full = s.size, s.full
+    for a in s.defined_conditions():
+        for p in range(n):
+            yield a, p, "complement", lambda rows, p=p: rows[p] ^ full << n
+            yield a, p, "own bit", lambda rows, p=p: rows[p] ^ 1 << p << n
+            yield a, p, "next row", lambda rows, p=p: rows[(p + 1) % n] >> n << n | rows[p] & full
+
+
+def with_row(stage: Stage, a: int, p: int, change) -> Stage:
+    """A copy of `stage` whose row of f(., a) at point p, as
+    `Stage._point_rows` gives it, is change(rows): `apply_f` and `f_rows`
+    both read the changed row."""
+    out = copy.copy(stage)
+    out._f_tables = {}
+
+    def point_rows(level: int, a_mask: int) -> list[int] | None:
+        rows = Stage._point_rows(out, level, a_mask)
+        if rows is not None and a_mask == a:
+            rows[p] = change(rows)
+        return rows
+
+    out._point_rows = point_rows
+    return out
+

@@ -19,7 +19,7 @@ from dblogic.syntax import Atom, Cond, Implies, Language, Not
 
 from stage_reference import (
     reference_apply_f, reference_build_for_formulas, reference_swap,
-    reference_verify_stage, walk_embed_from, walk_rank, walk_unembed_to,
+    reference_verify_stage, row_tampers, walk_embed_from, walk_rank, walk_unembed_to,
 )
 
 L1 = Language(["a"])
@@ -385,18 +385,6 @@ def test_apply_f_edge_cases():
         s0.apply_f(1 << 4, 1)                                   # a condition on no chain
 
 
-def _row_tampers(s):
-    """Per defined condition A and point p, three changes of the row of
-    f(., A) at p, its fibre half kept: complemented, its own bit flipped,
-    and the next point's row copied in."""
-    n, full = s.size, s.full
-    for a in s.defined_conditions():
-        for p in range(n):
-            yield a, p, "complement", lambda rows, p=p: rows[p] ^ full << n
-            yield a, p, "own bit", lambda rows, p=p: rows[p] ^ 1 << p << n
-            yield a, p, "next row", lambda rows, p=p: rows[(p + 1) % n] >> n << n | rows[p] & full
-
-
 @contextmanager
 def _row_changed(monkeypatch, s, a, p, change):
     """Stage s with the row of f(., a) at point p set to change(rows)."""
@@ -421,7 +409,7 @@ def test_corrupted_operator_row_fails_verification(towers, monkeypatch):
     caught = cases = 0
     for s in towers[1][1:3]:               # the 6- and 10-point faithful stages
         assert verify_stage(s).ok()
-        for a, p, how, change in _row_tampers(s):
+        for a, p, how, change in row_tampers(s):
             if how == "complement":
                 with _row_changed(monkeypatch, s, a, p, change):
                     cases += 1
@@ -495,7 +483,7 @@ def test_exact_verifier_agrees_with_the_sampling_reference(towers, monkeypatch):
         assert verify_stage(s).ok() and reference_verify_stage(s).ok()
         if s.index == 0:
             continue
-        for a, p, how, change in _row_tampers(s):
+        for a, p, how, change in row_tampers(s):
             with _row_changed(monkeypatch, s, a, p, change):
                 got, want = verify_stage(s).ok(), reference_verify_stage(s).ok()
             assert got == want, (how, s.size, a, p)
