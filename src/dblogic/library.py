@@ -203,22 +203,23 @@ def thm_cond_on_bot(pr: Prover, psi: Formula) -> Node:
     return pr.cut(nn, emp, Not(bot))
 
 
-def _left_equiv_half(pr: Prover, phi: Formula, psi: Formula, eta: Formula) -> Node:
-    """psi -> eta |- !phi, (psi|phi) -> (eta|phi)"""
-    imp = Implies(psi, eta)
-    s1 = pr.taut(Sequent((imp,), (Implies(phi, imp),)))
-    c1 = pr.cut(s1, pr.ax("b1", phi=phi, psi=imp), Implies(phi, imp))
-    s3 = pr.classically(
-        Sequent((Cond(imp, phi),), (Implies(Cond(psi, phi), Cond(eta, phi)),)),
-        pr.ax("b2", phi=phi, psi=psi, eta=eta))
-    return pr.cut(c1, s3, Cond(imp, phi))
+def _lift(pr: Prover, phi: Formula, a: Formula, b: Formula,
+          ant: tuple[Formula, ...] = (), *helpers: Node) -> Node:
+    """ant |- !phi, (a|phi) -> (b|phi), by b1 and b2, whenever phi -> (a -> b)
+    follows classically from `ant` and the helper conclusions."""
+    imp = Implies(a, b)
+    c1 = pr.cut(pr.classically(Sequent(ant, (Implies(phi, imp),)), *helpers),
+                pr.ax("b1", phi=phi, psi=imp), Implies(phi, imp))
+    s = pr.classically(Sequent((Cond(imp, phi),), (Implies(Cond(a, phi), Cond(b, phi)),)),
+                       pr.ax("b2", phi=phi, psi=a, eta=b))
+    return pr.cut(c1, s, Cond(imp, phi))
 
 
 def thm_left_equiv(pr: Prover, phi: Formula, psi: Formula, eta: Formula) -> Node:
     """psi <-> eta |- !phi, (psi|phi) <-> (eta|phi)"""
     e = iff(psi, eta)
-    hA = _left_equiv_half(pr, phi, psi, eta)
-    hB = _left_equiv_half(pr, phi, eta, psi)
+    hA = _lift(pr, phi, psi, eta, (Implies(psi, eta),))
+    hB = _lift(pr, phi, eta, psi, (Implies(eta, psi),))
     dA = pr.cut(pr.taut(Sequent((e,), (Implies(psi, eta),))), hA, Implies(psi, eta))
     dB = pr.cut(pr.taut(Sequent((e,), (Implies(eta, psi),))), hB, Implies(eta, psi))
     iA = Implies(Cond(psi, phi), Cond(eta, phi))
@@ -238,8 +239,7 @@ def thm_left_equiv_cor(pr: Prover, phi: Formula, psi: Formula, eta: Formula) -> 
     d_neg = pr.classically(Sequent((Not(phi), e), (tgt,)),
                            thm_empty_universe(pr, phi, psi),
                            thm_empty_universe(pr, phi, eta))
-    moved = pr.struct(main, Sequent((e,), (tgt, Not(phi))))
-    return pr.em(moved, d_neg, Not(phi), Sequent((e,), (tgt,)))
+    return pr.em(main, d_neg, Not(phi), Sequent((e,), (tgt,)))
 
 
 def cond_equiv(pr: Prover, phi: Formula, a: Formula, b: Formula) -> Node:
@@ -253,16 +253,6 @@ def neg_commute(pr: Prover, phi: Formula, x: Formula) -> Node:
     return pr.classically(
         Sequent((), (iff(Cond(Not(x), phi), Not(Cond(x, phi))),)),
         pr.ax("b4", phi=phi, psi=x))
-
-
-def _cond_projection(pr: Prover, phi: Formula, big: Formula, part: Formula) -> Node:
-    """|- !phi, (big|phi) -> (part|phi) whenever big -> part is a tautology."""
-    imp = Implies(big, part)
-    t1 = pr.taut(Sequent((), (Implies(phi, imp),)))
-    c1 = pr.cut(t1, pr.ax("b1", phi=phi, psi=imp), Implies(phi, imp))
-    s = pr.classically(Sequent((Cond(imp, phi),), (Implies(Cond(big, phi), Cond(part, phi)),)),
-                       pr.ax("b2", phi=phi, psi=big, eta=part))
-    return pr.cut(c1, s, Cond(imp, phi))
 
 
 def thm_subuniv_and(pr: Prover, phi: Formula, psi: Formula, eta: Formula) -> Node:
@@ -279,8 +269,8 @@ def thm_subuniv_and(pr: Prover, phi: Formula, psi: Formula, eta: Formula) -> Nod
         neg_commute(pr, phi, eta),
     )
     # P -> Q via the two projections, with the empty-condition branch resolved
-    p1 = _cond_projection(pr, phi, conj(psi, eta), psi)
-    p2 = _cond_projection(pr, phi, conj(psi, eta), eta)
+    p1 = _lift(pr, phi, conj(psi, eta), psi)
+    p2 = _lift(pr, phi, conj(psi, eta), eta)
     i1 = Implies(P, Cond(psi, phi))
     i2 = Implies(P, Cond(eta, phi))
     r = pr.rule("andR", (), (
@@ -332,8 +322,7 @@ def thm_cond_intro(pr: Prover, phi: Formula, psi: Formula) -> Node:
     c1 = pr.cut(s1, pr.ax("b1", phi=phi, psi=psi), Implies(phi, psi))
     s3 = pr.classically(Sequent((Not(phi), psi), (Cond(psi, phi),)),
                         thm_empty_universe(pr, phi, psi))
-    moved = pr.struct(c1, Sequent((psi,), (Cond(psi, phi), Not(phi))))
-    return pr.em(moved, s3, Not(phi), Sequent((psi,), (Cond(psi, phi),)))
+    return pr.em(c1, s3, Not(phi), Sequent((psi,), (Cond(psi, phi),)))
 
 
 def thm_top_cond(pr: Prover, phi: Formula) -> Node:
@@ -380,8 +369,7 @@ def thm_inter_indep(pr: Prover, phi: Formula, psi: Formula) -> Node:
     d1 = pr.classically(Sequent((Cond(phi, phi),), (indep(W, phi),)), e1, e2, e3)
     d2 = thm_empty_universe(pr, phi, W)
     c = pr.cut(thm_introspection(pr, phi), d1, Cond(phi, phi))
-    moved = pr.struct(c, Sequent((), (indep(W, phi), Not(phi))))
-    return pr.em(moved, d2, Not(phi), Sequent((), (indep(W, phi),)))
+    return pr.em(c, d2, Not(phi), Sequent((), (indep(W, phi),)))
 
 
 def thm_indep_neg(pr: Prover, phi: Formula, psi: Formula) -> Node:
@@ -414,13 +402,11 @@ def thm_narcissistic(pr: Prover, phi: Formula) -> Node:
 def thm_indep_proof(pr: Prover, phi: Formula, psi: Formula) -> Node:
     """psi >< phi, phi \\/ psi |- phi, psi"""
     b1i = pr.ax("b1", phi=Not(phi), psi=psi)  # phi \/ psi is literally !phi -> psi
-    m1 = pr.struct(b1i, Sequent((disj(phi, psi),), (Cond(psi, Not(phi)), Not(Not(phi)))))
-    c1 = pr.cut(m1, pr.taut(Sequent((Not(Not(phi)),), (phi,))), Not(Not(phi)))
+    c1 = pr.cut(b1i, pr.taut(Sequent((Not(Not(phi)),), (phi,))), Not(Not(phi)))
     w = x_flip_fwd(pr, phi, psi)
     s = pr.taut(Sequent((indep(psi, Not(phi)), Cond(psi, Not(phi))), (psi,)))
     c2 = pr.cut(w, s, indep(psi, Not(phi)))
-    m2 = pr.struct(c1, Sequent((disj(phi, psi),), (phi, Cond(psi, Not(phi)))))
-    c3 = pr.cut(m2, c2, Cond(psi, Not(phi)))
+    c3 = pr.cut(c1, c2, Cond(psi, Not(phi)))
     return pr.struct(c3, Sequent((indep(psi, phi), disj(phi, psi)), (phi, psi)))
 
 
@@ -478,8 +464,7 @@ def thm_right_equiv(pr: Prover, phi: Formula, psi: Formula, eta: Formula) -> Nod
     dfwd = _right_equiv_half(pr, phi, psi, eta)
     raw = _right_equiv_half(pr, phi, eta, psi)  # eta<->psi |- !eta, V -> U
     fixed_ant = pr.cut(pr.taut(Sequent((e,), (iff(eta, psi),))), raw, iff(eta, psi))
-    moved = pr.struct(fixed_ant, Sequent((e,), (Implies(V, U), Not(eta))))
-    dbwd_raw = pr.cut(moved, pr.taut(Sequent((e, Not(eta)), (Not(psi),))), Not(eta))
+    dbwd_raw = pr.cut(fixed_ant, pr.taut(Sequent((e, Not(eta)), (Not(psi),))), Not(eta))
     dbwd = pr.struct(dbwd_raw, Sequent((e,), (Not(psi), Implies(V, U))))
     r = pr.rule("andR", (), (
         pr.struct(dfwd, Sequent((e,), (Implies(U, V), Not(psi)))),
@@ -573,8 +558,7 @@ def _star_half(pr: Prover, phi: Formula, psi: Formula) -> Node:
     t1 = pr.cut(d, t0, iff(Pk, pr.lang.top))
     t2 = pr.cut(c, t1, iff(Pl, pr.lang.bot))
     # t2: |- !lam, !kappa, psi><phi  (antecedent empty)
-    moved = pr.struct(t2, Sequent((), (Not(kappa), indep(psi, phi), Not(lam))))
-    t3 = pr.cut(moved, pr.taut(Sequent((Not(lam),), (Implies(phi, psi),))), Not(lam))
+    t3 = pr.cut(t2, pr.taut(Sequent((Not(lam),), (Implies(phi, psi),))), Not(lam))
     return pr.struct(t3, Sequent((), (Not(kappa), Implies(phi, psi), indep(psi, phi))))
 
 
@@ -584,8 +568,7 @@ def thm_star_triviality(pr: Prover, phi: Formula, psi: Formula) -> Node:
     K = conj(phi, psi)
     h1 = _star_half(pr, phi, psi)   # |- !(psi/\phi), phi -> psi, psi><phi
     h1a = pr.cut(h1, pr.ax("b5", phi=phi, psi=psi), indep(psi, phi))
-    h1b = pr.struct(h1a, Sequent((), (Implies(phi, psi), indep(phi, psi), Not(conj(psi, phi)))))
-    h1c = pr.cut(h1b, pr.taut(Sequent((Not(conj(psi, phi)),), (Not(K),))), Not(conj(psi, phi)))
+    h1c = pr.cut(h1a, pr.taut(Sequent((Not(conj(psi, phi)),), (Not(K),))), Not(conj(psi, phi)))
     H1 = pr.struct(h1c, Sequent((), (Implies(phi, psi), Not(K), indep(phi, psi))))
     h2 = _star_half(pr, psi, phi)   # |- !(phi/\psi), psi -> phi, phi><psi
     H2 = pr.struct(h2, Sequent((), (Implies(psi, phi), Not(K), indep(phi, psi))))
@@ -596,27 +579,25 @@ def thm_star_triviality(pr: Prover, phi: Formula, psi: Formula) -> Node:
 # -- VCU counterparts --------------------------------------------------------
 
 
-def _self_defeat(pr: Prover, phi: Formula) -> tuple[Node, Node, Node]:
-    """Helpers showing (phi /\\ !phi | !phi) is the empty conditional."""
+def _self_defeat(pr: Prover, phi: Formula, tgt: Formula, helper: Node) -> Node:
+    """|- tgt, an implication from (phi|!phi), by cases on !phi: where !phi
+    is not empty, (phi /\\ !phi | !phi) is the empty conditional, so
+    (phi|!phi) is F; where it is, tgt follows from !!phi and `helper`."""
     base = Not(phi)
-    h1 = thm_subuniv_and(pr, base, phi, base)          # |- (phi/\!phi<cond>) ...
-    h2 = cond_equiv(pr, base, conj(phi, base), pr.lang.bot)
-    h3 = thm_bot_cond(pr, base)
-    return h1, h2, h3
+    D = pr.classically(Sequent((Cond(base, base),), (tgt,)),
+                       thm_subuniv_and(pr, base, phi, base),
+                       cond_equiv(pr, base, conj(phi, base), pr.lang.bot),
+                       thm_bot_cond(pr, base))
+    v1 = pr.cut(thm_introspection(pr, base), D, Cond(base, base))
+    other = pr.classically(Sequent((Not(base),), (tgt,)), helper)
+    return pr.em(v1, other, Not(base), Sequent((), (tgt,)))
 
 
 def thm_vcu_ax2(pr: Prover, phi: Formula, psi: Formula) -> Node:
     """|- (phi|!phi) -> (phi|psi)"""
-    base = Not(phi)
-    X = Cond(phi, base)
-    tgt = Implies(X, Cond(phi, psi))
-    h1, h2, h3 = _self_defeat(pr, phi)
-    D = pr.classically(Sequent((Cond(base, base),), (tgt,)), h1, h2, h3)
-    v1 = pr.cut(thm_introspection(pr, base), D, Cond(base, base))
-    c1 = pr.cut(pr.taut(Sequent((Not(base),), (phi,))), thm_cond_intro(pr, psi, phi), phi)
-    v2 = pr.classically(Sequent((Not(base),), (tgt,)), c1)
-    moved = pr.struct(v1, Sequent((), (tgt, Not(base))))
-    return pr.em(moved, v2, Not(base), Sequent((), (tgt,)))
+    tgt = Implies(Cond(phi, Not(phi)), Cond(phi, psi))
+    c1 = pr.cut(pr.taut(Sequent((Not(Not(phi)),), (phi,))), thm_cond_intro(pr, psi, phi), phi)
+    return _self_defeat(pr, phi, tgt, c1)
 
 
 def thm_vcu_ax5(pr: Prover, phi: Formula, psi: Formula) -> Node:
@@ -628,35 +609,12 @@ def thm_vcu_ax5(pr: Prover, phi: Formula, psi: Formula) -> Node:
 
 def thm_vcu_ax6(pr: Prover, phi: Formula) -> Node:
     """|- (phi|!phi) -> ((phi|!phi) | !(phi|!phi))"""
-    base = Not(phi)
-    X = Cond(phi, base)
+    X = Cond(phi, Not(phi))
     tgt = Implies(X, Cond(X, Not(X)))
-    h1, h2, h3 = _self_defeat(pr, phi)
-    D = pr.classically(Sequent((Cond(base, base),), (tgt,)), h1, h2, h3)
-    v1 = pr.cut(thm_introspection(pr, base), D, Cond(base, base))
-    q1 = pr.classically(Sequent((Not(base),), (X,)),
-                        thm_empty_universe(pr, base, phi))
+    q1 = pr.classically(Sequent((Not(Not(phi)),), (X,)),
+                        thm_empty_universe(pr, Not(phi), phi))
     q2 = pr.cut(q1, thm_cond_intro(pr, Not(X), X), X)
-    v2 = pr.classically(Sequent((Not(base),), (tgt,)), q2)
-    moved = pr.struct(v1, Sequent((), (tgt, Not(base))))
-    return pr.em(moved, v2, Not(base), Sequent((), (tgt,)))
-
-
-def _cond_lift(pr: Prover, phi: Formula, chi: Formula, psi0: Formula, premise: Node) -> Node:
-    """From |- chi -> psi0 derive |- (chi|phi) -> (psi0|phi)."""
-    imp = Implies(chi, psi0)
-    tgt = Implies(Cond(chi, phi), Cond(psi0, phi))
-    w1 = pr.cut(pr.classically(Sequent((), (Implies(phi, imp),)), premise),
-                pr.ax("b1", phi=phi, psi=imp), Implies(phi, imp))
-    w2 = pr.classically(Sequent((Cond(imp, phi),), (tgt,)),
-                        pr.ax("b2", phi=phi, psi=chi, eta=psi0))
-    w3 = pr.cut(w1, w2, Cond(imp, phi))
-    w4 = pr.classically(Sequent((Not(phi),), (tgt,)),
-                        thm_empty_universe(pr, phi, chi),
-                        thm_empty_universe(pr, phi, psi0),
-                        premise)
-    moved = pr.struct(w3, Sequent((), (tgt, Not(phi))))
-    return pr.em(moved, w4, Not(phi), Sequent((), (tgt,)))
+    return _self_defeat(pr, phi, tgt, q2)
 
 
 def thm_vcu_cr(pr: Prover, phi: Formula, xi1: Formula, xi2: Formula, psi0: Formula) -> Node:
@@ -664,7 +622,12 @@ def thm_vcu_cr(pr: Prover, phi: Formula, xi1: Formula, xi2: Formula, psi0: Formu
     (xi1 /\\ xi2) -> psi0 (counterfactual-rule counterpart, n = 2)."""
     chi = conj(xi1, xi2)
     premise = pr.taut(Sequent((), (Implies(chi, psi0),)))
-    lift = _cond_lift(pr, phi, chi, psi0, premise)
+    tgt = Implies(Cond(chi, phi), Cond(psi0, phi))
+    empty = pr.classically(Sequent((Not(phi),), (tgt,)),
+                           thm_empty_universe(pr, phi, chi),
+                           thm_empty_universe(pr, phi, psi0),
+                           premise)
+    lift = pr.em(_lift(pr, phi, chi, psi0, (), premise), empty, Not(phi), Sequent((), (tgt,)))
     return pr.classically(
         Sequent((), (Implies(conj(Cond(xi1, phi), Cond(xi2, phi)), Cond(psi0, phi)),)),
         lift, thm_subuniv_and(pr, phi, xi1, xi2))
@@ -678,8 +641,9 @@ def library_language() -> Language:
     return Language(("x", "y", "z"))
 
 
-def _entry(tid: str, title: str, pr: Prover, node: Node,
-           flags: Iterable[str], group: str) -> TheoremEntry:
+def _entry(tid: str, title: str, pr: Prover, node: Node, flags: Iterable[str]) -> TheoremEntry:
+    """The entry's group: its tid if that is a group, else its parent."""
+    group = tid if tid in GROUP_ANNOTATIONS else tid.rpartition(".")[0]
     return TheoremEntry(tid, title, pr.concl(node),
                         Derivation(node, pr.system, pr.allow_star),
                         frozenset(flags), group)
@@ -695,57 +659,55 @@ def theorem_library(lang: Language | None = None) -> list[TheoremEntry]:
     quarantined = Prover(lang, System.DBL, allow_star=True)
     WA = "b5.weak.A"
 
-    entries = [
-        _entry("3.1.1", "full universe", weak, thm_full_universe(weak, x, y), (), "3.1.1"),
-        _entry("3.1.1.top", "conditioning on T is identity", weak, thm_cond_on_top(weak, y), (), "3.1.1"),
-        _entry("3.1.2.a", "b5 implies the forward weak axiom", full, x_flip_fwd(full, x, y), ("b5",), "3.1.2"),
-        _entry("3.1.2.b", "b5 implies the backward weak axiom", full, x_flip_bwd(full, x, y), ("b5",), "3.1.2"),
-        _entry("3.1.3", "empty universe", weak, thm_empty_universe(weak, x, y), (WA,), "3.1.3"),
-        _entry("3.1.3.bot", "conditioning on F is identity", weak, thm_cond_on_bot(weak, y), (WA,), "3.1.3"),
-        _entry("3.1.4", "left equivalences", weak, thm_left_equiv(weak, x, y, z), (), "3.1.4"),
+    return [
+        _entry("3.1.1", "full universe", weak, thm_full_universe(weak, x, y), ()),
+        _entry("3.1.1.top", "conditioning on T is identity", weak, thm_cond_on_top(weak, y), ()),
+        _entry("3.1.2.a", "b5 implies the forward weak axiom", full, x_flip_fwd(full, x, y), ("b5",)),
+        _entry("3.1.2.b", "b5 implies the backward weak axiom", full, x_flip_bwd(full, x, y), ("b5",)),
+        _entry("3.1.3", "empty universe", weak, thm_empty_universe(weak, x, y), (WA,)),
+        _entry("3.1.3.bot", "conditioning on F is identity", weak, thm_cond_on_bot(weak, y), (WA,)),
+        _entry("3.1.4", "left equivalences", weak, thm_left_equiv(weak, x, y, z), ()),
         _entry("3.1.4.cor", "left equivalences, total form", weak,
-               thm_left_equiv_cor(weak, x, y, z), (WA,), "3.1.4"),
-        _entry("3.1.5.neg", "sub-universe negation", weak, neg_commute(weak, x, y), (), "3.1.5"),
-        _entry("3.1.5.and", "sub-universe conjunction", weak, thm_subuniv_and(weak, x, y, z), (WA,), "3.1.5"),
-        _entry("3.1.5.or", "sub-universe disjunction", weak, thm_subuniv_or(weak, x, y, z), (WA,), "3.1.5"),
-        _entry("3.1.5.imp", "sub-universe implication", weak, thm_subuniv_imp(weak, x, y, z), (WA,), "3.1.5"),
-        _entry("3.1.6", "theorems enter sub-universes", weak, thm_cond_intro(weak, x, y), (WA,), "3.1.6"),
-        _entry("3.1.6.top", "(T|x) is T", weak, thm_top_cond(weak, x), (WA,), "3.1.6"),
-        _entry("3.1.6.bot", "(F|x) is F", weak, thm_bot_cond(weak, x), (WA,), "3.1.6"),
-        _entry("3.1.7", "inference property", weak, thm_inference(weak, x, y), (), "3.1.7"),
-        _entry("3.1.8", "introspection", weak, thm_introspection(weak, x), (), "3.1.8"),
-        _entry("3.1.9", "inter-independence", weak, thm_inter_indep(weak, x, y), (WA,), "3.1.9"),
-        _entry("3.1.10.a", "independence survives negation", weak, thm_indep_neg(weak, x, y), (), "3.1.10"),
+               thm_left_equiv_cor(weak, x, y, z), (WA,)),
+        _entry("3.1.5.neg", "sub-universe negation", weak, neg_commute(weak, x, y), ()),
+        _entry("3.1.5.and", "sub-universe conjunction", weak, thm_subuniv_and(weak, x, y, z), (WA,)),
+        _entry("3.1.5.or", "sub-universe disjunction", weak, thm_subuniv_or(weak, x, y, z), (WA,)),
+        _entry("3.1.5.imp", "sub-universe implication", weak, thm_subuniv_imp(weak, x, y, z), (WA,)),
+        _entry("3.1.6", "theorems enter sub-universes", weak, thm_cond_intro(weak, x, y), (WA,)),
+        _entry("3.1.6.top", "(T|x) is T", weak, thm_top_cond(weak, x), (WA,)),
+        _entry("3.1.6.bot", "(F|x) is F", weak, thm_bot_cond(weak, x), (WA,)),
+        _entry("3.1.7", "inference property", weak, thm_inference(weak, x, y), ()),
+        _entry("3.1.8", "introspection", weak, thm_introspection(weak, x), ()),
+        _entry("3.1.9", "inter-independence", weak, thm_inter_indep(weak, x, y), (WA,)),
+        _entry("3.1.10.a", "independence survives negation", weak, thm_indep_neg(weak, x, y), ()),
         _entry("3.1.10.b", "independence survives conjunction", weak,
-               thm_indep_conj(weak, x, y, z), (WA,), "3.1.10"),
+               thm_indep_conj(weak, x, y, z), (WA,)),
         _entry("3.1.10.c", "independence respects equivalence", weak,
-               thm_indep_equiv(weak, x, y, z), (WA,), "3.1.10"),
-        _entry("3.1.11", "narcissistic independence", weak, thm_narcissistic(weak, x), (), "3.1.11"),
-        _entry("3.1.12", "independence and proof", weak, thm_indep_proof(weak, x, y), (WA,), "3.1.12"),
-        _entry("3.1.13", "independence and regularity", weak,
-               thm_regularity(weak, z, x, y), (WA,), "3.1.13"),
-        _entry("3.1.14", "right equivalences", full, thm_right_equiv(full, x, y, z), ("b5",), "3.1.14"),
-        _entry("3.1.15", "reduction rule", full, thm_reduction(full, x, y), ("b5",), "3.1.15"),
-        _entry("3.1.16", "Markov property, chain length 3", full,
-               thm_markov3(full, x, y, z), ("b5",), "3.1.16"),
-        _entry("3.1.17", "iterated conditional meets its condition", weak,
-               thm_link(weak, x, y, z), (), "3.1.17"),
+               thm_indep_equiv(weak, x, y, z), (WA,)),
+        _entry("3.1.11", "narcissistic independence", weak, thm_narcissistic(weak, x), ()),
+        _entry("3.1.12", "independence and proof", weak, thm_indep_proof(weak, x, y), (WA,)),
+        _entry("3.1.13", "independence and regularity", weak, thm_regularity(weak, z, x, y), (WA,)),
+        _entry("3.1.14", "right equivalences", full, thm_right_equiv(full, x, y, z), ("b5",)),
+        _entry("3.1.15", "reduction rule", full, thm_reduction(full, x, y), ("b5",)),
+        _entry("3.1.16", "Markov property, chain length 3", full, thm_markov3(full, x, y, z), ("b5",)),
+        _entry("3.1.17", "iterated conditional meets its condition", weak, thm_link(weak, x, y, z), ()),
         _entry("3.1.17.star", "collapse axiom forces triviality", quarantined,
-               thm_star_triviality(quarantined, x, y), ("b5", "star"), "3.1.17"),
-        _entry("vcu.ax2", "VCU Ax.2 counterpart", weak, thm_vcu_ax2(weak, x, y), (WA,), "vcu"),
-        _entry("vcu.ax4", "VCU Ax.4 is an axiom here", weak,
-               weak.ax("b3", phi=x, psi=y), (), "vcu"),
-        _entry("vcu.ax5", "VCU Ax.5 counterpart", weak, thm_vcu_ax5(weak, x, y), (), "vcu"),
-        _entry("vcu.ax6", "VCU Ax.6 counterpart", weak, thm_vcu_ax6(weak, x), (WA,), "vcu"),
-        _entry("vcu.cr", "VCU CR counterpart, n=2", weak,
-               thm_vcu_cr(weak, z, x, y, disj(x, y)), (WA,), "vcu"),
+               thm_star_triviality(quarantined, x, y), ("b5", "star")),
+        _entry("vcu.ax2", "VCU Ax.2 counterpart", weak, thm_vcu_ax2(weak, x, y), (WA,)),
+        _entry("vcu.ax4", "VCU Ax.4 is an axiom here", weak, weak.ax("b3", phi=x, psi=y), ()),
+        _entry("vcu.ax5", "VCU Ax.5 counterpart", weak, thm_vcu_ax5(weak, x, y), ()),
+        _entry("vcu.ax6", "VCU Ax.6 counterpart", weak, thm_vcu_ax6(weak, x), (WA,)),
+        _entry("vcu.cr", "VCU CR counterpart, n=2", weak, thm_vcu_cr(weak, z, x, y, disj(x, y)), (WA,)),
     ]
-    return entries
 
 
 def export_library(directory) -> list[str]:
     """Write every library derivation to `directory` in the line-oriented
-    file format; returns the file names."""
+    file format; returns the file names.  The shipped files under
+    `proofs_dir()` are exactly this output; regenerate them with
+
+        PYTHONPATH=src python3 -c "from dblogic.library import export_library, proofs_dir; export_library(proofs_dir())"
+    """
     import os
 
     from .proof import format_derivation

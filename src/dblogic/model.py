@@ -147,7 +147,9 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
     """Truth of a sequent on the stage: whenever every antecedent formula
     denotes the full element, some succedent formula must.  Exhaustive over
     all atom assignments when feasible, else seeded sampling of `samples`
-    (at least 1) assignments; undefined assignments count as skips.
+    (at least 1) assignments; undefined assignments count as skips.  Only
+    an exhaustive run can show that the sequent holds: a sampled run that
+    draws no failing assignment is `undecided`, whatever it skipped.
 
     An assignment is decided by the first antecedent formula (duplicates
     dropped) that is not full: undefined skips it, any other value lets the
@@ -236,5 +238,5 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
                                     None if exhaustive else seed)
         checked += held.bit_count()
         skipped += skips.bit_count()
-    return EntailmentResult("undecided" if skipped else "holds", checked, skipped,
+    return EntailmentResult("undecided" if skipped or not exhaustive else "holds", checked, skipped,
                             None, None if exhaustive else seed)

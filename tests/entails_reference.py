@@ -20,7 +20,8 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
             seed: int = 0) -> EntailmentResult:
     """Exhaustive over all atom assignments when names x points <= 18, the
     first name varying fastest, else `samples` (default 1 000) assignments
-    drawn by `Random(seed)`; the first failing assignment is the witness."""
+    drawn by `Random(seed)`; the first failing assignment is the witness.
+    A sampled run with no failing assignment is undecided."""
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     names = sorted(set().union(*map(formula_atoms, s.antecedent + s.succedent)))
@@ -62,5 +63,5 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
         else:
             return EntailmentResult("fails", checked, skipped, amap,
                                     None if exhaustive else seed)
-    return EntailmentResult("undecided" if skipped else "holds", checked, skipped,
+    return EntailmentResult("undecided" if skipped or not exhaustive else "holds", checked, skipped,
                             None, None if exhaustive else seed)
