@@ -158,7 +158,8 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
     Assignments are visited in a fixed order -- exhaustively the first name
     varying fastest, else as a `Random(seed)` draws them, name after name --
     and decided a block of consecutive ones at a time (see the module
-    docstring): 2**size of them, at most `MAX_BLOCK`, one slot each.
+    docstring), one slot each: 2**size of them first, then as many as all
+    earlier blocks, at most `MAX_BLOCK`.
 
     Each formula's value is read per slot off two masks of flag-position
     bits: ``v & flags`` marks the undefined slots, and
@@ -187,7 +188,7 @@ def entails(stage: Stage, s: Sequent, samples: int | None = None,
     skipped = checked = 0
     start, slots = 0, None
     while start < total:
-        count = min(1 << size, MAX_BLOCK, total - start)
+        count = min(max(1 << size, start), MAX_BLOCK, total - start)
         if slots is None or slots.count != count:
             slots = _Slots(stage, count)
         if exhaustive:

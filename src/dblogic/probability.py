@@ -17,8 +17,10 @@ by the exact lemma checks below, not by `verify_stage`.
 A stage's weights are stored as numerators over one common denominator:
 ints in the direct mode, integer-coefficient polynomials in the perturbed
 mode.  Each advance divides them by their common gcd once; subset sums
-and the lemma identities work on numerators and take no gcd.  Values are
-normalized to a Fraction or a RatFunc only where they leave a valuation.
+and the lemma identities work on numerators and take no gcd; a subset sum
+is built when it is first read.  Values are normalized to a Fraction or a
+RatFunc only where they leave a valuation, and by `bayes_identity` only
+once all three values of its triple are defined.
 
 The separation demonstration at the end contrasts extending a conditioned
 probability with conditioning the extension: the two disagree on genuine
@@ -207,9 +209,9 @@ class RationalValuation:
     common denominator: Python ints in direct mode, integer-coefficient
     polynomials in the perturbed mode.  Sums of weights are sums of
     numerators, and the identities of the lemma checks compare numerators
-    cross-multiplied, so neither needs a gcd.  Values are normalized only
-    where they leave the valuation, in `measure` and `weights`, to a
-    Fraction or a RatFunc in normal form.
+    cross-multiplied, so neither needs a gcd; a sum is built when it is
+    first read (`numerator`).  Values are normalized only where they leave
+    the valuation, in `measure` and `weights`, to a Fraction or a RatFunc.
 
     ``RationalValuation(stage, weights)`` puts the weights over a common
     denominator; ``RationalValuation(stage, nums=..., den=...)`` takes
@@ -233,39 +235,35 @@ class RationalValuation:
         return tuple(self._value(n) for n in self.nums)
 
     @cached_property
-    def _tables(self) -> tuple[tuple[Num, ...], ...]:
-        """One subset-sum table of numerators per chunk of `_CHUNK` points:
-        entry b of table k sums the points k*_CHUNK + i for the bits i of b."""
+    def _sums(self) -> list[dict[int, Num]]:
+        """One subset-sum memo of numerators per chunk of `_CHUNK` points,
+        entry b of memo k the sum of points k*_CHUNK + i for the bits i of b,
+        holding the empty sum and the single points at first."""
         zero = Poly(()) if isinstance(self.den, Poly) else 0
-        tables = []
-        for k in range(0, len(self.nums), _CHUNK):
-            w = self.nums[k:k + _CHUNK]
-            t: list[Num] = [zero] * (1 << len(w))
-            for b in range(1, len(t)):
-                low = b & -b
-                t[b] = t[b ^ low] + w[low.bit_length() - 1]
-            tables.append(tuple(t))
-        return tuple(tables)
+        return [{0: zero, **{1 << i: n for i, n in enumerate(self.nums[k:k + _CHUNK])}}
+                for k in range(0, len(self.nums), _CHUNK)]
 
     def numerator(self, mask: int) -> Num:
-        """Numerator, over `den`, of the weight of an element."""
+        """Numerator, over `den`, of the weight of an element.  A chunk's
+        entry that is not cached yet drops its lowest bit until it reaches a
+        cached one, then adds the dropped points back, caching each sum."""
         if not 0 <= mask <= self.stage.full:
             raise ValueError("element does not belong to the valuation's stage")
-        tables = self._tables
-        out = tables[0][mask & _CHUNK_FULL]
-        mask >>= _CHUNK
-        for table in tables[1:]:
-            if not mask:
-                break
-            part = mask & _CHUNK_FULL
-            if part:
-                out = out + table[part]
-            mask >>= _CHUNK
-        return out
+        out = None
+        for k, sums in enumerate(self._sums):
+            b, mask = mask & _CHUNK_FULL, mask >> _CHUNK
+            if b:
+                path = []
+                while (s := sums.get(b)) is None:
+                    path.append(b)
+                    b &= b - 1
+                for b in reversed(path):
+                    s = sums[b] = s + self.nums[k * _CHUNK + (b & -b).bit_length() - 1]
+                out = s if out is None else out + s
+        return self._sums[0][0] if out is None else out
 
     def measure(self, mask: int) -> Weight:
-        num = self.numerator(mask)
-        return self._value(num) if mask else Fraction(0)
+        return self._value(self.numerator(mask)) if mask else Fraction(0)
 
     def limit0(self, mask: int) -> Fraction:
         """`limit_at_zero(self.measure(mask))`, read off the numerator and
@@ -457,12 +455,13 @@ def lemma2_check(parent_val: RationalValuation,
 
 def bayes_identity(ext: Extension, phi: Formula, psi: Formula
                    ) -> tuple[Weight, Weight, bool]:
-    """lhs = P((psi|phi)) * P(phi), rhs = P(phi /\\ psi), exact equality."""
-    p_cond = ext.prob(Cond(psi, phi))
-    p_phi = ext.prob(phi)
-    p_and = ext.prob(conj(phi, psi))
-    if p_cond is None or p_phi is None or p_and is None:
+    """lhs = P((psi|phi)) * P(phi), rhs = P(phi /\\ psi), exact equality.
+    The three values are read first and measured only when all are
+    defined, else a ValueError."""
+    values = [ext.assignment.value(f) for f in (Cond(psi, phi), phi, conj(phi, psi))]
+    if None in values:
         raise ValueError("undefined evaluation in the Bayes identity")
+    p_cond, p_phi, p_and = map(ext.top.measure, values)
     lhs = p_cond * p_phi
     return lhs, p_and, lhs == p_and
 

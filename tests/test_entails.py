@@ -119,6 +119,36 @@ def test_blocks_stop_at_the_cap():
     assert r.checked + r.skipped == 1 << 14
 
 
+def _block_sizes(monkeypatch, stage, text, **sampling):
+    """`entails`'s verdict and the size of each block it packed, one
+    `_Slots.pack` call per atom name and block."""
+    packed, pack = [], _Slots.pack
+    monkeypatch.setattr(_Slots, "pack",
+                        lambda self, values: packed.append(len(values)) or pack(self, values))
+    s = LANGS[2].parse_sequent(text)
+    got = entails(stage, s, **sampling)
+    monkeypatch.setattr(_Slots, "pack", pack)   # the next call wraps it afresh
+    assert got == entails_reference.entails(stage, s, **sampling)
+    return got, packed[::2]
+
+
+def test_blocks_grow_from_one_pass_to_the_next(monkeypatch):
+    # six points, two atoms: 4 096 assignments.  A block holds 2**6 at
+    # first, then as many as all earlier blocks: 7 passes for a sequent
+    # that holds
+    r, sizes = _block_sizes(monkeypatch, SIX, "a \\/ b |- b \\/ a")
+    assert (r.verdict, r.checked, r.skipped) == ("holds", 4096, 0)
+    assert sizes == [64, 64, 128, 256, 512, 1024, 2048]
+    # an early failure stops in the block that holds it
+    r, sizes = _block_sizes(monkeypatch, SIX, "(b | a) |- (a | b) -> b")
+    assert (r.verdict, r.checked, r.skipped) == ("fails", 29, 426)
+    assert sizes == [64, 64, 128, 256]
+    # sampled draws are split the same way and map to the same assignments
+    r, sizes = _block_sizes(monkeypatch, SIX, "a \\/ b |- b \\/ a", samples=1000, seed=3)
+    assert (r.verdict, r.checked) == ("undecided", 1000)
+    assert sizes == [64, 64, 128, 256, 488]
+
+
 @pytest.mark.parametrize("level, samples", [(3, MAX_BLOCK + 904), (3, 40), (4, 40)])
 def test_wide_slots_when_sampling(level, samples):
     # 32 points: 8-byte slots, and two blocks for MAX_BLOCK + 904 draws;

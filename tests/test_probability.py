@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction as F
 from functools import cache, reduce
 from math import gcd
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dblogic.cli import cmd_prob
 from dblogic.construction import (
     Stage, advance, build_faithful, build_for_formulas, new_stage0,
 )
@@ -119,6 +121,50 @@ def test_measure_tables_on_rational_function_weights():
     masks = [top.stage.full] + [rng.getrandbits(top.stage.size) for _ in range(40)]
     _assert_measure_matches_bitwise(top, masks)
     _assert_measure_matches_bitwise(ext.valuations[1], range(1 << ext.valuations[1].stage.size))
+
+
+# stages of 4, 6, 10 and 32 points (1, 1, 2 and 4 chunks), and 8 points
+NUMERATOR_STAGES = [*build_faithful(["a", "b"], max_atoms=32)[0].levels,
+                    new_stage0(["a", "b", "c"])]
+
+
+def _plain_numerator(val, mask):
+    out = Poly(()) if isinstance(val.den, Poly) else 0
+    for i, n in enumerate(val.nums):
+        if (mask >> i) & 1:
+            out = out + n
+    return out
+
+
+@st.composite
+def valuations_and_masks(draw):
+    """Int or polynomial numerators on a stage, and masks to read in turn:
+    each drawn twice, in random order, out-of-range ones among them."""
+    stage = draw(st.sampled_from(NUMERATOR_STAGES))
+    if draw(st.booleans()):
+        num, den = st.integers(0, 10**9), draw(st.integers(1, 10**9))
+    else:
+        num = st.lists(st.integers(-99, 99), max_size=4).map(Poly.make)
+        den = draw(num.filter(lambda p: not p.is_zero()))
+    nums = draw(st.lists(num, min_size=stage.size, max_size=stage.size))
+    masks = draw(st.lists(st.integers(0, stage.full) | st.sampled_from([0, stage.full]),
+                          min_size=1, max_size=30))
+    bad = st.integers(stage.full + 1, stage.full << 2) | st.integers(-99, -1)
+    masks += draw(st.lists(bad, max_size=3))
+    return RationalValuation(stage, nums=nums, den=den), draw(st.permutations(masks * 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(valuations_and_masks())
+def test_numerator_is_the_plain_sum_over_the_mask(problem):
+    val, masks = problem
+    for m in masks:
+        if not 0 <= m <= val.stage.full:
+            with pytest.raises(ValueError, match="^element does not belong to the valuation's stage$"):
+                val.numerator(m)
+            continue
+        got, want = val.numerator(m), _plain_numerator(val, m)
+        assert got == want and type(got) is type(want)
 
 
 def test_lemmas_reject_swapped_child_weights():
@@ -357,6 +403,48 @@ def test_bayes_uniform_quarter():
     ext = extend_probability(ClassicalProbability.uniform(["a", "b"]), stage)
     lhs, rhs, eq = bayes_identity(ext, Atom("a"), Atom("b"))
     assert (lhs, rhs, eq) == (F(1, 4), F(1, 4), True)
+
+
+PI_ZERO_TEXT = "a /\\ b : 1/2\na /\\ !b : 0\n!a /\\ b : 1/4\n!a /\\ !b : 1/4\n"
+
+
+def _counted(monkeypatch, counts, cls, name):
+    """Count the calls of a method or static method under `name`."""
+    raw = cls.__dict__[name]
+    fn = raw.__func__ if isinstance(raw, staticmethod) else raw
+
+    def wrapper(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args)
+    monkeypatch.setattr(cls, name, staticmethod(wrapper) if isinstance(raw, staticmethod) else wrapper)
+
+
+def test_bayes_identity_measures_only_defined_triples(monkeypatch):
+    # the stage of `(b | a)` defines no f row at b, so (a | b) is undefined
+    pi = parse_probability_file(PI_ZERO_TEXT, L2)
+    ext = epsilon_extension(pi, build_for_formulas(["a", "b"], [L2.parse("(b | a)")]))
+    counts = {}
+    _counted(monkeypatch, counts, RationalValuation, "measure")
+    with pytest.raises(ValueError, match="^undefined evaluation in the Bayes identity$"):
+        bayes_identity(ext, Atom("b"), Atom("a"))
+    assert counts == {}
+    lhs, rhs, eq = bayes_identity(ext, Atom("a"), Atom("b"))
+    assert counts == {"measure": 3} and eq
+    assert str(lhs) == str(rhs) == "1/2 + -1/4*e"
+
+
+def test_prob_on_a_zero_cell_table_counts_its_weight_work(monkeypatch):
+    # two of the four atom pairs have a defined Bayes triple, so only those
+    # are measured, and a chunk sum is built only when it is read
+    counts = {}
+    for cls, name in ((RationalValuation, "measure"), (RatFunc, "make"), (Poly, "__add__")):
+        _counted(monkeypatch, counts, cls, name)
+    out = io.StringIO()
+    assert cmd_prob(["a", "b"], PI_ZERO_TEXT, ["(b | a)", "a -> b"], 32, 0, False, None,
+                    out=out) == 0
+    assert counts == {"measure": 8, "make": 10, "__add__": 23}
+    assert "bayes P((b|a))*P(a) = P(and): ok [1/2 + -1/4*e (limit 1/2) vs " \
+           "1/2 + -1/4*e (limit 1/2)]\n" in out.getvalue()
 
 
 def test_multiplicativity_certified_pairs():
