@@ -5,7 +5,8 @@ Identical configuration and seed produce byte-identical reports; the exit
 status is 0 exactly when no check failed and no error occurred.  Each
 ``cmd_*`` writes to its `out` stream, or to the ``sys.stdout`` of the moment
 it is called when `out` is None.  Input of any depth is answered: no walk
-recurses.
+recurses.  Each command imports the modules it runs when it runs, so
+``dblogic check`` loads only `proof` and `syntax`.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import argparse
 import os
 import sys
 
-from . import construction, library, model, probability, proof
-from .ratfunc import RatFunc
+from . import proof
 from .syntax import Atom, Language, ParseError, Sequent
 
 __all__ = ["main", "cmd_check", "cmd_model", "cmd_prob"]
@@ -35,9 +35,18 @@ def _parse_lines(lines: list[str], parse) -> list:
     return items
 
 
+def _parse_option(name: str, parse, text: str | None):
+    """`text` parsed, None when it is None; a parse error names the option."""
+    try:
+        return None if text is None else parse(text)
+    except ParseError as e:
+        raise ParseError(f"{name}: {e}") from None
+
+
 def _language(theta: list[str], out) -> Language | None:
     """The language of `theta`; None, after an error line, when it is no
     valid atom set within the stage budget."""
+    from . import construction
     try:
         construction.new_stage0(theta)
         return Language(theta)
@@ -47,9 +56,8 @@ def _language(theta: list[str], out) -> Language | None:
 
 
 def _fmt_weight(w) -> str:
-    if isinstance(w, RatFunc):
-        return f"{w} (limit {w.limit0()})"
-    return str(w)
+    from .ratfunc import RatFunc
+    return f"{w} (limit {w.limit0()})" if isinstance(w, RatFunc) else str(w)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +123,7 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
     """Build a model (faithful or targeted), verify each level once, then
     evaluate formulas and check sequents from the input lines.  The stage
     checks are exact; `seed` seeds only the sampled entailment checks."""
+    from . import construction, model
     out = sys.stdout if out is None else out
     if samples is not None and samples < 1:
         print(f"ERROR: --samples: must be at least 1, got {samples}", file=out)
@@ -128,6 +137,7 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
     try:
         items = _parse_lines(lines_in, lambda t: lang.parse_sequent(t) if "|-" in t
                              else lang.parse(t))
+        target_f = _parse_option("--target", lang.parse, target)
     except ParseError as e:
         print(f"ERROR: {e}", file=out)
         return 1
@@ -142,12 +152,8 @@ def cmd_model(theta: list[str], lines_in: list[str], mode: str, max_atoms: int,
                       f" halted={halted} seed={seed}")
     else:
         try:
-            targets = formulas if target is None else [lang.parse(target)]
-        except ParseError as e:
-            print(f"ERROR: --target: {e}", file=out)
-            return 1
-        try:
-            stage = construction.build_for_formulas(theta, targets, max_atoms=max_atoms)
+            stage = construction.build_for_formulas(
+                theta, formulas if target_f is None else [target_f], max_atoms=max_atoms)
         except construction.BudgetExceeded as e:
             print(f"ERROR: {e}", file=out)
             return 1
@@ -201,6 +207,7 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
     """Probability extension over a targeted build: per-formula values,
     pushforward/multiplicativity checks, Bayes defaults and optionally the
     separation demonstration."""
+    from . import construction, probability
     out = sys.stdout if out is None else out
     lang = _language(theta, out)
     if lang is None:
@@ -210,27 +217,14 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
     try:
         pi = probability.parse_probability_file(prob_text, lang,
                                                 strict_positive=strict_positive)
+        formulas = _parse_lines(formula_lines, lang.parse)
+        lewis_phi = _parse_option("--lewis", lang.parse, lewis)
+        if lewis_phi is not None:
+            probability.lewis_preconditions(pi, lewis_phi)
     except ValueError as e:
         print(f"ERROR: {e}", file=out)
         return 1
-    try:
-        formulas = _parse_lines(formula_lines, lang.parse)
-    except ParseError as e:
-        print(f"ERROR: {e}", file=out)
-        return 1
-    try:
-        lewis_phi = None if lewis is None else lang.parse(lewis)
-    except ParseError as e:
-        print(f"ERROR: --lewis: {e}", file=out)
-        return 1
-    targets = list(formulas)
-    if lewis_phi is not None:
-        try:
-            probability.lewis_preconditions(pi, lewis_phi)
-        except ValueError as e:
-            print(f"ERROR: {e}", file=out)
-            return 1
-        targets += probability.default_lewis_deltas(lang)
+    targets = formulas + ([] if lewis_phi is None else probability.default_lewis_deltas(lang))
     stage = construction.build_for_formulas(theta, targets, max_atoms=max_atoms,
                                             skip_unaffordable=True)
     report.append(f"build: stage {stage.index}, {stage.size} points seed={seed}")
@@ -242,9 +236,7 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
         ext = probability.epsilon_extension(pi, stage)
         report.append("mode: perturbed (zero cells present)")
     for v0, v1 in zip(ext.valuations, ext.valuations[1:]):
-        l1 = probability.lemma1_check(v0, v1)
-        l2 = probability.lemma2_check(v0, v1)
-        for rep_ in (l1, l2):
+        for rep_ in (probability.lemma1_check(v0, v1), probability.lemma2_check(v0, v1)):
             status = "ok" if rep_.ok() else "FAIL " + "; ".join(rep_.violations[:3])
             report.append(f"{rep_.name} stage {v1.stage.index}: {status} ({rep_.checked} checks)")
             if not rep_.ok():
@@ -252,10 +244,8 @@ def cmd_prob(theta: list[str], prob_text: str, formula_lines: list[str],
 
     for f in formulas:
         w = ext.prob(f)
-        if w is None:
-            report.append(f"prob {lang.format(f, 'sugared')}: undefined")
-        else:
-            report.append(f"prob {lang.format(f, 'sugared')}: {_fmt_weight(w)}")
+        report.append(f"prob {lang.format(f, 'sugared')}: "
+                      + ("undefined" if w is None else _fmt_weight(w)))
 
     # Bayes defaults over the declared atoms where evaluable
     for phi in (Atom(n) for n in lang.theta):
@@ -344,7 +334,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "check":
-        paths = args.paths or [library.proofs_dir()]
+        from .library import proofs_dir
+        paths = args.paths or [proofs_dir()]
         return cmd_check(paths, args.system)
     text = {}
     for path in filter(None, (getattr(args, "prob", None), args.input)):

@@ -456,9 +456,11 @@ def lemma2_check(parent_val: RationalValuation,
 def bayes_identity(ext: Extension, phi: Formula, psi: Formula
                    ) -> tuple[Weight, Weight, bool]:
     """lhs = P((psi|phi)) * P(phi), rhs = P(phi /\\ psi), exact equality.
-    The three values are read first and measured only when all are
-    defined, else a ValueError."""
-    values = [ext.assignment.value(f) for f in (Cond(psi, phi), phi, conj(phi, psi))]
+    The three values are read first, (psi|phi) before the others, and
+    measured only when all are defined, else a ValueError."""
+    values = [ext.assignment.value(Cond(psi, phi))]
+    if values[0] is not None:
+        values += [ext.assignment.value(f) for f in (phi, conj(phi, psi))]
     if None in values:
         raise ValueError("undefined evaluation in the Bayes identity")
     p_cond, p_phi, p_and = map(ext.top.measure, values)

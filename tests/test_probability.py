@@ -12,6 +12,7 @@ from dblogic.cli import cmd_prob
 from dblogic.construction import (
     Stage, advance, build_faithful, build_for_formulas, new_stage0,
 )
+from dblogic.model import ConditionalAssignment
 from dblogic.probability import (
     ClassicalProbability, RationalValuation, ZeroBlockError, bayes_identity,
     check_multiplicativity, default_lewis_deltas, epsilon_extension,
@@ -431,6 +432,20 @@ def test_bayes_identity_measures_only_defined_triples(monkeypatch):
     lhs, rhs, eq = bayes_identity(ext, Atom("a"), Atom("b"))
     assert counts == {"measure": 3} and eq
     assert str(lhs) == str(rhs) == "1/2 + -1/4*e"
+
+
+def test_bayes_identity_stops_at_an_undefined_conditional(monkeypatch):
+    # (a | b) is undefined on the stage of `(b | a)`, so neither b nor
+    # b /\ a is evaluated
+    ext = extend_probability(ClassicalProbability.uniform(["a", "b"]),
+                             build_for_formulas(["a", "b"], [L2.parse("(b | a)")]))
+    counts = {}
+    _counted(monkeypatch, counts, ConditionalAssignment, "value")
+    with pytest.raises(ValueError, match="^undefined evaluation in the Bayes identity$"):
+        bayes_identity(ext, Atom("b"), Atom("a"))
+    assert counts == {"value": 1}
+    bayes_identity(ext, Atom("a"), Atom("b"))
+    assert counts == {"value": 4}
 
 
 def test_prob_on_a_zero_cell_table_counts_its_weight_work(monkeypatch):
