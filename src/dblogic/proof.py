@@ -56,9 +56,9 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .syntax import (
-    Atom, Cond, Formula, Implies, Language, Meta, Not, Sequent,
+    Cond, Formula, Implies, Language, Meta, Not, Sequent,
     Interned, SchemaProgram, SubstitutionError, conj, disj, evaluate, indep,
-    iff, leaves, truth_columns,
+    iff, truth_columns,
 )
 
 __all__ = [
@@ -201,55 +201,59 @@ def apply_struct(premise: Sequent, target: Sequent, lang: Language) -> Sequent:
 # ---------------------------------------------------------------------------
 
 _MAX_TABLE_VARS = 18
+_NARROW_COLUMNS = truth_columns(range(6))    # the 64-row table
 
 
 def _too_wide(width: int) -> DerivationError:
     return DerivationError("taut", f"too many variables for a truth table ({width})")
 
 
-def _leaf_variables(formulas: Sequence[Formula]) -> tuple[list[str], list[Formula]]:
-    """The atom names and the maximal conditionals of a leaf's formulas, in
-    the order `leaves` first meets them: each is one variable, as equal
-    formulas are one node.  A conditional that takes the count of variables
-    past `_MAX_TABLE_VARS` stops the scan."""
-    names: list[str] = []
-    conds: list[Formula] = []
-    for g in leaves(formulas, False):
-        if isinstance(g, Atom):
-            names.append(g.name)
-        elif isinstance(g, Cond):
-            conds.append(g)
-            if len(names) + len(conds) > _MAX_TABLE_VARS:
-                raise _too_wide(len(names) + len(conds))
-        elif isinstance(g, Meta):
-            raise DerivationError("taut", "metavariable in a concrete leaf")
-    if len(names) + len(conds) > _MAX_TABLE_VARS:
-        raise _too_wide(len(names) + len(conds))
-    return names, conds
-
-
 def classical_leaf_check(target: Sequent) -> bool:
     """Accept a single-succedent sequent that is a classical tautology with
-    each maximal conditional read as one variable (its column seeds
-    `evaluate`'s memo): no truth-table row satisfies every antecedent formula
-    and falsifies the succedent, so ``|-`` is rejected, ``a, !a |-`` not.
+    each atom and each maximal conditional read as one variable: no
+    truth-table row satisfies every antecedent formula and falsifies the
+    succedent, so ``|-`` is rejected, ``a, !a |-`` not.
+
+    One `evaluate` walk numbers the variables as it first meets them and
+    decides the leaf on a 64-row table.  That is exact for n <= 6
+    variables: the 64 rows list every assignment of them, each 2**(6-n)
+    times, and numbering the variables in another order only permutes the
+    rows, which does not change whether a sequent is a tautology.  A leaf
+    that meets more variables is walked once more on a table of exactly
+    the width it counted.  A metavariable, or a conditional that takes the
+    count past `_MAX_TABLE_VARS`, stops the walk; so does a count past it
+    at the end.
 
     Multi-succedent targets are an error, never silently accepted: sequents
     like ``|- a, !a`` are not derivable, so admitting them here would make the
-    checker unsound.  The scan and `evaluate` are iterative, so a formula of
-    any depth is decided.
+    checker unsound.  `evaluate` is iterative, so a formula of any depth is
+    decided.
     """
     if len(target.succedent) > 1:
         raise DerivationError("taut", "classical leaf requires at most one succedent formula")
-    names, conds = _leaf_variables(target.antecedent + target.succedent)
-    columns = truth_columns(names + conds)      # each variable's column
-    memo: dict[Formula, int | None] = {c: columns[c] for c in conds}
-    rows = full = (1 << (1 << len(columns))) - 1
-    for f in target.antecedent:
-        rows &= evaluate(f, columns, full, memo=memo)[0]
-    for f in target.succedent:
-        rows &= ~evaluate(f, columns, full, memo=memo)[0]
-    return rows == 0
+    columns, width = _NARROW_COLUMNS, 0
+
+    def var(g: Formula) -> int:            # the next variable's column, 0 past the table
+        nonlocal width
+        if type(g) is Meta:
+            raise DerivationError("taut", "metavariable in a concrete leaf")
+        width += 1
+        if width > _MAX_TABLE_VARS and type(g) is Cond:
+            raise _too_wide(width)
+        return columns[width - 1] if width <= len(columns) else 0
+
+    while True:                            # at most twice: 64 rows, then the width counted
+        width, memo = 0, {}
+        rows = full = (1 << (1 << len(columns))) - 1
+        for f in target.antecedent:
+            rows &= evaluate(f, None, full, memo=memo, var=var)[0]
+        for f in target.succedent:
+            rows &= ~evaluate(f, None, full, memo=memo, var=var)[0]
+        if width > _MAX_TABLE_VARS:
+            raise _too_wide(width)
+        if width <= len(columns):
+            return rows == 0
+        columns = truth_columns(range(width))
 
 
 def is_tautology(f: Formula) -> bool:

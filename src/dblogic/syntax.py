@@ -19,16 +19,17 @@ side may be empty.
 
 Formulas are hash-consed DAGs: each distinct formula is one object, so
 ``==`` is ``is``, and ``<->`` holds its two sides twice; the one table
-(`Interned`) holds `proof`'s derivation nodes too.  `leaves` is the one
-walk over the leaves of a formula, iterative and visiting each node once,
-so `atoms`, `metas` and `is_classical` cost time linear in the distinct
-subformulas.  `_fmt` is the one printer, for both styles, `_sugar` the one
-matcher that reads the sugar back off a node, and `evaluate` the one
-evaluator; all three are iterative.  `SchemaProgram` compiles schemas
-once, in one iterative walk, into a flat post-order program over their
-distinct nodes, and `substitute` fills one; filling runs the program's
-steps with direct table lookups and walks nothing.  No walk in this
-module recurses.
+(`Interned`) holds `proof`'s derivation nodes too.  `leaves` lists the
+leaves of a formula, iterative and visiting each node once, so `atoms`,
+`metas` and `is_classical` cost time linear in the distinct subformulas.
+`_fmt` is the one printer, for both styles, `_sugar` the one matcher that
+reads the sugar back off a node, and `evaluate` the one evaluator, which
+can number the variables it meets as it walks, so `proof`'s classical
+leaf is numbered and decided in one walk; all three are iterative.
+`SchemaProgram` compiles schemas once, in one iterative walk, into a flat
+post-order program over their distinct nodes, and `substitute` fills one;
+filling runs the program's steps with direct table lookups and walks
+nothing.  No walk in this module recurses.
 """
 
 from __future__ import annotations
@@ -278,9 +279,10 @@ def truth_columns(names: Sequence[Hashable]) -> dict[Hashable, int]:
     return out
 
 
-def evaluate(f: Formula, atom_map: Mapping[str, int], full: int,
+def evaluate(f: Formula, atom_map: Mapping[str, int] | None, full: int,
              cond: Callable[[int, int], int | None] | None = None,
              *, memo: dict[Formula, int | None] | None = None,
+             var: Callable[[Formula], int] | None = None,
              ) -> tuple[int | None, int | None]:
     """Bit-parallel value of `f` in the powerset algebra with top `full`.
 
@@ -291,6 +293,9 @@ def evaluate(f: Formula, atom_map: Mapping[str, int], full: int,
     left-before-right order.  Without `cond` the formula must be classical,
     and with truth-table columns for `atom_map` the value is its set of
     satisfying rows.
+
+    With `var`, each atom, metavariable and (without `cond`) conditional
+    takes ``var(node)``, asked once, as a left-to-right reading meets it.
 
     The walk keeps an explicit stack, so no depth reaches the recursion
     limit.  `memo` seeds the memo, where a node takes its value unopened;
@@ -304,28 +309,32 @@ def evaluate(f: Formula, atom_map: Mapping[str, int], full: int,
         g = stack.pop()
         if g in memo:
             continue
-        if isinstance(g, Atom):
-            memo[g] = atom_map[g.name]
-            continue
-        if isinstance(g, Not):
+        t = type(g)                            # exact: no formula class has a subclass
+        if t is Not:
             v = get(g.body, g)                 # g marks a miss: no value is a formula
             if v is g:
                 stack += (g, g.body)
             else:
                 memo[g] = None if v is None else full ^ v
             continue
-        if isinstance(g, Implies):
+        if t is Implies:
             x, y = g.left, g.right
-        elif isinstance(g, Cond) and cond is not None:
+        elif t is Cond and cond is not None:
             x, y = g.then, g.given
+        elif var is not None:
+            memo[g] = var(g)
+            continue
+        elif t is Atom:
+            memo[g] = atom_map[g.name]
+            continue
         else:
-            raise ValueError("classical formula expected") if isinstance(g, Cond) else TypeError(g)
+            raise ValueError("classical formula expected") if t is Cond else TypeError(g)
         u, v = get(x, g), get(y, g)
         if u is g or v is g:
             stack += (g, y, x)
         elif u is None or v is None:
             memo[g] = None
-        elif isinstance(g, Implies):
+        elif t is Implies:
             memo[g] = (full ^ u) | v
         else:
             memo[g] = u = cond(u, v)
@@ -444,20 +453,22 @@ class Sequent:
 # constructor only on a miss; the sugar is expanded by `disj`, `conj`, `iff`
 # and `indep`.  Deep input cannot hit the recursion limit here.
 #
-# In front of the loop, `Language._read` buckets the tokens by bracket in
-# one pass: each ``)`` closes a group, whose key is the tuple of its tokens
-# with every inner group already replaced by its formula, and the group
-# memo of the `Language` maps each key that read to its formula, so each
-# distinct bracketed group is read once per `Language`.  Each token lands in
-# exactly one group, and a key hashes interned formulas by identity, so the
-# pass is linear in the text.  The loop takes a formula among its tokens as
-# an operand, and reads the outermost tokens as a formula or a sequent.
+# In front of the loop, `Language._read` splits the text at ``(`` and ``)``
+# and buckets the chunks between them by bracket in one pass: each ``)``
+# closes a group, keyed by its raw text chunks with every inner group
+# already replaced by its formula, and the group memo of the `Language`
+# maps each key that read to its formula, so each distinct bracketed group
+# is read once per `Language`, from its chunks' tokens; each distinct chunk
+# is tokenized once per `Language`.  Each chunk lands in exactly one group,
+# and a key hashes interned formulas by identity, so the pass is linear in
+# the text; a text with no bracket is read from its tokens at once.  The
+# loop takes a formula among its tokens as an operand.
 #
 # Above both sits the text memo of the `Language`: formula text ->
 # formula, for every text that parsed, alone or as a stripped formula of a
 # sequent split at ``|-`` and ``,`` (`Language.parse_sequent` says why that
 # split is exact).  A repeated text costs one dict lookup and returns the
-# object the loop would build.  Neither memo stores a failure: a text that
+# object the loop would build.  No memo stores a failure: a text that
 # fails anywhere is read again by the loop over its ungrouped tokens, which
 # raises the first error in reading order, so it fails again with the same
 # error.
@@ -465,6 +476,7 @@ class Sequent:
 
 _TOKEN_RE = re.compile(r"\|-|<->|->|/\\|\\/|><|[!()|,]|[A-Za-z_][A-Za-z0-9_]*")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_PARENS_RE = re.compile(r"([()])")
 _RESERVED = {"T", "F"}
 # binding power of a stacked operator; open brackets have none
 _POWER = {"<->": 1, "><": 1, "->": 2, "\\/": 3, "/\\": 4, "!": 5}
@@ -497,23 +509,25 @@ def _found(tok: str | Formula | None) -> str:
 
 
 class Language:
-    """A declared, ordered atom set plus its parser, its printers and two
-    memos: the text memo maps each formula text that parsed, alone or in a
-    sequent, to its formula, and the group memo maps each bracketed group
-    that read, as a tuple of tokens and formulas, to its formula.
+    """A declared, ordered atom set plus its parser, its printers and three
+    memos: text to formula, bracketed group (raw text chunks and formulas)
+    to formula, and text chunk to tokens.
 
-    The group memo is exact because in this grammar ``(`` always opens a
-    primary.  In operand position the loop stacks the ``(``, reduces
-    nothing below it until the matching ``)`` and leaves one more operand,
-    and the sequent mode is idle while a bracket is open; so the group
-    reads as the formula it reads to alone, whatever surrounds it.  Out of
-    operand position a ``(`` is an error, and so is the group's formula
-    that stands there.  So the grouped tokens read exactly when the text
-    does, to the same result.  The first error is another matter: a group
-    is read before the tokens in front of it, and a ``)`` or ``(`` left
-    unmatched is no group.  So a text whose grouped read fails is read
-    again by the same loop over its ungrouped tokens, which raises the
-    first error in reading order, the one the text always raised.
+    The group memo is exact.  A key fixes its group's tokens, as no token
+    holds a bracket, so a chunk tokenizes alone to the tokens the text
+    holds there.  And in this grammar ``(`` always opens a primary.  In
+    operand position the loop stacks the ``(``, reduces nothing below it
+    until the matching ``)`` and leaves one more operand, and the sequent
+    mode is idle while a bracket is open; so the group reads as the formula
+    it reads to alone, whatever surrounds it.  Out of operand position a
+    ``(`` is an error, and so is the group's formula that stands there.
+    So the grouped chunks read exactly when the text does, to the same
+    result.  The first error is another matter: a group is read before the
+    chunks in front of it, a chunk names a lexical error by its own
+    position, and a ``)`` or ``(`` left unmatched is no group.  So a text
+    whose grouped read fails is read again by the same loop over its
+    ungrouped tokens, which raises the first error in reading order, the
+    one the text always raised.
     """
 
     def __init__(self, theta: Sequence[str]):
@@ -528,6 +542,7 @@ class Language:
         self.theta: tuple[str, ...] = names
         self._texts: dict[str, Formula] = {}
         self._groups: dict[tuple[str | Formula, ...], Formula] = {}
+        self._chunks: dict[str, list[str]] = {}
         self.top: Formula = Implies(Atom(names[0]), Atom(names[0]))
         self.bot: Formula = Not(self.top)
         self._leaves = {**{n: Atom(n) for n in names}, "T": self.top, "F": self.bot}
@@ -578,32 +593,48 @@ class Language:
     def _read(self, text: str, sequent: bool) -> Formula | Sequent:
         """`text` as one formula, or as a sequent when `sequent` is set:
         each distinct bracketed group read once, through the group memo, then
-        the outermost tokens; on any failure, the ungrouped tokens."""
-        tokens = _tokenize(text)
+        the outermost chunks; on any failure, or with no bracket to group,
+        the ungrouped tokens."""
         groups, loop = self._groups, self._shift_reduce
         outer: list[list[str | Formula]] = []    # the enclosing lists of the open groups
         inner: list[str | Formula] = []          # the innermost open group, or the text
-        try:
-            for tok in tokens:
-                if tok == "(":
-                    outer.append(inner)
-                    inner = []
-                elif tok == ")" and outer:
-                    key = tuple(inner)
-                    f = groups.get(key)
-                    if f is None:
-                        f = groups[key] = loop(["(", *key, ")", None], False)
-                    inner = outer.pop()
-                    inner.append(f)
-                else:
-                    inner.append(tok)
-            if not outer:
-                inner.append(None)
-                return loop(inner, sequent)
-        except ParseError:
-            pass
+        pieces = _PARENS_RE.split(text)          # chunk, bracket, chunk, ...
+        if len(pieces) > 1:                      # else no group: read the tokens at once
+            try:
+                for piece in pieces:
+                    if piece == "(":
+                        outer.append(inner)
+                        inner = []
+                    elif piece == ")" and outer:
+                        key = tuple(inner)
+                        f = groups.get(key)
+                        if f is None:
+                            f = groups[key] = loop(["(", *self._tokens(key), ")", None], False)
+                        inner = outer.pop()
+                        inner.append(f)
+                    elif piece:
+                        inner.append(piece)
+                if not outer:
+                    return loop([*self._tokens(inner), None], sequent)
+            except ParseError:
+                pass
+        tokens = _tokenize(text)
         tokens.append(None)
         return loop(tokens, sequent)
+
+    def _tokens(self, parts: Sequence[str | Formula]) -> list[str | Formula]:
+        """`parts` with each chunk replaced by its tokens, each distinct
+        chunk tokenized once per `Language`."""
+        chunks, out = self._chunks, []
+        for part in parts:
+            if type(part) is str:
+                toks = chunks.get(part)
+                if toks is None:
+                    toks = chunks[part] = _tokenize(part)
+                out += toks
+            else:
+                out.append(part)
+        return out
 
     def _shift_reduce(self, tokens: list[str | Formula | None],
                       sequent: bool) -> Formula | Sequent:

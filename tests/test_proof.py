@@ -267,6 +267,82 @@ def test_leaf_check_matches_reference(target):
         _leaf_outcome(ref.classical_leaf_check, target)
 
 
+@st.composite
+def _switch_leaves(draw):
+    """A sequent over 5 to 9 distinct variables, each an atom or a
+    conditional, met in a drawn order, so its leaf falls on either side of
+    the 64-row table's 6 variables.  The succedent is often an antecedent
+    formula or an excluded middle, so tautologies are frequent."""
+    n = draw(st.integers(5, 9))
+    pool = [Cond(Atom(name), Atom(name)) if draw(st.booleans()) else Atom(name)
+            for name in draw(st.permutations(_LEAF_NAMES[:n]))]
+    every = pool[0]
+    for v in pool[1:]:
+        every = draw(st.sampled_from([Implies(every, v), Implies(v, every), disj(Not(v), every)]))
+    pick = st.sampled_from(pool)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        pool.append(draw(st.one_of(pick.map(Not), st.builds(Implies, pick, pick))))
+        pick = st.sampled_from(pool)
+    ant = (every, *draw(st.lists(pick, max_size=2)))
+    if draw(st.booleans()):
+        ant = ant[::-1]
+    x = draw(pick)
+    suc = draw(st.sampled_from([(), (x,), (ant[-1],), (disj(x, Not(x)),), (Implies(x, ant[0]),)]))
+    return Sequent(ant, suc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_switch_leaves())
+def test_leaf_check_matches_reference_at_the_width_switch(target):
+    assert _leaf_outcome(classical_leaf_check, target) == \
+        _leaf_outcome(ref.classical_leaf_check, target)
+
+
+_TOO_WIDE = "taut: too many variables for a truth table ({})"
+
+
+@pytest.mark.parametrize("atoms, conds, conds_first, outcome", [
+    (3, 15, False, True), (3, 15, True, True),
+    (4, 15, False, _TOO_WIDE.format(19)), (4, 15, True, _TOO_WIDE.format(19)),
+    (15, 6, False, _TOO_WIDE.format(19)), (2, 20, True, _TOO_WIDE.format(19)),
+    (16, 5, True, _TOO_WIDE.format(21)),
+])
+def test_wide_leaf_error_counts_like_the_reference(atoms, conds, conds_first, outcome):
+    # 18 variables are decided; a conditional that makes the 19th stops the
+    # walk there, a 19th atom is counted to the end
+    names = [Atom(n) for n in _LEAF_NAMES[:atoms]]
+    cs = _distinct_conditionals(conds)
+    wide = _any_of(cs + names if conds_first else names + cs)
+    target = Sequent((), (Implies(wide, wide),))
+    assert _leaf_outcome(classical_leaf_check, target) == outcome
+    assert _leaf_outcome(ref.classical_leaf_check, target) == outcome
+
+
+def test_a_narrow_leaf_is_one_walk_per_formula(monkeypatch):
+    from dblogic import syntax
+    walks = []
+    evaluate = proof.evaluate
+
+    def spy(*args, **kwargs):
+        walks.append(args[0])
+        return evaluate(*args, **kwargs)
+
+    def no_leaves(*args, **kwargs):
+        raise AssertionError("the leaf check lists no leaves")
+
+    monkeypatch.setattr(proof, "evaluate", spy)
+    monkeypatch.setattr(syntax, "leaves", no_leaves)
+    monkeypatch.setattr(proof, "leaves", no_leaves, raising=False)
+    conds = _distinct_conditionals(2)
+    for width in range(1, 10):
+        ps = [Atom(n) for n in _LEAF_NAMES[:width - 2]] + conds if width > 2 else conds[:width]
+        target = Sequent(tuple(ps), (Implies(ps[-1], ps[0]),))
+        walks.clear()
+        assert classical_leaf_check(target)
+        formulas = [*target.antecedent, *target.succedent]
+        assert walks == formulas * (1 if width <= 6 else 2), width
+
+
 def test_tautology_keeps_iff_sharing():
     # `<->` shares both sides by reference; a copy that unshares them costs
     # 2**depth nodes.  a <-> ... <-> a with k copies of a is a tautology

@@ -429,6 +429,33 @@ def test_a_repeated_group_is_read_once(monkeypatch):
     assert reads == [[group, None]]
 
 
+def test_each_distinct_chunk_is_tokenized_once(monkeypatch):
+    from dblogic import syntax
+    chunks = []
+    tokenize = syntax._tokenize
+    monkeypatch.setattr(syntax, "_tokenize", lambda text: chunks.append(text) or tokenize(text))
+    lang = Language(["a", "b"])
+    texts = ["(a | !b) -> (a | !b)", "(a | !b) -> ( a|!b ) -> (a|\t!b)", "!((a | !b)) -> (b)"]
+    f, g, h = (lang.parse(t) for t in texts)
+    # whitespace inside brackets is a different key of the same formula
+    assert f is ref.parse(lang, texts[0]) and g is ref.parse(lang, texts[1])
+    assert h is ref.parse(lang, texts[2])
+    assert g.left is g.right.left is g.right.right is f.left is f.right
+    assert chunks == ["a | !b", " -> ", " a|!b ", "a|\t!b", "b", "!"]
+
+
+@pytest.mark.parametrize("text", [
+    "(y | x) & x", "((y | x) & x)", "(y | x & x) -> (y | x)", "x & (y | x)",
+    "(y | x) -> (y & | x)", "(y | x) -> x, (y | x) -> x |- (y | x & x) -> y",
+])
+def test_a_lexical_error_past_a_read_group_is_the_first_error(text):
+    lang = Language(["x", "y"])
+    lang.parse_sequent("(y | x) -> x, x |- (y | x) -> y")    # the group memo holds (y | x)
+    for _ in range(2):
+        _agree(lang, text)
+    assert _outcome(lang.parse, text)[0] == "ParseError"
+
+
 # -- stack safety and sharing ---------------------------------------------------
 
 def test_deep_negation_parses_without_recursion():
